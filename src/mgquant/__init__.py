@@ -22,16 +22,7 @@ from .calibration import CalibrationSet, GramAccumulator, build_hessian_cholesky
 from .gptq import QuantResult, proxy_loss, quantize_blockwise
 from .linalg import NotPositiveDefiniteError, ShapeMismatchError, cholesky, matmul, spd_inverse
 from .pipeline import AllocatorTimings, quantize_with_allocator
-from .quant import (
-    QuantGrid,
-    QuantizedColumn,
-    column_error_table,
-    error_table,
-    fit_grid,
-    quantize_binary,
-    quantize_column,
-    quantize_rtn,
-)
+from .quant import error_table, quantize
 from .tensorfile import TensorFileError, read_tensor_file, write_tensor_file
 from .training import (
     AdamW,
@@ -53,9 +44,7 @@ __all__ = [
     "GramAccumulator",
     "LossBreakdown",
     "NotPositiveDefiniteError",
-    "QuantGrid",
     "QuantResult",
-    "QuantizedColumn",
     "ShapeMismatchError",
     "TensorFileError",
     "TrainConfig",
@@ -63,9 +52,7 @@ __all__ = [
     "allocate",
     "build_hessian_cholesky",
     "cholesky",
-    "column_error_table",
     "error_table",
-    "fit_grid",
     "gcn_forward",
     "gumbel_softmax",
     "hessian_node_features",
@@ -74,10 +61,8 @@ __all__ = [
     "mlp_forward",
     "preprocess",
     "proxy_loss",
-    "quantize_binary",
+    "quantize",
     "quantize_blockwise",
-    "quantize_column",
-    "quantize_rtn",
     "quantize_with_allocator",
     "read_tensor_file",
     "run_baseline",

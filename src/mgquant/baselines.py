@@ -1,9 +1,9 @@
 """Reference quantizers: plain RTN, uniform-width blockwise, and the MLP
 ablation allocator.
 
-``rtn`` quantizes every column independently with the same per-column
-dispatch the engine uses (binary at 1 bit, min-max RTN above), so with an
-uncorrelated factor the blockwise engine reproduces it exactly.
+``rtn`` quantizes every column independently with the quantizer the engine
+uses (binary at 1 bit, min-max RTN above), in one call on ``W.T``, so with
+an uncorrelated factor the blockwise engine reproduces it exactly.
 ``gptq-uniform`` is the engine with a constant assignment. ``mlp-ptq``
 trains the allocator with the graph layers replaced by plain dense layers
 (node features pooled from the factor rows), then quantizes with the
@@ -20,8 +20,8 @@ import numpy as np
 
 from .allocator import allocate, hessian_node_features, mlp_forward
 from .calibration import CalibrationSet
-from .gptq import QuantResult, proxy_loss, quantize_blockwise
-from .quant import quantize_column
+from .gptq import MAX_BITS, QuantResult, proxy_loss, quantize_blockwise, validate_widths
+from .quant import quantize
 from .training import TrainConfig, train
 
 __all__ = ["BaselineSpec", "run_baseline", "quantize_rtn_matrix"]
@@ -55,20 +55,20 @@ def quantize_rtn_matrix(
     w = np.asarray(w)
     if w.dtype not in (np.float32, np.float64):
         w = w.astype(np.float64)
-    start = time.perf_counter()
     d_col = w.shape[1]
-    quantized = np.zeros_like(w)
-    columns = []
-    for j in range(d_col):
-        qc = quantize_column(w[:, j], bits)
-        columns.append(qc)
-        quantized[:, j] = qc.dequant().astype(w.dtype)
+    widths = validate_widths(np.full(d_col, bits), d_col, MAX_BITS)
+    start = time.perf_counter()
+    quantized, codes, scales, zeros = quantize(w.T, bits)
+    quantized = quantized.T.astype(w.dtype, order="C")
+    codes = codes.T.astype(np.uint8, order="C")
     wall = time.perf_counter() - start
     loss = proxy_loss(w, quantized, calib) if calib is not None else None
     return QuantResult(
         quantized=quantized,
-        columns=columns,
-        widths=np.full(d_col, bits, dtype=np.int64),
+        codes=codes,
+        scales=scales,
+        zeros=zeros,
+        widths=widths,
         block_errors=np.zeros(0, dtype=np.float64),
         proxy_loss=loss,
         wall_time=wall,

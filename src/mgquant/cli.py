@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -35,7 +33,7 @@ from .pipeline import (
     result_to_sections,
 )
 from .report import build_report, layer_entry, write_report
-from .tensorfile import TensorFileError, read_tensor_file, write_tensor_file
+from .tensorfile import TensorFileError, read_tensor_file, write_atomic, write_tensor_file
 from .training import format_training_log, train
 
 __all__ = ["main"]
@@ -43,19 +41,6 @@ __all__ = ["main"]
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _write_text_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _load_weights(path: str) -> np.ndarray:
@@ -75,6 +60,10 @@ def _load_hessian(path: str) -> np.ndarray:
     hc = sections["hessian_cholesky"]
     if hc.ndim != 2 or hc.shape[0] != hc.shape[1]:
         raise ValueError(f"{path}: 'hessian_cholesky' must be square, got {hc.shape}")
+    # A lower factor or the full inverse would pass the engine's diagonal
+    # check and silently skip compensation, which reads only the upper part.
+    if np.tril(hc, -1).any():
+        raise ValueError(f"{path}: 'hessian_cholesky' has non-zero entries below the diagonal")
     return hc
 
 
@@ -157,32 +146,10 @@ def cmd_train(args) -> int:
         out, params_to_sections(params, symmetrize_adjacency=cfg.symmetrize_adjacency)
     )
     log_path = args.log or cfg.log_path or (out + ".log")
-    _write_text_atomic(Path(log_path), format_training_log(records))
-    if records:
-        last = records[-1]
-        _emit(
-            {
-                "l_quant": last.l_quant,
-                "l_bit": last.l_bit,
-                "total": last.total,
-                "hard_mean_bits": last.hard_mean_bits,
-                "soft_mean_bits": last.soft_mean_bits,
-                "out": out,
-                "log": log_path,
-            }
-        )
-    else:
-        _emit(
-            {
-                "l_quant": None,
-                "l_bit": None,
-                "total": None,
-                "hard_mean_bits": None,
-                "soft_mean_bits": None,
-                "out": out,
-                "log": log_path,
-            }
-        )
+    write_atomic(log_path, format_training_log(records).encode())
+    last = records[-1] if records else None
+    fields = ("l_quant", "l_bit", "total", "hard_mean_bits", "soft_mean_bits")
+    _emit({**{k: getattr(last, k, None) for k in fields}, "out": out, "log": log_path})
     return 0
 
 

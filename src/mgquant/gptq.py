@@ -15,6 +15,11 @@ block finishes, the stacked errors update everything to the right of it:
 With a diagonal factor all cross terms vanish and the result reduces to
 independent per-column quantization. ``intra_block=False`` keeps only the
 block-level update, for comparison.
+
+The engine works on ``W.T``, so each column is a contiguous row, and
+quantizes it with :func:`mgquant.quant.quantize`. The result carries the
+codes as one u8 matrix and the grids as per-column ``scales``/``zeros``
+arrays; widths above 8 bits are rejected because a code must fit in a byte.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ import numpy as np
 
 from .calibration import CalibrationSet
 from .linalg import ShapeMismatchError
-from .quant import QuantizedColumn, quantize_column
+from .quant import quantize
 
 __all__ = ["QuantResult", "quantize_blockwise", "proxy_loss", "validate_widths"]
+
+MAX_BITS = 8  # codes are stored one byte each
 
 
 @dataclass
@@ -37,8 +44,10 @@ class QuantResult:
 
     Attributes:
         quantized: dequantized weight matrix, same shape/dtype as the input;
-            every column lies exactly on its column's grid.
-        columns: per-column codes and grids.
+            column j equals ``scales[j] * (codes[:, j] - zeros[j])`` cast
+            to that dtype.
+        codes: u8 integer codes, same shape as ``quantized``.
+        scales, zeros: the grid of each column (float64, length d_col).
         widths: the bit assignment actually applied (copy).
         block_errors: per block, the sum of squared compensation entries.
         proxy_loss: layer output distortion if calibration data was supplied.
@@ -49,7 +58,9 @@ class QuantResult:
     """
 
     quantized: np.ndarray
-    columns: list[QuantizedColumn]
+    codes: np.ndarray
+    scales: np.ndarray
+    zeros: np.ndarray
     widths: np.ndarray
     block_errors: np.ndarray
     proxy_loss: float | None
@@ -98,14 +109,14 @@ def quantize_blockwise(
             in this dtype.
         hc: upper-triangular Cholesky factor of the damped inverse Gram
             (d_col x d_col) with strictly positive diagonal.
-        widths: per-column bit widths, each >= 1.
+        widths: per-column bit widths, each in 1..8.
         block_size: columns per compensation block (1..d_col).
         calib: optional calibration set for the proxy loss.
         intra_block: propagate each column's error to later columns of the
             same block (the default); False applies only the block-level
             update to later blocks.
         keep_residuals: record the compensated column values seen by the
-            quantizer.
+            quantizer (returned as a transposed view, shape d_row x d_col).
     """
     w = np.asarray(w)
     if w.ndim != 2:
@@ -118,7 +129,7 @@ def quantize_blockwise(
         raise ShapeMismatchError(
             f"hessian factor shape {hc.shape} does not match d_col {d_col}"
         )
-    widths = validate_widths(widths, d_col)
+    widths = validate_widths(widths, d_col, MAX_BITS)
     diag = np.diag(hc)
     if not (diag > 0).all():
         bad = int(np.argmin(diag))
@@ -129,41 +140,45 @@ def quantize_blockwise(
     hc = hc.astype(w.dtype, copy=False)
     start = time.perf_counter()
 
-    work = np.array(w, copy=True)
-    quantized = np.zeros_like(work)
-    residuals = np.zeros_like(work) if keep_residuals else None
-    columns: list[QuantizedColumn] = [None] * d_col  # type: ignore[list-item]
+    # Row j of each (d_col, d_row) buffer is column j of the matrix.
+    work = np.array(w.T, order="C")
+    quantized = np.empty_like(work)
+    codes = np.empty(work.shape, dtype=np.uint8)
+    scales = np.empty(d_col, dtype=np.float64)
+    zeros = np.empty(d_col, dtype=np.float64)
+    residuals = np.empty_like(work) if keep_residuals else None
     block_errors: list[float] = []
 
     for b in range(0, d_col, block_size):
         e = min(b + block_size, d_col)
         errs = np.zeros((d_row, e - b), dtype=work.dtype)
         for j in range(b, e):
-            col = work[:, j]
+            col = work[j]
             if residuals is not None:
-                residuals[:, j] = col
-            qc = quantize_column(col, int(widths[j]))
-            columns[j] = qc
-            qvals = qc.dequant().astype(work.dtype)
-            quantized[:, j] = qvals
-            err = (col - qvals) / hc[j, j]
+                residuals[j] = col
+            quantized[j], codes[j], scales[j], zeros[j] = quantize(col, int(widths[j]))
+            err = (col - quantized[j]) / hc[j, j]
             errs[:, j - b] = err
             if intra_block and j + 1 < e:
-                work[:, j + 1 : e] -= np.outer(err, hc[j, j + 1 : e])
+                work[j + 1 : e] -= hc[j, j + 1 : e, None] * err
         block_errors.append(float(np.sum(np.square(errs, dtype=np.float64))))
         if e < d_col:
-            work[:, e:] -= errs @ hc[b:e, e:]
+            work[e:] -= (errs @ hc[b:e, e:]).T
 
+    quantized = np.ascontiguousarray(quantized.T)
+    codes = np.ascontiguousarray(codes.T)
     wall = time.perf_counter() - start
     loss = proxy_loss(w, quantized, calib) if calib is not None else None
     return QuantResult(
         quantized=quantized,
-        columns=columns,
+        codes=codes,
+        scales=scales,
+        zeros=zeros,
         widths=widths.copy(),
         block_errors=np.asarray(block_errors, dtype=np.float64),
         proxy_loss=loss,
         wall_time=wall,
-        residuals=residuals,
+        residuals=None if residuals is None else residuals.T,
     )
 
 

@@ -6,7 +6,8 @@ allocator parameter files carry ``w0/w1/wc/bc`` (optionally ``wf/bf``) plus
 a one-byte ``flags`` section (bit 0: adjacency was symmetrized during
 training, so inference must match). Quantized outputs carry the dequantized
 ``quantized`` matrix, u8 ``codes``, per-column ``scales``/``zeros`` grids
-and u8 ``widths``.
+and u8 ``widths``, which :func:`result_to_sections` takes as they are from
+the :class:`~mgquant.gptq.QuantResult` arrays.
 """
 
 from __future__ import annotations
@@ -109,26 +110,14 @@ def params_from_sections(sections: dict[str, np.ndarray]) -> tuple[AllocatorPara
 
 def result_to_sections(result: QuantResult) -> dict[str, np.ndarray]:
     """Pack a quantization result for the container format (one byte per code)."""
-    d_row, d_col = result.quantized.shape
-    codes = np.empty((d_row, d_col), dtype=np.uint8)
-    scales = np.empty(d_col, dtype=np.float64)
-    zeros = np.empty(d_col, dtype=np.float64)
-    for j, qc in enumerate(result.columns):
-        if qc.bits > 8:
-            raise ValueError(f"column {j}: {qc.bits}-bit codes do not fit in u8 storage")
-        codes[:, j] = qc.codes.astype(np.uint8)
-        scales[j] = qc.grid.scale
-        zeros[j] = qc.grid.zero
     quantized = result.quantized
-    if quantized.dtype == np.float64:
-        out_q = quantized
-    else:
-        out_q = quantized.astype(np.float32)
+    if quantized.dtype != np.float64:
+        quantized = quantized.astype(np.float32)
     return {
-        "quantized": out_q,
-        "codes": codes,
-        "scales": scales,
-        "zeros": zeros,
+        "quantized": quantized,
+        "codes": result.codes,
+        "scales": result.scales,
+        "zeros": result.zeros,
         "widths": result.widths.astype(np.uint8),
     }
 

@@ -1,205 +1,135 @@
-"""Scalar quantization primitives: grids, round-to-nearest, binary, error tables.
+"""Scalar quantization: one grid fit and rounding step, plus the error table.
 
 A t-bit grid maps integer codes ``c in [0, 2^t - 1]`` to real values via
 
     dequant(c) = scale * (c - zero)
 
 with a real-valued ``zero`` offset, so the minimum of the fitted data is
-reproduced (up to 1 ulp) at code 0. Grids are fitted per weight column,
-asymmetric min-max. The 1-bit case has its own quantizer: ``alpha * sign(x)``
-with ``alpha = mean(|x|)`` and ``sign(0) = +1``, which is the least-squares
-optimal two-level code for the sign pattern.
+reproduced (up to 1 ulp) at code 0. :func:`quantize` fits one grid per
+vector along the last axis, asymmetric min-max, so a weight matrix passed
+as ``W.T`` gets one grid per column. The 1-bit case has its own quantizer:
+``alpha * sign(x)`` with ``alpha = mean(|x|)`` and ``sign(0) = +1``, which
+is the least-squares optimal two-level code for the sign pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "QuantGrid",
-    "QuantizedColumn",
-    "fit_grid",
-    "quantize_rtn",
-    "quantize_binary",
-    "quantize_column",
-    "column_error_table",
-    "error_table",
-]
+__all__ = ["quantize", "error_table"]
 
 
-@dataclass(frozen=True)
-class QuantGrid:
-    """Uniform quantization grid with 2^bits levels."""
-
-    bits: int
-    scale: float
-    zero: float
-
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def n_levels(self) -> int:
-        return 1 << self.bits
-
-    @property
-    def code_max(self) -> int:
-        return self.n_levels - 1
-
-    def dequant(self, codes: np.ndarray) -> np.ndarray:
-        """Map integer codes to grid values (float64)."""
-        return self.scale * (np.asarray(codes, dtype=np.float64) - self.zero)
-
-
-@dataclass(frozen=True)
-class QuantizedColumn:
-    """Integer codes plus the grid they live on."""
-
-    codes: np.ndarray
-    grid: QuantGrid
-
-    def __post_init__(self):
-        codes = np.asarray(self.codes)
-        if codes.size and (codes.min() < 0 or codes.max() > self.grid.code_max):
-            raise ValueError(
-                f"codes out of range [0, {self.grid.code_max}] for {self.grid.bits}-bit grid"
-            )
-
-    @property
-    def bits(self) -> int:
-        return self.grid.bits
-
-    def dequant(self) -> np.ndarray:
-        return self.grid.dequant(self.codes)
-
-
-def _exact_zero(vmin: float, scale: float) -> float:
-    # zero = -vmin/scale up to rounding; prefer a representable neighbor that
-    # reproduces vmin exactly at code 0.
-    zero = -vmin / scale
-    if scale * (0.0 - zero) == vmin:
-        return zero
-    for cand in (np.nextafter(zero, np.inf), np.nextafter(zero, -np.inf)):
-        if scale * (0.0 - cand) == vmin:
-            return float(cand)
+def _exact_zero(vmin, scale):
+    # zero = -vmin/scale up to rounding; where that misses, prefer the
+    # representable neighbor above, then the one below, that reproduces vmin
+    # exactly at code 0.
+    nominal = zero = -vmin / scale
+    for direction in (np.inf, -np.inf):
+        miss = scale * (0.0 - zero) != vmin
+        if not miss.any():
+            break
+        cand = np.nextafter(nominal, direction)
+        zero = np.where(miss & (scale * (0.0 - cand) == vmin), cand, zero)
     return zero
 
 
-def _covers(vmin: float, vmax: float, cmax: int, scale: float, zero: float) -> bool:
-    return scale * (0.0 - zero) <= vmin and scale * (cmax - zero) >= vmax
+def _covers(vmin, vmax, cmax: int, scale, zero):
+    return (scale * (0.0 - zero) <= vmin) & (scale * (cmax - zero) >= vmax)
 
 
-def _fit_covering(vmin: float, vmax: float, bits: int) -> tuple[float, float]:
+def _fit_covering(vmin: np.ndarray, vmax: np.ndarray, bits: int):
     # Rounding of scale/zero can leave the nominal grid short of the data
-    # range. When that happens, widen the span by a slack proportional to
-    # the endpoint magnitude (when the span is tiny relative to the values,
-    # the window of admissible zeros is narrower than one representable
-    # step, so ulp-nudging alone cannot land in it) and walk zero down until
-    # both endpoints are covered.
+    # range. For those rows, widen the span by a slack proportional to the
+    # endpoint magnitude (when the span is tiny relative to the values, the
+    # window of admissible zeros is narrower than one representable step,
+    # so ulp-nudging alone cannot land in it) and walk zero down until both
+    # endpoints are covered. Each row keeps the first grid that covers it.
     cmax = (1 << bits) - 1
     span = vmax - vmin
-    scale = span / cmax
-    zero = _exact_zero(vmin, scale)
-    if _covers(vmin, vmax, cmax, scale, zero):
-        return scale, zero
-    slack = 4.0 * float(np.spacing(max(abs(vmin), abs(vmax))))
+    slack = 4.0 * np.spacing(np.maximum(np.abs(vmin), np.abs(vmax)))
+    scale = np.empty_like(span)
+    zero = np.empty_like(span)
+    done = np.zeros(span.shape, dtype=bool)
     for _ in range(60):
-        scale = (span + slack) / cmax
-        zero = _exact_zero(vmin, scale)
-        steps = 0
-        while scale * (0.0 - zero) > vmin and steps < 64:
-            zero = float(np.nextafter(zero, np.inf))
-            steps += 1
-        if _covers(vmin, vmax, cmax, scale, zero):
-            return scale, zero
+        s = (span + slack) / cmax
+        z = _exact_zero(vmin, s)
+        for _ in range(64):
+            low = s * (0.0 - z) > vmin
+            if not low.any():
+                break
+            z = np.where(low, np.nextafter(z, np.inf), z)
+        scale[~done] = s[~done]
+        zero[~done] = z[~done]
+        done |= _covers(vmin, vmax, cmax, s, z)
+        if done.all():
+            break
         slack *= 2.0
     return scale, zero
 
 
-def fit_grid(values: np.ndarray, bits: int) -> QuantGrid:
-    """Fit an asymmetric min-max grid: code 0 at min(values), top code at max.
+def quantize(
+    values: np.ndarray, bits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit one grid per vector along the last axis and round to it.
 
-    A constant input degenerates to ``scale = 1`` with every value at code 0.
+    At 1 bit the codes are 1 for x >= 0 and 0 for x < 0 on the grid
+    ``scale = 2*alpha, zero = 0.5``, which dequantizes them to exactly
+    ``+-alpha``; an all-zero vector gets ``scale = zero = 1``, dequantizing
+    to 0. Above 1 bit the grid is min-max, code 0 at the minimum and the top
+    code at the maximum; a constant vector gets ``scale = 1`` with every
+    value at code 0. Rounding is to the nearest level, ties away from zero
+    in code space, clipped to ``[0, 2^bits - 1]``.
+
+    Returns:
+        ``(dequant, codes, scale, zero)``: float64 arrays. ``dequant`` and
+        the integer-valued ``codes`` have the shape of ``values``; ``scale``
+        and ``zero`` drop the last axis, and ``dequant`` equals
+        ``scale[..., None] * (codes - zero[..., None])`` exactly.
     """
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.size == 0:
-        raise ValueError("cannot fit a grid to an empty vector")
-    if not np.isfinite(vals).all():
-        raise ValueError("cannot fit a grid to non-finite values")
-    vmin = float(vals.min())
-    vmax = float(vals.max())
-    if vmax == vmin:
-        return QuantGrid(bits=bits, scale=1.0, zero=-vmin)
-    scale, zero = _fit_covering(vmin, vmax, bits)
-    return QuantGrid(bits=bits, scale=scale, zero=zero)
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("cannot quantize an empty vector")
+    if not np.isfinite(x).all():
+        raise ValueError("cannot quantize non-finite values")
 
-
-def quantize_rtn(values: np.ndarray, grid: QuantGrid) -> QuantizedColumn:
-    """Round each value to the nearest grid level, ties away from zero in code space."""
-    vals = np.asarray(values, dtype=np.float64)
-    raw = vals / grid.scale + grid.zero
-    codes = np.trunc(raw + np.copysign(0.5, raw))
-    codes = np.clip(codes, 0, grid.code_max).astype(np.int64)
-    return QuantizedColumn(codes=codes, grid=grid)
-
-
-def quantize_binary(values: np.ndarray) -> QuantizedColumn:
-    """1-bit quantization: alpha * sign(x), alpha = mean|x|, sign(0) = +1.
-
-    Codes are 1 for x >= 0 and 0 for x < 0; the grid (scale = 2*alpha,
-    zero = 0.5) dequantizes them to exactly +-alpha. An all-zero input gets
-    a degenerate grid that dequantizes every code-1 entry to 0.
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.size == 0:
-        raise ValueError("cannot binarize an empty vector")
-    alpha = float(np.mean(np.abs(vals)))
-    codes = (vals >= 0).astype(np.int64)
-    if alpha == 0.0:
-        return QuantizedColumn(codes=codes, grid=QuantGrid(bits=1, scale=1.0, zero=1.0))
-    return QuantizedColumn(codes=codes, grid=QuantGrid(bits=1, scale=2.0 * alpha, zero=0.5))
-
-
-def quantize_column(values: np.ndarray, bits: int) -> QuantizedColumn:
-    """Quantize one column at the given width: binary at 1 bit, min-max RTN above."""
     if bits == 1:
-        return quantize_binary(values)
-    return quantize_rtn(values, fit_grid(values, bits))
-
-
-def column_error_table(
-    block: np.ndarray, col: int, t_max: int, hdiag: float
-) -> np.ndarray:
-    """Squared compensation error of one column at every width 1..t_max.
-
-    Entry ``t-1`` is ``||w - dequant(quantize(w, t))||^2 / hdiag^2``, i.e. the
-    squared norm of the compensation term the blockwise engine would emit if
-    this column were quantized at t bits right now.
-    """
-    if not hdiag > 0:
-        raise ValueError(f"hdiag must be positive, got {hdiag}")
-    w = np.asarray(block, dtype=np.float64)[:, col]
-    out = np.empty(t_max, dtype=np.float64)
-    for t in range(1, t_max + 1):
-        q = quantize_column(w, t).dequant()
-        diff = w - q
-        out[t - 1] = float(diff @ diff) / (hdiag * hdiag)
-    return out
+        alpha = np.mean(np.abs(x), axis=-1, keepdims=True)
+        flat = alpha == 0.0
+        scale = np.where(flat, 1.0, 2.0 * alpha)
+        zero = np.where(flat, 1.0, 0.5)
+        codes = (x >= 0).astype(np.float64)
+    else:
+        cmax = (1 << bits) - 1
+        vmin = x.min(axis=-1, keepdims=True)
+        vmax = x.max(axis=-1, keepdims=True)
+        span = vmax - vmin
+        flat = span == 0.0
+        scale = np.where(flat, 1.0, span / cmax)
+        zero = _exact_zero(vmin, scale)
+        short = ~_covers(vmin, vmax, cmax, scale, zero)  # never a flat row
+        if short.any():
+            scale[short], zero[short] = _fit_covering(vmin[short], vmax[short], bits)
+        # In place: fresh temporaries cost more than the arithmetic here.
+        raw = np.divide(x, scale)
+        raw += zero
+        codes = np.copysign(0.5, raw)
+        codes += raw
+        np.trunc(codes, out=codes)
+        np.clip(codes, 0.0, cmax, out=codes)
+    dequant = np.subtract(codes, zero)
+    dequant *= scale
+    return dequant, codes, scale[..., 0], zero[..., 0]
 
 
 def error_table(weights: np.ndarray, hc_diag: np.ndarray, t_max: int) -> np.ndarray:
-    """Stack column_error_table over all columns -> (d_col, t_max) matrix.
+    """Squared compensation error of every column at every width -> (d_col, t_max).
 
-    Vectorized across columns (the training loop calls this once per layer
-    pass). Uses the unpolished ``zero = -vmin/scale``; relative deviation
-    from the per-column reference is at rounding level.
+    Entry ``[j, t-1]`` is ``||w_j - quantize(w_j, t)||^2 / hc_diag[j]^2``,
+    the squared norm of the compensation term the blockwise engine would
+    emit if column j were quantized at t bits right now. The training loop
+    calls this once per layer pass, on the engine's residuals.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
@@ -210,22 +140,11 @@ def error_table(weights: np.ndarray, hc_diag: np.ndarray, t_max: int) -> np.ndar
         raise ValueError(f"hc_diag must have shape ({d_col},), got {hc_diag.shape}")
     if not (hc_diag > 0).all():
         raise ValueError("hc_diag entries must be positive")
-    out = np.empty((t_max, d_col), dtype=np.float64)
-
-    alpha = np.mean(np.abs(w), axis=0)
-    q = np.where(w >= 0, alpha, -alpha)
-    out[0] = np.sum((w - q) ** 2, axis=0)
-
-    vmin = w.min(axis=0)
-    span = w.max(axis=0) - vmin
-    for t in range(2, t_max + 1):
-        cmax = float((1 << t) - 1)
-        s = np.where(span == 0.0, 1.0, span / cmax)
-        z = -vmin / s
-        raw = w / s + z
-        codes = np.clip(np.trunc(raw + np.copysign(0.5, raw)), 0.0, cmax)
-        q = s * (codes - z)
-        out[t - 1] = np.sum((w - q) ** 2, axis=0)
-
-    out /= hc_diag**2
-    return np.ascontiguousarray(out.T)
+    cols = np.ascontiguousarray(w.T)
+    out = np.empty((d_col, t_max), dtype=np.float64)
+    for t in range(1, t_max + 1):
+        diff = quantize(cols, t)[0]
+        diff -= cols
+        out[:, t - 1] = np.sum(np.square(diff, out=diff), axis=-1)
+    out /= (hc_diag**2)[:, None]
+    return out

@@ -20,13 +20,12 @@ assigned width i+1 and the counts sum to the layer's column count.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .gptq import QuantResult
+from .tensorfile import write_atomic
 
 __all__ = ["SCHEMA", "layer_entry", "build_report", "dump_report", "write_report"]
 
@@ -75,14 +74,4 @@ def dump_report(report: dict) -> str:
 
 def write_report(path: str | Path, report: dict) -> None:
     """Serialize deterministically (sorted keys) and write atomically."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(dump_report(report))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, dump_report(report).encode())

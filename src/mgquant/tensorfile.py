@@ -28,7 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["TensorFileError", "MAGIC", "VERSION", "read_tensor_file", "write_tensor_file"]
+__all__ = [
+    "TensorFileError",
+    "MAGIC",
+    "VERSION",
+    "read_tensor_file",
+    "write_atomic",
+    "write_tensor_file",
+]
 
 MAGIC = b"MGQT"
 VERSION = 1
@@ -56,9 +63,23 @@ def _coerce(name: str, array: np.ndarray) -> np.ndarray:
     return arr
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path`` and rename it into place."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_tensor_file(path: str | Path, sections: dict[str, np.ndarray]) -> None:
     """Write named arrays to ``path`` atomically, preserving section order."""
-    path = Path(path)
     if not sections:
         raise ValueError("refusing to write a tensor file with no sections")
     if len(sections) > 0xFFFF:
@@ -78,16 +99,7 @@ def write_tensor_file(path: str | Path, sections: dict[str, np.ndarray]) -> None
         blobs.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         blobs.append(arr.tobytes(order="C"))
 
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(b"".join(blobs))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, b"".join(blobs))
 
 
 class _Cursor:

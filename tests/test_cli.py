@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mgquant
+from mgquant.calibration import GramAccumulator, build_hessian_cholesky
 from mgquant.cli import main
 from mgquant.tensorfile import read_tensor_file, write_tensor_file
 
@@ -201,7 +207,7 @@ class TestQuantizeCli:
     def test_representable_fixture_zero_proxy_and_identity_oracle(self, tmp_path, capsys):
         # allocator parameters pinned so every column gets 3 bits; weights
         # constructed exactly on 3-bit grids; identity hessian
-        from mgquant.quant import quantize_column
+        from mgquant.quant import quantize
 
         rng = np.random.default_rng(6)
         d_row, d_col = 16, 10
@@ -232,7 +238,7 @@ class TestQuantizeCli:
         assert np.array_equal(sections["quantized"], w)
         # identity hessian: output equals the per-column quantization oracle
         for j in range(d_col):
-            oracle = quantize_column(w[:, j], 3).dequant()
+            oracle = quantize(w[:, j], 3)[0]
             assert np.array_equal(sections["quantized"][:, j], oracle)
 
     def test_report_has_both_timings(self, tmp_path, capsys):
@@ -244,6 +250,78 @@ class TestQuantizeCli:
                      "--report", str(rep)]) == 0
         timing = json.loads(rep.read_text())["timing"]["layers"][0]
         assert "allocator_time" in timing and "engine_time" in timing
+
+
+class TestLowerFactorRejected:
+    def test_transposed_factor_exit_2(self, tmp_path, capsys):
+        wdir, hdir, calibs, cfg = make_instance(tmp_path, seed=8)
+        capsys.readouterr()
+        for hpath in hdir.glob("*.mgqt"):
+            hc = read_tensor_file(hpath)["hessian_cholesky"]
+            write_tensor_file(hpath, {"hessian_cholesky": hc.T.copy()})
+        params = tmp_path / "p.mgqt"
+        write_tensor_file(params, {
+            "w0": np.zeros((8, 8)), "w1": np.zeros((8, 8)),
+            "wc": np.zeros((8, 4)), "bc": np.zeros(4),
+        })
+        layer = ["--weights", str(wdir / "L0.mgqt"), "--hessian", str(hdir / "L0.mgqt")]
+        runs = {
+            "train": ["train", "--weights", str(wdir), "--hessians", str(hdir),
+                      "--config", str(cfg), "--out", str(tmp_path / "t.mgqt")],
+            "quantize": ["quantize", *layer, "--params", str(params),
+                         "--out", str(tmp_path / "q.mgqt")],
+            "baseline": ["baseline", "--method", "gptq-uniform", *layer,
+                         "--config", str(cfg), "--out", str(tmp_path / "b.mgqt")],
+        }
+        for name, argv in runs.items():
+            assert main(argv) == 2, name
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.strip().split("\n")
+            assert len(err) == 1 and "below the diagonal" in err[0], name
+            assert not (tmp_path / f"{name[0]}.mgqt").exists()
+
+
+class TestBlasThreadCount:
+    def test_train_and_quantize_bytes_independent_of_threads(self, tmp_path):
+        rng = np.random.default_rng(21)
+        d = 256
+        wdir, hdir = tmp_path / "weights", tmp_path / "hessians"
+        wdir.mkdir()
+        hdir.mkdir()
+        w = (0.01 * rng.standard_normal((d, d))).astype(np.float32)
+        write_tensor_file(wdir / "L0.mgqt", {"weights": w})
+        x = 0.05 * rng.standard_normal((2 * d, d))
+        hc = build_hessian_cholesky(GramAccumulator(d_col=d).accumulate(x), 0.01)
+        write_tensor_file(hdir / "L0.mgqt", {"hessian_cholesky": hc})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "epochs": 2, "d_gnn": 8, "hidden": 8, "block_size": 64, "seed": 3,
+            "target_bits": 2.5,
+        }))
+        src = str(Path(mgquant.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p
+            )
+            params, quant = tmp_path / f"p{threads}.mgqt", tmp_path / f"q{threads}.mgqt"
+            for argv in (
+                ["train", "--weights", str(wdir), "--hessians", str(hdir),
+                 "--config", str(cfg), "--out", str(params)],
+                ["quantize", "--weights", str(wdir / "L0.mgqt"),
+                 "--hessian", str(hdir / "L0.mgqt"), "--params", str(params),
+                 "--out", str(quant)],
+            ):
+                proc = subprocess.run([sys.executable, "-m", "mgquant", *argv], env=env,
+                                      capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+            outputs.append([p.read_bytes() for p in
+                            (params, Path(str(params) + ".log"), quant)])
+        assert outputs[0][0] == outputs[1][0]
+        assert outputs[0][1] == outputs[1][1]
+        assert outputs[0][2] == outputs[1][2]
 
 
 class TestBaselineCli:

@@ -5,7 +5,7 @@ from mgquant.calibration import CalibrationSet, GramAccumulator, build_hessian_c
 from mgquant.baselines import quantize_rtn_matrix
 from mgquant.gptq import proxy_loss, quantize_blockwise
 from mgquant.linalg import ShapeMismatchError
-from mgquant.quant import quantize_column
+from mgquant.quant import quantize
 
 
 def correlated_layer(seed, d_row=64, d_col=64, rows=256):
@@ -25,7 +25,7 @@ class TestEngineBasics:
         widths = np.array([1, 2, 3, 4] * 3)
         res = quantize_blockwise(w, hc, widths, block_size=5)
         for j in range(12):
-            expect = quantize_column(w[:, j], int(widths[j])).dequant()
+            expect = quantize(w[:, j], int(widths[j]))[0]
             assert np.array_equal(res.quantized[:, j], expect)
 
     def test_identity_factor_block_size_invariance(self):
@@ -59,10 +59,11 @@ class TestEngineBasics:
         widths = np.array([1, 2, 2, 3, 4, 1, 3, 2, 4])
         for b in (1, 4, 9):
             res = quantize_blockwise(w, hc, widths, block_size=b)
-            for j, qc in enumerate(res.columns):
-                expect = qc.grid.dequant(qc.codes)
+            for j in range(9):
+                expect = res.scales[j] * (res.codes[:, j].astype(np.float64) - res.zeros[j])
                 assert np.array_equal(res.quantized[:, j], expect)
-                assert qc.bits == widths[j]
+                assert res.widths[j] == widths[j]
+                assert res.codes[:, j].max() < 1 << int(widths[j])
 
     def test_determinism(self):
         w, hc, _ = correlated_layer(7, d_row=16, d_col=16, rows=64)
@@ -71,9 +72,7 @@ class TestEngineBasics:
         b = quantize_blockwise(w, hc, widths, block_size=4)
         assert np.array_equal(a.quantized, b.quantized)
         assert np.array_equal(a.block_errors, b.block_errors)
-        assert all(
-            np.array_equal(x.codes, y.codes) for x, y in zip(a.columns, b.columns)
-        )
+        assert np.array_equal(a.codes, b.codes)
 
     def test_residuals_match_manual_compensation(self):
         rng = np.random.default_rng(8)
@@ -82,7 +81,7 @@ class TestEngineBasics:
         np.fill_diagonal(hc, np.abs(np.diag(hc)) + 0.5)
         res = quantize_blockwise(w, hc, np.full(3, 2), block_size=3, keep_residuals=True)
         assert np.array_equal(res.residuals[:, 0], w[:, 0])
-        q0 = quantize_column(w[:, 0], 2).dequant()
+        q0 = quantize(w[:, 0], 2)[0]
         e0 = (w[:, 0] - q0) / hc[0, 0]
         expect1 = w[:, 1] - e0 * hc[0, 1]
         assert np.allclose(res.residuals[:, 1], expect1, atol=1e-15)
@@ -92,7 +91,7 @@ class TestEngineBasics:
         res = quantize_blockwise(w, hc, np.full(8, 2), block_size=4, keep_residuals=True)
         total = 0.0
         for j in range(8):
-            q = quantize_column(res.residuals[:, j], 2).dequant()
+            q = quantize(res.residuals[:, j], 2)[0]
             e = (res.residuals[:, j] - q) / hc[j, j]
             total += float(e @ e)
         assert np.sum(res.block_errors) == pytest.approx(total, rel=1e-12)
@@ -118,7 +117,10 @@ class TestEngineOracle:
         # combination of one level per column
         x = calib.batches[0]
         m = calib.total_rows
-        level_sets = [qc.grid.dequant(np.arange(qc.grid.n_levels)) for qc in res.columns]
+        level_sets = [
+            res.scales[j] * (np.arange(1 << int(res.widths[j]), dtype=np.float64) - res.zeros[j])
+            for j in range(4)
+        ]
         best_total = 0.0
         for i in range(w.shape[0]):
             best = np.inf
@@ -148,6 +150,11 @@ class TestValidation:
         hc = np.eye(3)
         with pytest.raises(ValueError):
             quantize_blockwise(w, hc, np.array([0, 2, 2]))
+        # codes are stored one byte each
+        with pytest.raises(ValueError):
+            quantize_blockwise(w, hc, np.array([9, 2, 2]))
+        with pytest.raises(ValueError):
+            quantize_rtn_matrix(w, 9)
         with pytest.raises(ShapeMismatchError):
             quantize_blockwise(w, hc, np.array([2, 2]))
 

@@ -1,38 +1,33 @@
 import numpy as np
 import pytest
 
-from mgquant.quant import (
-    QuantGrid,
-    column_error_table,
-    error_table,
-    fit_grid,
-    quantize_binary,
-    quantize_column,
-    quantize_rtn,
-)
+from mgquant.quant import error_table, quantize
+
+
+def levels(scale, zero, bits):
+    """Every value of a grid, code 0 first."""
+    return scale * (np.arange(1 << bits, dtype=np.float64) - zero)
 
 
 class TestFitGrid:
     def test_values_already_on_two_bit_grid(self):
         v = np.array([0.0, 1.0, 2.0, 3.0])
-        g = fit_grid(v, 2)
-        assert g.scale == 1.0
-        qc = quantize_rtn(v, g)
-        assert np.array_equal(qc.dequant(), v)
+        deq, _, scale, _ = quantize(v, 2)
+        assert scale == 1.0
+        assert np.array_equal(deq, v)
 
     def test_constant_vector_degenerates(self):
-        for t in (1, 2, 4):
-            g = fit_grid(np.array([5.0, 5.0, 5.0]), t)
-            assert g.scale == 1.0
-            qc = quantize_rtn(np.array([5.0, 5.0, 5.0]), g)
-            assert np.all(qc.codes == qc.codes[0])
-            assert np.all(qc.dequant() == 5.0)
+        for t in (2, 4):
+            deq, codes, scale, _ = quantize(np.array([5.0, 5.0, 5.0]), t)
+            assert scale == 1.0
+            assert np.all(codes == codes[0])
+            assert np.all(deq == 5.0)
 
     def test_one_bit_endpoints_exact(self):
-        g = fit_grid(np.array([-1.0, 0.5]), 1)
-        levels = g.dequant(np.array([0, 1]))
-        assert levels[0] == -1.0
-        assert levels[1] == 0.5
+        _, _, scale, zero = quantize(np.array([-1.0, 0.5]), 2)
+        ends = levels(scale, zero, 2)[[0, -1]]
+        assert ends[0] == -1.0
+        assert ends[1] == 0.5
 
     def test_coverage_property(self):
         # grid spans [min, max] of the fitted data for every width
@@ -41,60 +36,62 @@ class TestFitGrid:
             v = rng.standard_normal(11) * 10 ** rng.uniform(-3, 3)
             if seed % 3 == 0:
                 v = v - v.min() + 10 ** rng.uniform(-3, 3)
-            for t in (1, 2, 3, 4, 8):
-                g = fit_grid(v, t)
-                assert g.dequant(np.array([0]))[0] <= v.min()
-                assert g.dequant(np.array([g.code_max]))[0] >= v.max()
+            for t in (2, 3, 4, 8):
+                _, _, scale, zero = quantize(v, t)
+                grid = levels(scale, zero, t)
+                assert grid[0] <= v.min()
+                assert grid[-1] >= v.max()
 
     def test_empty_and_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            fit_grid(np.array([]), 2)
+            quantize(np.array([]), 2)
         with pytest.raises(ValueError):
-            fit_grid(np.array([1.0, np.nan]), 2)
+            quantize(np.array([1.0, np.nan]), 2)
         with pytest.raises(ValueError):
-            fit_grid(np.array([1.0]), 0)
+            quantize(np.array([1.0]), 0)
 
     def test_grid_invariants(self):
+        # every fitted scale is positive, also for constant and all-zero
+        # vectors, and widths below 1 are rejected
+        rng = np.random.default_rng(1)
+        v = np.vstack([rng.standard_normal(6), np.full(6, 2.0), np.zeros(6)])
+        for t in (1, 2, 3):
+            assert np.all(quantize(v, t)[2] > 0)
         with pytest.raises(ValueError):
-            QuantGrid(bits=2, scale=0.0, zero=0.0)
-        with pytest.raises(ValueError):
-            QuantGrid(bits=0, scale=1.0, zero=0.0)
+            quantize(v, 0)
 
 
 class TestQuantizeRtn:
     def test_on_grid_round_trip_exact(self):
-        g = QuantGrid(bits=3, scale=0.25, zero=2.0)
-        v = g.dequant(np.arange(8))
-        qc = quantize_rtn(v, g)
-        assert np.array_equal(qc.codes, np.arange(8))
-        assert np.array_equal(qc.dequant(), v)
+        v = levels(0.25, 2.0, 3)
+        deq, codes, _, _ = quantize(v, 3)
+        assert np.array_equal(codes, np.arange(8))
+        assert np.array_equal(deq, v)
 
     def test_nearest_level(self):
-        g = QuantGrid(bits=2, scale=1.0, zero=0.0)
-        assert quantize_rtn(np.array([0.49]), g).codes[0] == 0
-        assert quantize_rtn(np.array([0.51]), g).codes[0] == 1
+        # 0 and 3 pin the 2-bit grid to scale 1, zero 0
+        codes = quantize(np.array([0.0, 3.0, 0.49, 0.51]), 2)[1]
+        assert codes[2] == 0
+        assert codes[3] == 1
 
     def test_ties_round_away_from_zero(self):
-        g = QuantGrid(bits=3, scale=1.0, zero=0.0)
-        assert quantize_rtn(np.array([0.5]), g).codes[0] == 1
-        assert quantize_rtn(np.array([2.5]), g).codes[0] == 3
-        # negative code space clamps to 0 after rounding away from zero
-        assert quantize_rtn(np.array([-0.5]), g).codes[0] == 0
+        # 0 and 7 pin the 3-bit grid to scale 1, zero 0
+        codes = quantize(np.array([0.0, 7.0, 0.5, 2.5]), 3)[1]
+        assert codes[2] == 1
+        assert codes[3] == 3
 
     def test_codes_clamped(self):
-        g = QuantGrid(bits=2, scale=1.0, zero=0.0)
-        qc = quantize_rtn(np.array([-5.0, 50.0]), g)
-        assert list(qc.codes) == [0, 3]
+        codes = quantize(np.array([-5.0, 50.0]), 2)[1]
+        assert list(codes) == [0, 3]
 
     def test_matches_exhaustive_nearest_level_oracle(self):
         rng = np.random.default_rng(77)
         v = rng.standard_normal(32) * 2.0
-        g = fit_grid(v, 3)
-        qc = quantize_rtn(v, g)
-        levels = g.dequant(np.arange(g.n_levels))
-        per_value_err = np.abs(v - qc.dequant())
-        assert np.all(per_value_err <= g.scale / 2 + 1e-12)
-        best = np.min(np.abs(v[:, None] - levels[None, :]), axis=1)
+        deq, _, scale, zero = quantize(v, 3)
+        grid = levels(scale, zero, 3)
+        per_value_err = np.abs(v - deq)
+        assert np.all(per_value_err <= scale / 2 + 1e-12)
+        best = np.min(np.abs(v[:, None] - grid[None, :]), axis=1)
         assert np.allclose(per_value_err, best, atol=1e-12)
 
     def test_rtn_error_never_beaten_by_any_code(self):
@@ -103,28 +100,26 @@ class TestQuantizeRtn:
             rng = np.random.default_rng(seed)
             v = rng.standard_normal(16)
             for t in (1, 2, 3, 4):
-                g = fit_grid(v, t)
-                qc = quantize_rtn(v, g)
-                err = np.sum((v - qc.dequant()) ** 2)
-                levels = g.dequant(np.arange(g.n_levels))
-                best = np.sum(np.min((v[:, None] - levels[None, :]) ** 2, axis=1))
+                deq, _, scale, zero = quantize(v, t)
+                err = np.sum((v - deq) ** 2)
+                grid = levels(scale, zero, t)
+                best = np.sum(np.min((v[:, None] - grid[None, :]) ** 2, axis=1))
                 assert err <= best + 1e-15
 
 
 class TestQuantizeBinary:
     def test_forced_by_mean_abs(self):
-        qc = quantize_binary(np.array([1.0, -2.0, 3.0]))
-        assert qc.grid.scale == 4.0  # 2 * alpha
-        assert np.array_equal(qc.dequant(), [2.0, -2.0, 2.0])
+        deq, _, scale, _ = quantize(np.array([1.0, -2.0, 3.0]), 1)
+        assert scale == 4.0  # 2 * alpha
+        assert np.array_equal(deq, [2.0, -2.0, 2.0])
 
     def test_all_zeros(self):
-        qc = quantize_binary(np.zeros(5))
-        assert np.array_equal(qc.dequant(), np.zeros(5))
+        deq = quantize(np.zeros(5), 1)[0]
+        assert np.array_equal(deq, np.zeros(5))
 
     def test_sign_zero_is_positive(self):
-        qc = quantize_binary(np.array([0.0, -1.0, 1.0]))
+        out = quantize(np.array([0.0, -1.0, 1.0]), 1)[0]
         alpha = 2.0 / 3.0
-        out = qc.dequant()
         assert out[0] == pytest.approx(alpha)
         assert out[0] > 0
 
@@ -163,19 +158,18 @@ class TestQuantizeBinary:
 
 class TestErrorTable:
     def test_exact_at_four_bits(self):
-        g = QuantGrid(bits=4, scale=0.5, zero=0.0)
-        col = g.dequant(np.array([0, 3, 7, 15, 8, 1]))
+        col = 0.5 * np.array([0.0, 3.0, 7.0, 15.0, 8.0, 1.0])
         block = col[:, None]
-        table = column_error_table(block, 0, 4, hdiag=0.7)
+        table = error_table(block, np.array([0.7]), 4)[0]
         assert table[3] == 0.0
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(11)
         block = rng.standard_normal((8, 3))
         hdiag = 0.37
-        table = column_error_table(block, 1, 4, hdiag)
+        table = error_table(block, np.full(3, hdiag), 4)[1]
         for t in range(1, 5):
-            q = quantize_column(block[:, 1], t).dequant()
+            q = quantize(block[:, 1], t)[0]
             expect = float(np.sum((block[:, 1] - q) ** 2)) / hdiag**2
             assert table[t - 1] == pytest.approx(expect, rel=1e-12)
 
@@ -183,13 +177,13 @@ class TestErrorTable:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             block = rng.standard_normal((32, 4)) * 10 ** rng.uniform(-1, 1)
+            tables = error_table(block, np.ones(4), 4)
             for j in range(4):
-                table = column_error_table(block, j, 4, hdiag=1.0)
-                assert np.all(np.diff(table) <= 1e-12)
+                assert np.all(np.diff(tables[j]) <= 1e-12)
 
     def test_hdiag_must_be_positive(self):
         with pytest.raises(ValueError):
-            column_error_table(np.ones((4, 2)), 0, 4, 0.0)
+            error_table(np.ones((4, 2)), np.array([0.0, 1.0]), 4)
 
     def test_vectorized_matches_per_column(self):
         rng = np.random.default_rng(13)
@@ -197,8 +191,9 @@ class TestErrorTable:
         hd = np.abs(rng.standard_normal(10)) + 0.05
         vec = error_table(w, hd, 4)
         for j in range(10):
-            ref = column_error_table(w, j, 4, float(hd[j]))
-            assert np.allclose(vec[j], ref, rtol=1e-10, atol=1e-300)
+            ref = [np.sum((w[:, j] - quantize(w[:, j], t)[0]) ** 2) / hd[j] ** 2
+                   for t in range(1, 5)]
+            assert np.array_equal(vec[j], ref)
 
     def test_error_table_validation(self):
         with pytest.raises(ValueError):
@@ -212,8 +207,8 @@ class TestGridSoundness:
         rng = np.random.default_rng(21)
         v = rng.standard_normal(50)
         for t in (1, 2, 3, 4):
-            qc = quantize_column(v, t)
-            expect = qc.grid.scale * (qc.codes.astype(np.float64) - qc.grid.zero)
-            assert np.array_equal(qc.dequant(), expect)
-            assert qc.codes.min() >= 0
-            assert qc.codes.max() <= qc.grid.code_max
+            deq, codes, scale, zero = quantize(v, t)
+            expect = scale * (codes.astype(np.float64) - zero)
+            assert np.array_equal(deq, expect)
+            assert codes.min() >= 0
+            assert codes.max() <= (1 << t) - 1
