@@ -160,8 +160,8 @@ def build_hessian_cholesky(acc: GramAccumulator, damp_frac: float = 0.01) -> np.
     """
     if acc.samples_seen < 1:
         raise ValueError("no calibration samples accumulated")
-    if damp_frac < 0:
-        raise ValueError(f"damp_frac must be >= 0, got {damp_frac}")
+    if not 0 <= damp_frac < np.inf:  # NaN fails too
+        raise ValueError(f"damp_frac must be finite and >= 0, got {damp_frac}")
     gram = acc.gram
     mean_diag = float(np.mean(np.diag(gram)))
     lam = damp_frac * mean_diag if mean_diag != 0.0 else damp_frac

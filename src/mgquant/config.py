@@ -39,8 +39,8 @@ class RunConfig(TrainConfig):
 
     def validate(self) -> "RunConfig":
         super().validate()
-        if self.damp_frac < 0:
-            raise ValueError(f"damp_frac must be >= 0, got {self.damp_frac}")
+        if not 0 <= self.damp_frac < float("inf"):  # json.loads accepts NaN/Infinity
+            raise ValueError(f"damp_frac must be finite and >= 0, got {self.damp_frac}")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"precision must be 'f32' or 'f64', got {self.precision!r}")
         if self.calib_paths is not None and not all(

@@ -13,13 +13,14 @@ else relies on:
   triangle zeroed exactly.
 
 All functions are pure: no global state, identical inputs give identical
-outputs.
+outputs. SciPy's LAPACK bindings are imported by the two factorizations
+only, so importing this module (every module of the package does, for
+:class:`ShapeMismatchError`) loads numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 __all__ = [
     "ShapeMismatchError",
@@ -99,6 +100,16 @@ def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sym)
 
 
+def _potrf_potri(dtype: np.dtype):
+    # Imported here, not at module level: loading scipy.linalg costs about
+    # 0.35 s, and only the ``hessian`` command factorizes anything.
+    from scipy.linalg import lapack
+
+    if dtype == np.float64:
+        return lapack.dpotrf, lapack.dpotri
+    return lapack.spotrf, lapack.spotri
+
+
 def cholesky(a: np.ndarray, orientation: str = "lower") -> np.ndarray:
     """Cholesky factor of a symmetric positive definite matrix.
 
@@ -118,7 +129,7 @@ def cholesky(a: np.ndarray, orientation: str = "lower") -> np.ndarray:
         raise ValueError(f"orientation must be 'lower' or 'upper', got {orientation!r}")
     a = _as_matrix(a, "a")
     sym = _check_square_symmetric(a)
-    potrf = _lapack.dpotrf if sym.dtype == np.float64 else _lapack.spotrf
+    potrf, _ = _potrf_potri(sym.dtype)
     factor, info = potrf(sym, lower=(orientation == "lower"), clean=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefiniteError(pivot=info - 1)
@@ -139,8 +150,7 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     """
     a = _as_matrix(a, "a")
     sym = _check_square_symmetric(a)
-    potrf = _lapack.dpotrf if sym.dtype == np.float64 else _lapack.spotrf
-    potri = _lapack.dpotri if sym.dtype == np.float64 else _lapack.spotri
+    potrf, potri = _potrf_potri(sym.dtype)
     factor, info = potrf(sym, lower=0, clean=0, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefiniteError(pivot=info - 1)

@@ -18,6 +18,11 @@ import numpy as np
 
 __all__ = ["quantize", "error_table"]
 
+#: Largest magnitude :func:`quantize` accepts. Within it the span
+#: ``vmax - vmin``, the end levels of a min-max grid and the 1-bit scale
+#: ``2 * alpha`` are all finite.
+LIMIT = np.finfo(np.float64).max / 4
+
 
 def _exact_zero(vmin, scale):
     # zero = -vmin/scale up to rounding; where that misses, prefer the
@@ -43,7 +48,8 @@ def _fit_covering(vmin: np.ndarray, vmax: np.ndarray, bits: int):
     # endpoint magnitude (when the span is tiny relative to the values, the
     # window of admissible zeros is narrower than one representable step,
     # so ulp-nudging alone cannot land in it) and walk zero down until both
-    # endpoints are covered. Each row keeps the first grid that covers it.
+    # endpoints are covered. Each row keeps the first grid that covers it;
+    # a row still uncovered after the last widening is an error.
     cmax = (1 << bits) - 1
     span = vmax - vmin
     slack = 4.0 * np.spacing(np.maximum(np.abs(vmin), np.abs(vmax)))
@@ -62,9 +68,13 @@ def _fit_covering(vmin: np.ndarray, vmax: np.ndarray, bits: int):
         zero[~done] = z[~done]
         done |= _covers(vmin, vmax, cmax, s, z)
         if done.all():
-            break
+            return scale, zero
         slack *= 2.0
-    return scale, zero
+    row = int(np.argmin(done))
+    raise ValueError(
+        f"cannot fit a finite {bits}-bit grid covering "
+        f"[{float(vmin.flat[row])!r}, {float(vmax.flat[row])!r}]"
+    )
 
 
 def quantize(
@@ -84,18 +94,30 @@ def quantize(
         ``(dequant, codes, scale, zero)``: float64 arrays. ``dequant`` and
         the integer-valued ``codes`` have the shape of ``values``; ``scale``
         and ``zero`` drop the last axis, and ``dequant`` equals
-        ``scale[..., None] * (codes - zero[..., None])`` exactly.
+        ``scale[..., None] * (codes - zero[..., None])`` exactly, and
+        every entry is finite.
+
+    Raises:
+        ValueError: for a width below 1, an empty input, a non-finite value
+            or a magnitude above :data:`LIMIT`; at 1 bit also when
+            ``mean(|x|)`` overflows; above 1 bit when no finite grid covers
+            a vector's range.
     """
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
     x = np.ascontiguousarray(values, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot quantize an empty vector")
-    if not np.isfinite(x).all():
-        raise ValueError("cannot quantize non-finite values")
+    mag = np.abs(x)
+    peak = mag.max()
+    if not peak <= LIMIT:  # also catches NaN
+        what = f"magnitudes above {LIMIT:.4g}" if np.isfinite(peak) else "non-finite values"
+        raise ValueError(f"cannot quantize {what}")
 
     if bits == 1:
-        alpha = np.mean(np.abs(x), axis=-1, keepdims=True)
+        alpha = np.mean(mag, axis=-1, keepdims=True)
+        if not alpha.max() <= LIMIT:  # the sum inside the mean overflowed
+            raise ValueError("cannot quantize at 1 bit: mean(|x|) overflows")
         flat = alpha == 0.0
         scale = np.where(flat, 1.0, 2.0 * alpha)
         zero = np.where(flat, 1.0, 0.5)

@@ -12,11 +12,11 @@ A file holds named n-dimensional arrays, written little-endian:
         dims         ndim x u64
         payload      prod(dims) * itemsize bytes, row-major (C order)
 
-Section names must be unique within a file. Float payloads must be finite;
-NaN/Inf on read is treated as corruption. Writes go to a temp file in the
-same directory and are renamed into place, so readers never observe a
-partial file. Writing the dict returned by :func:`read_tensor_file` back
-out reproduces the original bytes exactly.
+Section names must be unique within a file. Float payloads must be finite:
+the writer refuses NaN/Inf, and the reader treats them as corruption.
+Writes go to a temp file in the same directory and are renamed into place,
+so readers never observe a partial file. Writing the dict returned by
+:func:`read_tensor_file` back out reproduces the original bytes exactly.
 """
 
 from __future__ import annotations
@@ -79,7 +79,12 @@ def write_atomic(path: str | Path, data: bytes) -> None:
 
 
 def write_tensor_file(path: str | Path, sections: dict[str, np.ndarray]) -> None:
-    """Write named arrays to ``path`` atomically, preserving section order."""
+    """Write named arrays to ``path`` atomically, preserving section order.
+
+    Raises:
+        ValueError: for an unsupported dtype, a bad section name or NaN/Inf
+            in a float section, before anything is written.
+    """
     if not sections:
         raise ValueError("refusing to write a tensor file with no sections")
     if len(sections) > 0xFFFF:
@@ -88,6 +93,8 @@ def write_tensor_file(path: str | Path, sections: dict[str, np.ndarray]) -> None
     blobs: list[bytes] = [MAGIC, struct.pack("<BH", VERSION, len(sections))]
     for name, array in sections.items():
         arr = _coerce(name, array)
+        if arr.dtype != np.uint8 and not np.isfinite(arr).all():
+            raise ValueError(f"section {name!r} contains NaN/Inf")
         encoded = name.encode("utf-8")
         if not 1 <= len(encoded) <= 255:
             raise ValueError(f"section name {name!r} must encode to 1..255 bytes")

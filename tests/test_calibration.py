@@ -122,6 +122,12 @@ class TestBuildHessianCholesky:
         with pytest.raises(ValueError):
             build_hessian_cholesky(acc, damp_frac=-0.1)
 
+    def test_nonfinite_damp_rejected(self):
+        acc = GramAccumulator(d_col=2).accumulate(np.eye(2))
+        for damp in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="damp_frac"):
+                build_hessian_cholesky(acc, damp_frac=damp)
+
     def test_indefinite_gram_advises_larger_damp(self):
         acc = GramAccumulator.from_gram(np.diag([1.0, -5.0]), samples_seen=1)
         with pytest.raises(NotPositiveDefiniteError, match="damp_frac"):

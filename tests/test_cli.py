@@ -40,6 +40,14 @@ def make_instance(tmp_path, seed=0, d_row=24, d_col=16, rows=96, n_layers=2):
     return wdir, hdir, calib_paths, cfg
 
 
+def src_env(**extra) -> dict:
+    """Environment for a fresh interpreter that imports this checkout's package."""
+    src = str(Path(mgquant.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return env
+
+
 def last_json_line(capsys):
     out = capsys.readouterr().out.strip().split("\n")
     return json.loads(out[-1])
@@ -115,6 +123,22 @@ class TestHessian:
                    "--out", str(tmp_path / "h.mgqt")])
         assert rc == 4
         assert "damp_frac" in capsys.readouterr().err
+
+    def test_nonfinite_damp_exit_2(self, tmp_path, capsys):
+        calib = tmp_path / "c.mgqt"
+        write_tensor_file(calib, {"x": np.eye(2)})
+        gram = tmp_path / "g.mgqt"
+        assert main(["gram", "--calib", str(calib), "--out", str(gram)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "h.mgqt"
+        for damp in ("nan", "inf", "-inf"):
+            rc = main(["hessian", "--gram", str(gram), f"--damp={damp}", "--out", str(out)])
+            assert rc == 2, damp
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.strip().split("\n")
+            assert len(err) == 1 and "damp_frac" in err[0], damp
+            assert not out.exists()
 
     def test_missing_section_exit_2(self, tmp_path, capsys):
         gram = tmp_path / "g.mgqt"
@@ -299,13 +323,9 @@ class TestBlasThreadCount:
             "epochs": 2, "d_gnn": 8, "hidden": 8, "block_size": 64, "seed": 3,
             "target_bits": 2.5,
         }))
-        src = str(Path(mgquant.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (src, os.environ.get("PYTHONPATH")) if p
-            )
+            env = src_env(OPENBLAS_NUM_THREADS=threads)
             params, quant = tmp_path / f"p{threads}.mgqt", tmp_path / f"q{threads}.mgqt"
             for argv in (
                 ["train", "--weights", str(wdir), "--hessians", str(hdir),
@@ -339,6 +359,21 @@ class TestBaselineCli:
             assert payload["mean_bits"] == 2.0
             report = json.loads(rep.read_text())
             assert report["config"]["method"] == method
+
+    def test_overflowing_column_exit_2(self, tmp_path, capsys):
+        weights, hessian = tmp_path / "w.mgqt", tmp_path / "h.mgqt"
+        w = np.array([[0.1, 1e308], [0.2, -1e308], [0.3, 0.0]])
+        write_tensor_file(weights, {"weights": w})
+        write_tensor_file(hessian, {"hessian_cholesky": np.eye(2)})
+        out = tmp_path / "b.mgqt"
+        rc = main(["baseline", "--method", "rtn", "--bits", "2", "--weights", str(weights),
+                   "--hessian", str(hessian), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: cannot quantize")
+        assert not out.exists()
 
     def test_unknown_method_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -381,3 +416,59 @@ class TestEvalCli:
         write_tensor_file(calib, {"x": np.eye(3)})
         rc = main(["eval", "--orig", str(orig), "--quant", str(quant), "--calib", str(calib)])
         assert rc == 2
+
+
+# Runs one CLI command through mgquant.cli.main in a fresh interpreter and
+# appends a JSON line with its exit code and how many scipy modules it loaded.
+_PROBE = """
+import json, sys
+from mgquant.cli import main
+rc = main(sys.argv[1:])
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(json.dumps({"rc": rc, "scipy_modules": len(loaded)}))
+"""
+
+
+class TestStartupImports:
+    """Only `hessian` factorizes, so only it may load scipy."""
+
+    def probe(self, *argv) -> dict:
+        proc = subprocess.run([sys.executable, "-c", _PROBE, *map(str, argv)], env=src_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().split("\n")[-1])
+        assert result["rc"] == 0, (argv[0], proc.stderr)
+        return result
+
+    def test_scipy_loaded_by_hessian_only(self, tmp_path):
+        rng = np.random.default_rng(31)
+        wdir, hdir = tmp_path / "weights", tmp_path / "hessians"
+        wdir.mkdir()
+        hdir.mkdir()
+        weights, factor = wdir / "L0.mgqt", hdir / "L0.mgqt"
+        write_tensor_file(weights, {"weights": 0.01 * rng.standard_normal((24, 16))})
+        calib, gram = tmp_path / "c.mgqt", tmp_path / "g.mgqt"
+        x = 0.05 * rng.standard_normal((96, 16))
+        write_tensor_file(calib, {"x": x})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "d_gnn": 8, "hidden": 8, "block_size": 8}))
+        params, quant = tmp_path / "p.mgqt", tmp_path / "q.mgqt"
+
+        assert self.probe("gram", "--calib", calib, "--out", gram)["scipy_modules"] == 0
+        assert self.probe("hessian", "--gram", gram, "--damp", "0.01",
+                          "--out", factor)["scipy_modules"] > 0
+        hc = read_tensor_file(factor)["hessian_cholesky"]
+        g = 2.0 * x.T @ x
+        damped = g + 0.01 * np.mean(np.diag(g)) * np.eye(16)
+        assert np.array_equal(hc, np.triu(hc)) and (np.diag(hc) > 0).all()
+        assert np.allclose(hc.T @ hc @ damped, np.eye(16), atol=1e-9)
+
+        layer = ["--weights", weights, "--hessian", factor]
+        for argv in (
+            ["train", "--weights", wdir, "--hessians", hdir, "--config", cfg, "--out", params],
+            ["quantize", *layer, "--params", params, "--calib", calib, "--out", quant],
+            ["baseline", "--method", "gptq-uniform", *layer, "--config", cfg,
+             "--out", tmp_path / "b.mgqt"],
+            ["eval", "--orig", weights, "--quant", quant, "--calib", calib],
+        ):
+            assert self.probe(*argv)["scipy_modules"] == 0, argv[0]

@@ -55,6 +55,12 @@ class TestLoadRunConfig:
         with pytest.raises(ValueError, match="accum_steps"):
             load_run_config(write(tmp_path, {"accum_steps": 0}))
 
+    def test_nonfinite_damp_rejected(self, tmp_path):
+        # json.loads accepts the NaN/Infinity tokens json.dumps writes
+        for damp in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="damp_frac"):
+                load_run_config(write(tmp_path, {"damp_frac": damp}))
+
     def test_not_json(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("epochs: 3")

@@ -167,6 +167,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="diagonal"):
             quantize_blockwise(w, bad, np.full(3, 2))
 
+    def test_overflowing_last_column_rejected(self):
+        # the span of the last column overflows; no NaN column comes back
+        w = np.array([[0.1, 1e308], [0.2, -1e308], [0.3, 0.0]])
+        with pytest.raises(ValueError, match="magnitude"):
+            quantize_blockwise(w, np.eye(2), np.full(2, 2), block_size=2)
+        with pytest.raises(ValueError, match="magnitude"):
+            quantize_rtn_matrix(w, 2)
+
     def test_block_size_bounds(self):
         w = np.ones((2, 3))
         with pytest.raises(ValueError):

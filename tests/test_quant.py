@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mgquant.quant import error_table, quantize
+from mgquant.quant import LIMIT, _fit_covering, error_table, quantize
 
 
 def levels(scale, zero, bits):
@@ -212,3 +215,60 @@ class TestGridSoundness:
             assert np.array_equal(deq, expect)
             assert codes.min() >= 0
             assert codes.max() <= (1 << t) - 1
+
+
+class TestOverflow:
+    def test_span_overflow_rejected(self):
+        with pytest.raises(ValueError, match="magnitude"):
+            quantize(np.array([-1e308, 1e308]), 2)
+
+    def test_one_bit_scale_overflow_rejected(self):
+        with pytest.raises(ValueError, match="magnitude"):
+            quantize(np.array([1e308, 1.5e308, -1e308]), 1)
+
+    def test_one_bit_mean_overflow_rejected(self):
+        # each value is within LIMIT, their sum is not
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="mean"):
+            quantize(np.full(8, LIMIT), 1)
+
+    def test_top_level_at_float_max_rejected(self):
+        # the nominal grid's top level would round past the largest float
+        with pytest.raises(ValueError):
+            quantize(np.array([0.0, np.finfo(np.float64).max]), 2)
+
+    def test_values_at_limit_accepted(self):
+        for t in (1, 2, 8):
+            deq = quantize(np.array([-LIMIT, 0.5 * LIMIT, LIMIT]), t)[0]
+            assert np.isfinite(deq).all()
+
+    def test_uncoverable_row_raises(self):
+        vmin, vmax = np.array([[0.0], [-1e308]]), np.array([[1.0], [1e308]])
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="covering"):
+            _fit_covering(vmin, vmax, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    values=arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+    bits=st.integers(1, 8),
+)
+def test_quantize_property(values, bits):
+    """Any finite vector: a ValueError, or a finite result exactly on a covering grid."""
+    try:
+        deq, codes, scale, zero = quantize(values, bits)
+    except ValueError:
+        mag = np.abs(values)
+        with np.errstate(over="ignore"):
+            too_large = mag.max() > LIMIT or (bits == 1 and mag.sum() / mag.size > LIMIT)
+        assert too_large
+        return
+    cmax = (1 << bits) - 1
+    assert np.isfinite(deq).all()
+    assert np.isfinite(scale) and np.isfinite(zero)
+    assert np.array_equal(codes, np.round(codes))
+    assert codes.min() >= 0 and codes.max() <= cmax
+    assert np.array_equal(deq, scale * (codes - zero))
+    if bits > 1:
+        grid = levels(scale, zero, bits)
+        assert grid[0] <= values.min() and grid[-1] >= values.max()

@@ -131,3 +131,13 @@ def test_write_is_atomic_no_temp_left(tmp_path):
     write_tensor_file(p, {"x": np.zeros(2, np.float32)})
     leftovers = [f for f in tmp_path.iterdir() if f.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_nonfinite_write_rejected_before_touching_disk(tmp_path):
+    out = tmp_path / "sub" / "x.mgqt"
+    for dtype in (np.float32, np.float64):
+        for bad in (np.nan, np.inf, -np.inf):
+            arr = np.array([1.0, bad], dtype=dtype)
+            with pytest.raises(ValueError, match="NaN/Inf"):
+                write_tensor_file(out, {"ok": np.zeros(2), "bad": arr})
+    assert list(tmp_path.iterdir()) == []
