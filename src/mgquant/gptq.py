@@ -6,20 +6,31 @@ values; the scaled error
 
     e_j = (w_j - q_j) / hc[j, j]
 
-is immediately pushed onto the later columns of the block through row j of
-the upper-triangular factor ``hc`` (``w_k -= e_j * hc[j, k]``). When the
-block finishes, the stacked errors update everything to the right of it:
+must reach every later column k through row j of the upper-triangular
+factor ``hc`` (``w_k -= e_j * hc[j, k]``). GPTQ's two-level lazy batching
+delivers it in three steps, each a level larger:
 
-    W[:, end:] -= E @ hc[block, end:]
+* inside a sub-block of ``SUB_BLOCK`` columns, a rank-1 update pushes e_j
+  onto the sub-block's later columns at once, before the next column is
+  quantized;
+* when a sub-block finishes, its stacked errors reach the rest of the block
+  in one matrix product, ``W[:, f:end] -= E_sub @ hc[sub, f:end]``;
+* when a block finishes, its stacked errors update everything to the right
+  of it, ``W[:, end:] -= E @ hc[block, end:]``.
 
-With a diagonal factor all cross terms vanish and the result reduces to
-independent per-column quantization. ``intra_block=False`` keeps only the
-block-level update, for comparison.
+Every column thus sees the same updates as with one rank-1 update per
+column across the whole block; only the order of the additions differs, so
+results move at rounding level. With a diagonal factor all cross terms
+vanish and the result reduces to independent per-column quantization.
+``intra_block=False`` keeps only the block-level update, for comparison.
 
 The engine works on ``W.T``, so each column is a contiguous row, and
-quantizes it with :func:`mgquant.quant.quantize`. The result carries the
-codes as one u8 matrix and the grids as per-column ``scales``/``zeros``
-arrays; widths above 8 bits are rejected because a code must fit in a byte.
+quantizes it with :func:`mgquant.quant.quantize`. The errors of a block are
+kept the same way, one row of a ``(block, d_row)`` buffer per column, so
+both products write contiguous rows: ``work[end:] -= hc[block, end:].T @ E``.
+The result carries the codes as one u8 matrix and the grids as per-column
+``scales``/``zeros`` arrays; widths above 8 bits are rejected because a
+code must fit in a byte.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from .quant import quantize
 __all__ = ["QuantResult", "quantize_blockwise", "proxy_loss", "validate_widths"]
 
 MAX_BITS = 8  # codes are stored one byte each
+SUB_BLOCK = 16  # columns per rank-1 sub-block inside a compensation block
 
 
 @dataclass
@@ -151,19 +163,26 @@ def quantize_blockwise(
 
     for b in range(0, d_col, block_size):
         e = min(b + block_size, d_col)
-        errs = np.zeros((d_row, e - b), dtype=work.dtype)
-        for j in range(b, e):
-            col = work[j]
-            if residuals is not None:
-                residuals[j] = col
-            quantized[j], codes[j], scales[j], zeros[j] = quantize(col, int(widths[j]))
-            err = (col - quantized[j]) / hc[j, j]
-            errs[:, j - b] = err
-            if intra_block and j + 1 < e:
-                work[j + 1 : e] -= hc[j, j + 1 : e, None] * err
-        block_errors.append(float(np.sum(np.square(errs, dtype=np.float64))))
+        errs = np.empty((e - b, d_row), dtype=work.dtype)  # row j - b: e_j
+        for s in range(b, e, SUB_BLOCK):
+            f = min(s + SUB_BLOCK, e)
+            for j in range(s, f):
+                col = work[j]
+                if residuals is not None:
+                    residuals[j] = col
+                quantized[j], codes[j], scales[j], zeros[j] = quantize(col, int(widths[j]))
+                err = errs[j - b]
+                np.subtract(col, quantized[j], out=err)
+                err /= hc[j, j]
+                if intra_block and j + 1 < f:
+                    work[j + 1 : f] -= hc[j, j + 1 : f, None] * err
+            if intra_block and f < e:
+                work[f:e] -= hc[s:f, f:e].T @ errs[s - b : f - b]
+        # Summed in (d_row, block) order, as a column-at-a-time loop sums
+        # them, so the two agree bit for bit where no update is reordered.
+        block_errors.append(float(np.sum(np.square(errs.T, dtype=np.float64, order="C"))))
         if e < d_col:
-            work[e:] -= (errs @ hc[b:e, e:]).T
+            work[e:] -= hc[b:e, e:].T @ errs
 
     quantized = np.ascontiguousarray(quantized.T)
     codes = np.ascontiguousarray(codes.T)

@@ -10,9 +10,16 @@ vector along the last axis, asymmetric min-max, so a weight matrix passed
 as ``W.T`` gets one grid per column. The 1-bit case has its own quantizer:
 ``alpha * sign(x)`` with ``alpha = mean(|x|)`` and ``sign(0) = +1``, which
 is the least-squares optimal two-level code for the sign pattern.
+
+A 1-D input (the blockwise engine's one call per column) fits its grid on
+Python floats, where a numpy call on a one-element array would cost more
+than the arithmetic; only the rounding is vectorised. The 2-D path is the
+reference: both give the same bits for the same vector.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,6 +29,11 @@ __all__ = ["quantize", "error_table"]
 #: ``vmax - vmin``, the end levels of a min-max grid and the 1-bit scale
 #: ``2 * alpha`` are all finite.
 LIMIT = np.finfo(np.float64).max / 4
+
+#: Smallest positive float: the scale of a grid whose ``span / cmax``
+#: underflows to 0. Such a span is a few subnormal steps, every one of which
+#: is a multiple of TINY, so the grid then reproduces each value exactly.
+TINY = math.ulp(0.0)
 
 
 def _exact_zero(vmin, scale):
@@ -38,8 +50,24 @@ def _exact_zero(vmin, scale):
     return zero
 
 
+def _exact_zero_1d(vmin: float, scale: float) -> float:
+    # _exact_zero on Python floats.
+    nominal = zero = -vmin / scale
+    for direction in (math.inf, -math.inf):
+        if scale * (0.0 - zero) == vmin:
+            break
+        cand = math.nextafter(nominal, direction)
+        if scale * (0.0 - cand) == vmin:
+            zero = cand
+    return zero
+
+
 def _covers(vmin, vmax, cmax: int, scale, zero):
     return (scale * (0.0 - zero) <= vmin) & (scale * (cmax - zero) >= vmax)
+
+
+def _uncoverable(bits: int, vmin: float, vmax: float) -> ValueError:
+    return ValueError(f"cannot fit a finite {bits}-bit grid covering [{vmin!r}, {vmax!r}]")
 
 
 def _fit_covering(vmin: np.ndarray, vmax: np.ndarray, bits: int):
@@ -71,10 +99,110 @@ def _fit_covering(vmin: np.ndarray, vmax: np.ndarray, bits: int):
             return scale, zero
         slack *= 2.0
     row = int(np.argmin(done))
-    raise ValueError(
-        f"cannot fit a finite {bits}-bit grid covering "
-        f"[{float(vmin.flat[row])!r}, {float(vmax.flat[row])!r}]"
-    )
+    raise _uncoverable(bits, float(vmin.flat[row]), float(vmax.flat[row]))
+
+
+def _fit_covering_1d(vmin: float, vmax: float, bits: int) -> tuple[float, float]:
+    # _fit_covering on Python floats, for one vector.
+    cmax = (1 << bits) - 1
+    span = vmax - vmin
+    slack = 4.0 * math.ulp(max(abs(vmin), abs(vmax)))
+    for _ in range(60):
+        s = (span + slack) / cmax
+        z = _exact_zero_1d(vmin, s)
+        for _ in range(64):
+            if not s * (0.0 - z) > vmin:
+                break
+            z = math.nextafter(z, math.inf)
+        if _covers(vmin, vmax, cmax, s, z):
+            return s, z
+        slack *= 2.0
+    raise _uncoverable(bits, vmin, vmax)
+
+
+def _check_peak(peak: float) -> None:
+    if not peak <= LIMIT:  # also catches NaN
+        what = f"magnitudes above {LIMIT:.4g}" if math.isfinite(peak) else "non-finite values"
+        raise ValueError(f"cannot quantize {what}")
+
+
+def _abs_sum(x: np.ndarray):
+    # sum(|x|) along the last axis (kept for 2-D input), bit for bit the sum
+    # inside np.mean, after the magnitude check. A sum that may overflow is
+    # rejected by the caller, so it must not warn.
+    mag = np.abs(x)
+    peak = float(mag.max())
+    _check_peak(peak)
+    keep = mag.ndim > 1
+    if peak * mag.shape[-1] <= LIMIT:
+        return np.add.reduce(mag, axis=-1, keepdims=keep)
+    with np.errstate(over="ignore"):
+        return np.add.reduce(mag, axis=-1, keepdims=keep)
+
+
+_MEAN_OVERFLOWS = "cannot quantize at 1 bit: mean(|x|) overflows"
+
+
+def _round(x: np.ndarray, scale, zero, cmax: int, clip: bool = True) -> np.ndarray:
+    # Nearest level, ties away from zero in code space. In place: fresh
+    # temporaries cost more than the arithmetic here.
+    raw = np.divide(x, scale)
+    raw += zero
+    codes = np.copysign(0.5, raw)
+    codes += raw
+    np.trunc(codes, out=codes)
+    if clip:
+        np.clip(codes, 0.0, cmax, out=codes)
+    return codes
+
+
+def _quantize_rows(x: np.ndarray, bits: int):
+    # One grid per row of x; scale and zero are (rows, 1) arrays.
+    if bits == 1:
+        alpha = _abs_sum(x) / x.shape[-1]
+        if not alpha.max() <= LIMIT:
+            raise ValueError(_MEAN_OVERFLOWS)
+        flat = alpha == 0.0
+        scale, zero = np.where(flat, 1.0, 2.0 * alpha), np.where(flat, 1.0, 0.5)
+        return (x >= 0).astype(np.float64), scale, zero
+    cmax = (1 << bits) - 1
+    vmin = x.min(axis=-1, keepdims=True)
+    vmax = x.max(axis=-1, keepdims=True)
+    _check_peak(max(-float(vmin.min()), float(vmax.max())))
+    span = vmax - vmin
+    scale = np.where(span == 0.0, 1.0, np.maximum(span / cmax, TINY))
+    zero = _exact_zero(vmin, scale)
+    short = ~_covers(vmin, vmax, cmax, scale, zero)  # never a constant row
+    if short.any():
+        scale[short], zero[short] = _fit_covering(vmin[short], vmax[short], bits)
+    return _round(x, scale, zero, cmax), scale, zero
+
+
+def _quantize_vector(x: np.ndarray, bits: int):
+    # _quantize_rows for a 1-D x, with scale and zero as Python floats.
+    if bits == 1:
+        alpha = float(_abs_sum(x)) / x.size
+        if not alpha <= LIMIT:
+            raise ValueError(_MEAN_OVERFLOWS)
+        scale, zero = (1.0, 1.0) if alpha == 0.0 else (2.0 * alpha, 0.5)
+        return (x >= 0).astype(np.float64), scale, zero
+    cmax = (1 << bits) - 1
+    vmin = float(x.min())
+    vmax = float(x.max())
+    _check_peak(max(-vmin, vmax))
+    span = vmax - vmin
+    scale = 1.0 if span == 0.0 else max(span / cmax, TINY)
+    zero = _exact_zero_1d(vmin, scale)
+    if not _covers(vmin, vmax, cmax, scale, zero):
+        scale, zero = _fit_covering_1d(vmin, vmax, bits)
+    # Rounding is monotone, so the codes of vmin and vmax bound every code;
+    # np.clip, a third of the rounding's cost, runs only when one of them
+    # falls outside [0, cmax] (it leaves values inside, -0.0 included, as
+    # they are).
+    lo = vmin / scale + zero
+    hi = vmax / scale + zero
+    clip = lo + math.copysign(0.5, lo) <= -1.0 or hi + math.copysign(0.5, hi) >= cmax + 1
+    return _round(x, scale, zero, cmax, clip), scale, zero
 
 
 def quantize(
@@ -93,9 +221,9 @@ def quantize(
     Returns:
         ``(dequant, codes, scale, zero)``: float64 arrays. ``dequant`` and
         the integer-valued ``codes`` have the shape of ``values``; ``scale``
-        and ``zero`` drop the last axis, and ``dequant`` equals
-        ``scale[..., None] * (codes - zero[..., None])`` exactly, and
-        every entry is finite.
+        and ``zero`` drop the last axis (scalars for a 1-D input), and
+        ``dequant`` equals ``scale[..., None] * (codes - zero[..., None])``
+        exactly, and every entry is finite.
 
     Raises:
         ValueError: for a width below 1, an empty input, a non-finite value
@@ -108,40 +236,12 @@ def quantize(
     x = np.ascontiguousarray(values, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot quantize an empty vector")
-    mag = np.abs(x)
-    peak = mag.max()
-    if not peak <= LIMIT:  # also catches NaN
-        what = f"magnitudes above {LIMIT:.4g}" if np.isfinite(peak) else "non-finite values"
-        raise ValueError(f"cannot quantize {what}")
-
-    if bits == 1:
-        alpha = np.mean(mag, axis=-1, keepdims=True)
-        if not alpha.max() <= LIMIT:  # the sum inside the mean overflowed
-            raise ValueError("cannot quantize at 1 bit: mean(|x|) overflows")
-        flat = alpha == 0.0
-        scale = np.where(flat, 1.0, 2.0 * alpha)
-        zero = np.where(flat, 1.0, 0.5)
-        codes = (x >= 0).astype(np.float64)
-    else:
-        cmax = (1 << bits) - 1
-        vmin = x.min(axis=-1, keepdims=True)
-        vmax = x.max(axis=-1, keepdims=True)
-        span = vmax - vmin
-        flat = span == 0.0
-        scale = np.where(flat, 1.0, span / cmax)
-        zero = _exact_zero(vmin, scale)
-        short = ~_covers(vmin, vmax, cmax, scale, zero)  # never a flat row
-        if short.any():
-            scale[short], zero[short] = _fit_covering(vmin[short], vmax[short], bits)
-        # In place: fresh temporaries cost more than the arithmetic here.
-        raw = np.divide(x, scale)
-        raw += zero
-        codes = np.copysign(0.5, raw)
-        codes += raw
-        np.trunc(codes, out=codes)
-        np.clip(codes, 0.0, cmax, out=codes)
+    vector = x.ndim == 1
+    codes, scale, zero = _quantize_vector(x, bits) if vector else _quantize_rows(x, bits)
     dequant = np.subtract(codes, zero)
     dequant *= scale
+    if vector:
+        return dequant, codes, np.float64(scale), np.float64(zero)
     return dequant, codes, scale[..., 0], zero[..., 0]
 
 

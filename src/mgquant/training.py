@@ -23,6 +23,7 @@ and everything runs in float64, so a training run is bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -85,6 +86,10 @@ class TrainConfig:
         return self.d_gnn if self.hidden is None else self.hidden
 
     def validate(self) -> "TrainConfig":
+        for name in ("lr", "alpha", "tau", "weight_decay", "eps"):
+            v = getattr(self, name)  # json.loads accepts NaN and Infinity
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not self.lr > 0:

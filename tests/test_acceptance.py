@@ -49,6 +49,7 @@ def test_criterion_01_gradient_correctness():
     assert elapsed < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_02_bit_budget(fixture_layers):
     layers, _ = fixture_layers
     start = time.perf_counter()
@@ -69,6 +70,7 @@ def test_criterion_02_bit_budget(fixture_layers):
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_03_mixed_precision_advantage():
     start = time.perf_counter()
     wins = 0

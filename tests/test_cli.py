@@ -180,6 +180,21 @@ class TestTrainCli:
         log = (tmp_path / "p.mgqt.log").read_text()
         assert log.strip() == "epoch\tlayer\tl_quant\tl_bit\ttotal\thard_mean_bits\tsoft_mean_bits"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("key", ["lr", "alpha", "tau", "weight_decay", "eps"])
+    def test_nonfinite_hyperparameter_exit_2(self, tmp_path, capsys, key, value):
+        # json.dumps writes the NaN/Infinity tokens json.loads accepts
+        wdir, hdir, _, _ = make_instance(tmp_path, n_layers=1)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"epochs": 1, "d_gnn": 8, "hidden": 8, key: value}))
+        out = tmp_path / "p.mgqt"
+        rc = main(["train", "--weights", str(wdir), "--hessians", str(hdir),
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and key in err[0]
+        assert not out.exists() and not (tmp_path / "p.mgqt.log").exists()
+
     def test_unpaired_files_exit_2(self, tmp_path, capsys):
         wdir, hdir, _, cfg = make_instance(tmp_path, seed=3)
         (hdir / "L1.mgqt").unlink()

@@ -3,7 +3,7 @@ import pytest
 
 from mgquant.calibration import CalibrationSet, GramAccumulator, build_hessian_cholesky
 from mgquant.baselines import quantize_rtn_matrix
-from mgquant.gptq import proxy_loss, quantize_blockwise
+from mgquant.gptq import SUB_BLOCK, proxy_loss, quantize_blockwise
 from mgquant.linalg import ShapeMismatchError
 from mgquant.quant import quantize
 
@@ -101,6 +101,79 @@ class TestEngineBasics:
         on = quantize_blockwise(w, hc, np.full(8, 2), block_size=8, intra_block=True)
         off = quantize_blockwise(w, hc, np.full(8, 2), block_size=8, intra_block=False)
         assert not np.array_equal(on.quantized, off.quantized)
+
+
+def reference_blockwise(w, hc, widths, block_size, intra_block):
+    """The engine as a plain loop: one column at a time on (d_row, d_col)
+    arrays, each column's error reaching the rest of its block by a rank-1
+    update."""
+    hc = hc.astype(w.dtype)
+    d_row, d_col = w.shape
+    work = np.array(w, copy=True)
+    quantized = np.zeros_like(work)
+    residuals = np.zeros_like(work)
+    codes = np.zeros(w.shape, dtype=np.uint8)
+    scales = np.zeros(d_col)
+    zeros = np.zeros(d_col)
+    block_errors = []
+    for b in range(0, d_col, block_size):
+        e = min(b + block_size, d_col)
+        errs = np.zeros((d_row, e - b), dtype=work.dtype)
+        for j in range(b, e):
+            col = work[:, j]
+            residuals[:, j] = col
+            q, codes[:, j], scales[j], zeros[j] = quantize(col, int(widths[j]))
+            quantized[:, j] = q
+            err = (col - quantized[:, j]) / hc[j, j]
+            errs[:, j - b] = err
+            if intra_block and j + 1 < e:
+                work[:, j + 1 : e] -= np.outer(err, hc[j, j + 1 : e])
+        block_errors.append(float(np.sum(np.square(errs, dtype=np.float64))))
+        if e < d_col:
+            work[:, e:] -= errs @ hc[b:e, e:]
+    return {"quantized": quantized, "codes": codes, "scales": scales, "zeros": zeros,
+            "residuals": residuals, "block_errors": np.array(block_errors)}
+
+
+class TestAgainstReference:
+    """The sub-blocked engine against the column-at-a-time loop it batches."""
+
+    D_ROW, D_COL = 48, 150  # 150 is not a multiple of the sub-block width
+
+    def run_both(self, w, hc, block_size, intra_block):
+        widths = np.random.default_rng(22).integers(1, 5, self.D_COL)
+        res = quantize_blockwise(w, hc, widths, block_size=block_size,
+                                 intra_block=intra_block, keep_residuals=True)
+        assert np.array_equal(res.widths, widths)
+        return res, reference_blockwise(w, hc, widths, block_size, intra_block)
+
+    @pytest.mark.parametrize("intra_block", [True, False])
+    @pytest.mark.parametrize("block_size", [1, 7, 128, D_COL])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_column_at_a_time_loop(self, dtype, block_size, intra_block):
+        assert self.D_COL % SUB_BLOCK
+        w, hc, _ = correlated_layer(21, d_row=self.D_ROW, d_col=self.D_COL, rows=300)
+        res, ref = self.run_both(w.astype(dtype), hc, block_size, intra_block)
+        assert np.array_equal(res.codes, ref["codes"])
+        # Only the order of the compensation sums differs: each entry sums
+        # at most d_col terms, so it may move by d_col roundings of the largest.
+        tol = self.D_COL * np.finfo(dtype).eps
+        for key in ("quantized", "residuals", "scales", "zeros", "block_errors"):
+            got = np.asarray(getattr(res, key), dtype=np.float64)
+            want = np.asarray(ref[key], dtype=np.float64)
+            assert np.abs(got - want).max() <= tol * np.abs(want).max(), key
+
+    @pytest.mark.parametrize("intra_block", [True, False])
+    @pytest.mark.parametrize("block_size", [1, 7, 128, D_COL])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_diagonal_factor_is_exact(self, dtype, block_size, intra_block):
+        # no cross terms, so nothing is summed in another order
+        rng = np.random.default_rng(23)
+        w = (0.05 * rng.standard_normal((self.D_ROW, self.D_COL))).astype(dtype)
+        hc = np.diag(rng.uniform(0.5, 2.0, self.D_COL))
+        res, ref = self.run_both(w, hc, block_size, intra_block)
+        for key, want in ref.items():
+            assert np.array_equal(getattr(res, key), want), key
 
 
 class TestEngineOracle:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,12 @@ from mgquant.quant import LIMIT, _fit_covering, error_table, quantize
 def levels(scale, zero, bits):
     """Every value of a grid, code 0 first."""
     return scale * (np.arange(1 << bits, dtype=np.float64) - zero)
+
+
+def assert_matches_row_path(result, x, bits):
+    """A 1-D result equals row 0 of quantize(x[None, :], bits), byte for byte."""
+    for a, b in zip(result, quantize(x[None, :], bits)):
+        assert np.asarray(a).tobytes() == b[0].tobytes()
 
 
 class TestFitGrid:
@@ -216,6 +224,15 @@ class TestGridSoundness:
             assert codes.min() >= 0
             assert codes.max() <= (1 << t) - 1
 
+    def test_codes_of_a_few_ulp_span_clipped_in_both_forms(self):
+        # a span of a few ulps: rounding in code space overshoots the ends
+        v = np.array([1.0, 1.0 + 2.2e-16, 1.0 + 4.4e-16, 1e6, 1e6 + 1.2e-10, 1e6 + 4.8e-10])
+        for x in (v[:3], v[3:]):
+            for t in range(3, 9):
+                result = quantize(x, t)
+                assert result[1].min() >= 0 and result[1].max() <= (1 << t) - 1
+                assert_matches_row_path(result, x, t)
+
 
 class TestOverflow:
     def test_span_overflow_rejected(self):
@@ -241,6 +258,24 @@ class TestOverflow:
             deq = quantize(np.array([-LIMIT, 0.5 * LIMIT, LIMIT]), t)[0]
             assert np.isfinite(deq).all()
 
+    def test_subnormal_span_gets_finite_covering_grid(self):
+        # span / 3 underflows to 0; both forms fit the same exact grid, silently
+        v = np.array([1e-310, 1e-310 + 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = quantize(v, 2)
+            assert_matches_row_path(result, v, 2)
+        deq, _, scale, zero = result
+        assert scale > 0 and np.isfinite(zero)
+        assert np.array_equal(deq, v)
+
+    def test_one_bit_mean_overflow_rejected_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in (np.full(8, LIMIT), np.full((2, 8), LIMIT)):
+                with pytest.raises(ValueError, match="mean"):
+                    quantize(v, 1)
+
     def test_uncoverable_row_raises(self):
         vmin, vmax = np.array([[0.0], [-1e308]]), np.array([[1.0], [1e308]])
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="covering"):
@@ -263,6 +298,8 @@ def test_quantize_property(values, bits):
             too_large = mag.max() > LIMIT or (bits == 1 and mag.sum() / mag.size > LIMIT)
         assert too_large
         return
+    # the 1-D path fits on Python floats; the 2-D path is the reference
+    assert_matches_row_path((deq, codes, scale, zero), values, bits)
     cmax = (1 << bits) - 1
     assert np.isfinite(deq).all()
     assert np.isfinite(scale) and np.isfinite(zero)

@@ -274,6 +274,7 @@ class TestTrain:
         assert abs(hard - 2.5) <= 0.25
         assert np.mean([r.l_quant for r in final]) < np.mean([r.l_quant for r in ep0])
 
+    @pytest.mark.slow
     def test_monotone_budget_pressure(self, fixture_layers):
         # a heavier average-bit penalty never worsens the final budget gap
         layers, _ = fixture_layers
