@@ -109,8 +109,6 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     for key, value in raw.items():
         _check_type(key, value)
-    if "lr" in raw:
-        raw["lr"] = float(raw["lr"])
     for key in _FLOAT_FIELDS:
         if key in raw:
             raw[key] = float(raw[key])

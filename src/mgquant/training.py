@@ -203,14 +203,12 @@ class ForwardCache:
     head_pre: np.ndarray | None  # pre-activation of the optional head layer
     adj: np.ndarray | None  # None for the MLP ablation
     adj_t: np.ndarray | None
-    symmetrized: bool
 
 
 def forward_cached(
     x0: np.ndarray,
     params: AllocatorParams,
     adj: np.ndarray | None = None,
-    symmetrized: bool = False,
 ) -> ForwardCache:
     """Forward pass keeping pre-activations; ``adj=None`` runs the MLP variant."""
     x0 = np.asarray(x0, dtype=np.float64)
@@ -232,7 +230,7 @@ def forward_cached(
         logits = x2 @ params.wc + params.bc
     return ForwardCache(
         x0=x0, a1=a1, x1=x1, a2=a2, x2=x2, logits=logits,
-        head_pre=head_pre, adj=adj, adj_t=adj_t, symmetrized=symmetrized,
+        head_pre=head_pre, adj=adj, adj_t=adj_t,
     )
 
 
@@ -406,11 +404,7 @@ def train(
     for epoch in range(cfg.epochs):
         tau = cfg.tau_at(epoch)
         for li, (w, hc, adj, x0) in enumerate(prepared):
-            cache = forward_cached(
-                x0, params,
-                adj=adj if arch == "gcn" else None,
-                symmetrized=cfg.symmetrize_adjacency,
-            )
+            cache = forward_cached(x0, params, adj=adj if arch == "gcn" else None)
             noise = sample_gumbel(cache.logits.shape, rng)
             P = gumbel_softmax(cache.logits, tau, noise)
             hard = np.argmax(P, axis=1).astype(np.int64) + 1

@@ -44,11 +44,11 @@ def gradient_check_config(
     target = 2.5
 
     def loss() -> float:
-        cache = forward_cached(x0, params, adj=adj, symmetrized=symmetrized)
+        cache = forward_cached(x0, params, adj=adj)
         P = gumbel_softmax(cache.logits, tau, noise)
         return soft_losses(P, errs, target, alpha).total
 
-    cache = forward_cached(x0, params, adj=adj, symmetrized=symmetrized)
+    cache = forward_cached(x0, params, adj=adj)
     P = gumbel_softmax(cache.logits, tau, noise)
     grads = backward_from_cache(cache, params, P, errs, target, alpha, tau)
 

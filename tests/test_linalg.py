@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mgquant.calibration import GramAccumulator, build_hessian_cholesky
 from mgquant.linalg import (
     NotPositiveDefiniteError,
     ShapeMismatchError,
@@ -137,3 +138,69 @@ class TestSpdInverse:
     def test_propagates_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
             spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+# The factorization recurses on halves down to blocks of LEAF = 64 columns;
+# these sizes sit on, around and well past that boundary.
+BOUNDARY_SIZES = (1, 63, 64, 65, 129, 300)
+DTYPES = (np.float32, np.float64)
+
+
+def indefinite_at(rng, n, k, dtype=np.float64):
+    """SPD matrix whose leading minor of size k + 1 is made indefinite.
+
+    The k-th pivot of the Cholesky factorization is ``a_kk - a_k^T A_k^{-1} a_k``;
+    lowering ``a_kk`` turns that pivot to ``-n`` while every smaller leading
+    minor stays positive definite.
+    """
+    a = random_spd(rng, n)
+    schur = a[k, k] - a[k, :k] @ np.linalg.solve(a[:k, :k], a[:k, k]) if k else a[0, 0]
+    a[k, k] -= schur + n
+    return a.astype(dtype)
+
+
+class TestRecursionBoundaries:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    def test_cholesky_both_orientations(self, n, dtype):
+        a = random_spd(np.random.default_rng(n), n, dtype=dtype)
+        lo = cholesky(a, "lower")
+        up = cholesky(a, "upper")
+        for t, rebuilt in ((lo, lo @ lo.T), (up, up.T @ up)):
+            assert t.dtype == dtype
+            if dtype == np.float64:
+                assert np.linalg.norm(rebuilt - a) / np.linalg.norm(a) < 1e-8
+            else:
+                assert np.allclose(rebuilt, a, rtol=1e-4, atol=1e-4)
+            assert np.all(np.diag(t) > 0)
+        assert np.all(np.triu(lo, k=1) == 0.0)
+        assert np.all(np.tril(up, k=-1) == 0.0)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    def test_spd_inverse_residual_and_symmetry(self, n, dtype):
+        a = random_spd(np.random.default_rng(100 + n), n, dtype=dtype)
+        inv = spd_inverse(a)
+        assert inv.dtype == dtype
+        bound = 1e-6 if dtype == np.float64 else 1e-4
+        assert np.max(np.abs(a @ inv - np.eye(n))) < bound
+        assert np.array_equal(inv, inv.T)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    def test_failing_pivot_index(self, n, dtype):
+        for k in sorted({k for k in (0, 63, 64, 65, n - 1) if k < n}):
+            a = indefinite_at(np.random.default_rng(k), n, k, dtype)
+            for factorize in (cholesky, lambda m: cholesky(m, "upper"), spd_inverse):
+                with pytest.raises(NotPositiveDefiniteError) as exc:
+                    factorize(a)
+                assert exc.value.pivot == k, (n, k)
+
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    def test_hessian_message_names_pivot(self, n):
+        for k in sorted({k for k in (0, 63, 64, 65, n - 1) if k < n}):
+            gram = indefinite_at(np.random.default_rng(k), n, k)
+            acc = GramAccumulator.from_gram(gram, samples_seen=1)
+            with pytest.raises(NotPositiveDefiniteError, match=rf"at pivot {k};") as exc:
+                build_hessian_cholesky(acc, damp_frac=0.0)
+            assert exc.value.pivot == k
