@@ -8,12 +8,14 @@ Given calibration rows X (m x d_col), the accumulator maintains
     hessian_cholesky = upper Cholesky of (gram + lambda*I)^{-1}
 
 with ``lambda = damp_frac * mean(diag(gram))`` (or ``damp_frac`` itself for
-an all-zero Gram).
+an all-zero Gram), computed in one factorization by
+:func:`mgquant.linalg.cholesky_of_inverse` without forming the inverse.
 
-Rows are buffered and folded into the Gram in fixed 256-row chunks, with the
-remainder flushed on finalize. The accumulated bytes therefore depend only
-on the concatenated row stream, not on how rows were split into batches or
-files, which keeps e.g. two half files bit-identical to one concatenated
+Rows are buffered and folded into the Gram in fixed ``CHUNK_ROWS`` (2,048)
+row chunks, with the remainder flushed on finalize. Each fold is one matrix
+product, doubled and added in place. The accumulated bytes therefore depend
+only on the concatenated row stream, not on how rows were split into batches
+or files, which keeps e.g. two half files bit-identical to one concatenated
 file.
 """
 
@@ -23,12 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NotPositiveDefiniteError, cholesky, spd_inverse
+from .linalg import NotPositiveDefiniteError, cholesky_of_inverse
+from .linalg import cholesky, spd_inverse  # noqa: F401  (bench/tracing.py patches these names)
 
 __all__ = ["CalibrationSet", "GramAccumulator", "build_hessian_cholesky"]
 
 #: Rows per Gram flush. Fixed so results are independent of batch splits.
-CHUNK_ROWS = 256
+CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -128,18 +131,20 @@ class GramAccumulator:
                     rows.append(head[:need])
                     self._pending[0] = head[need:]
                     need = 0
-            chunk = rows[0] if len(rows) == 1 else np.vstack(rows)
-            chunk = np.ascontiguousarray(chunk)
-            self._gram += 2.0 * (chunk.T @ chunk)
+            self._fold(rows[0] if len(rows) == 1 else np.vstack(rows))
             self._pending_rows -= CHUNK_ROWS
 
     def _flush_remainder(self) -> None:
         if self._pending_rows:
-            tail = self._pending[0] if len(self._pending) == 1 else np.vstack(self._pending)
-            tail = np.ascontiguousarray(tail)
-            self._gram += 2.0 * (tail.T @ tail)
+            self._fold(self._pending[0] if len(self._pending) == 1 else np.vstack(self._pending))
             self._pending = []
             self._pending_rows = 0
+
+    def _fold(self, rows: np.ndarray) -> None:
+        rows = np.ascontiguousarray(rows)
+        prod = rows.T @ rows
+        prod *= 2.0
+        self._gram += prod
 
     @property
     def gram(self) -> np.ndarray:
@@ -167,7 +172,7 @@ def build_hessian_cholesky(acc: GramAccumulator, damp_frac: float = 0.01) -> np.
     lam = damp_frac * mean_diag if mean_diag != 0.0 else damp_frac
     damped = gram + lam * np.eye(acc.d_col)
     try:
-        inv = spd_inverse(damped)
+        return cholesky_of_inverse(damped)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(
             pivot=exc.pivot,
@@ -176,4 +181,3 @@ def build_hessian_cholesky(acc: GramAccumulator, damp_frac: float = 0.01) -> np.
                 f"increase damp_frac (currently {damp_frac})"
             ),
         ) from exc
-    return cholesky(inv, orientation="upper")

@@ -3,9 +3,10 @@
 Numpy-only kernels that pin down the conventions everything else relies on:
 
 * both float32 and float64 are supported and the input dtype is preserved;
-* matrices handed to ``cholesky``/``spd_inverse`` are checked for symmetry
-  and re-symmetrized as ``(A + A^T) / 2`` before factorization (single
-  precision Gram accumulation drifts off symmetric);
+* matrices handed to ``cholesky``/``spd_inverse``/``cholesky_of_inverse``
+  are rejected with ``ValueError`` if any entry is NaN/Inf, checked for
+  symmetry and re-symmetrized as ``(A + A^T) / 2`` before factorization
+  (single precision Gram accumulation drifts off symmetric);
 * the factorization is a recursive blocked lower Cholesky: split at n // 2,
   solve the off-diagonal block through the triangular inverse of the
   leading factor, recurse on the Schur complement. Blocks of at most
@@ -13,6 +14,9 @@ Numpy-only kernels that pin down the conventions everything else relies on:
   Everything above the leaves is matrix products, so unlike LAPACK's
   threaded ``potrf`` the factor keeps its bits across BLAS thread counts
   (a test compares 1 and 2 threads);
+* the upper Cholesky factor of ``A^{-1}`` takes one factorization, never
+  forming ``A^{-1}``: it is ``J L^{-1} J`` with L the lower factor of
+  ``J A J`` and J the index reversal, and the recursion returns ``L^{-1}``;
 * Cholesky failures raise :class:`NotPositiveDefiniteError` carrying the
   0-based index of the first leading minor that is not positive definite
   (LAPACK's ``potrf`` convention), found by bisecting the failing leaf;
@@ -33,6 +37,7 @@ __all__ = [
     "matmul",
     "cholesky",
     "spd_inverse",
+    "cholesky_of_inverse",
     "symmetry_gap",
 ]
 
@@ -86,8 +91,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def _gap(a: np.ndarray, a_t: np.ndarray) -> float:
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def _gap(a: np.ndarray, a_t: np.ndarray, scale: float) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(a - a_t))) / scale
@@ -96,16 +104,21 @@ def _gap(a: np.ndarray, a_t: np.ndarray) -> float:
 def symmetry_gap(a: np.ndarray) -> float:
     """Relative asymmetry ``max|A - A^T| / max|A|`` (0 for the zero matrix)."""
     a = np.asarray(a)
-    return _gap(a, a.T)
+    return _gap(a, a.T, _max_abs(a))
 
 
 def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"matrix must be square, got shape {a.shape}")
+    # max|A| is NaN or Inf exactly when some entry is, so the scale of the
+    # symmetry check doubles as the finiteness check, before any arithmetic.
+    scale = _max_abs(a)
+    if not np.isfinite(scale):
+        raise ValueError("matrix contains NaN/Inf")
     # One strided pass over A^T, shared by the check and the symmetrization:
     # reading a large A^T in place costs more than copying it once.
     a_t = np.ascontiguousarray(a.T)
-    gap = _gap(a, a_t)
+    gap = _gap(a, a_t, scale)
     if gap > SYMMETRY_RTOL:
         raise ValueError(
             f"matrix is not symmetric (relative asymmetry {gap:.3e} > {SYMMETRY_RTOL:.0e})"
@@ -177,6 +190,7 @@ def cholesky(a: np.ndarray, orientation: str = "lower") -> np.ndarray:
         strictly positive diagonal.
 
     Raises:
+        ValueError: if ``a`` has a NaN/Inf entry or is not symmetric.
         NotPositiveDefiniteError: with the 0-based failing pivot index.
     """
     if orientation not in ("lower", "upper"):
@@ -194,6 +208,7 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     the upper triangle, so the result satisfies ``out == out.T`` bit for bit.
 
     Raises:
+        ValueError: if ``a`` has a NaN/Inf entry or is not symmetric.
         NotPositiveDefiniteError: from the factorization, with the index of
             the first leading minor that is not positive definite.
     """
@@ -202,3 +217,34 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     inv = inv_low.T @ inv_low
     upper = np.triu(inv)
     return upper + np.triu(inv, k=1).T
+
+
+def cholesky_of_inverse(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of the inverse of a symmetric positive definite matrix.
+
+    Returns T, same dtype as ``a``, upper triangular with an exactly zero
+    lower side and a strictly positive diagonal, such that
+    ``T.T @ T == a^{-1}``. With J the index reversal, ``J a J = L L^T``
+    gives ``a = (J L J)(J L J)^T`` with ``J L J`` upper triangular, so
+    ``T = (J L J)^{-1} = J L^{-1} J``: one factorization that also returns
+    ``L^{-1}``, with no inverse formed and factored again.
+
+    Raises:
+        ValueError: if ``a`` has a NaN/Inf entry or is not symmetric.
+        NotPositiveDefiniteError: with the index of the first leading minor
+            of ``a`` (not of ``J a J``) that is not positive definite. A
+            matrix singular to rounding may factor in one order only; if
+            ``a`` itself factors, the index p is the row where the reversed
+            pass broke down, the smallest trailing block ``a[p:, p:]`` that
+            failed.
+    """
+    a = _as_matrix(a, "a")
+    sym = _check_square_symmetric(a)
+    try:
+        _, inv_low = _factor(np.ascontiguousarray(sym[::-1, ::-1]), 0, True)
+    except NotPositiveDefiniteError as exc:
+        # The reversed pass numbers trailing blocks of ``a``; factoring ``a``
+        # itself raises with its first failing leading minor.
+        _factor(sym, 0, False)
+        raise NotPositiveDefiniteError(pivot=a.shape[0] - 1 - exc.pivot) from None
+    return np.ascontiguousarray(inv_low[::-1, ::-1])

@@ -110,12 +110,12 @@ def write_tensor_file(path: str | Path, sections: dict[str, np.ndarray]) -> None
 
 
 class _Cursor:
-    def __init__(self, data: bytes, path: Path):
+    def __init__(self, data: memoryview, path: Path):
         self.data = data
         self.pos = 0
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.data):
             raise TensorFileError(f"{self.path}: truncated while reading {what}")
         out = self.data[self.pos : self.pos + n]
@@ -131,7 +131,8 @@ def read_tensor_file(path: str | Path) -> dict[str, np.ndarray]:
             names, truncation, trailing garbage, or non-finite float data.
     """
     path = Path(path)
-    cur = _Cursor(path.read_bytes(), path)
+    # Slices of one view of the file: payloads are copied once, into arrays.
+    cur = _Cursor(memoryview(path.read_bytes()), path)
 
     if cur.take(4, "magic") != MAGIC:
         raise TensorFileError(f"{path}: bad magic (not a tensor container)")
@@ -145,7 +146,7 @@ def read_tensor_file(path: str | Path) -> dict[str, np.ndarray]:
         if name_len == 0:
             raise TensorFileError(f"{path}: section {i} has empty name")
         try:
-            name = cur.take(name_len, f"section {i} name").decode("utf-8")
+            name = bytes(cur.take(name_len, f"section {i} name")).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TensorFileError(f"{path}: section {i} name is not UTF-8") from exc
         if name in sections:

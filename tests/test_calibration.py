@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mgquant.calibration import (
+    CHUNK_ROWS,
     CalibrationSet,
     GramAccumulator,
     build_hessian_cholesky,
@@ -41,6 +42,26 @@ class TestAccumulate:
                 acc.accumulate(x[prev:c])
                 prev = c
             assert np.array_equal(acc.gram, ref)
+
+    def test_split_invariance_across_full_chunks_is_bit_exact(self):
+        # two full chunks and a remainder; cuts on and beside a chunk boundary
+        rng = np.random.default_rng(6)
+        m = 2 * CHUNK_ROWS + 37
+        x = rng.standard_normal((m, 5))
+        ref = GramAccumulator(d_col=5).accumulate(x).gram
+        for cuts in ([CHUNK_ROWS - 1], [CHUNK_ROWS], [CHUNK_ROWS + 1],
+                     [CHUNK_ROWS - 1, CHUNK_ROWS + 1, 2 * CHUNK_ROWS]):
+            acc = GramAccumulator(d_col=5)
+            prev = 0
+            for c in cuts + [m]:
+                acc.accumulate(x[prev:c])
+                prev = c
+            assert np.array_equal(acc.gram, ref), cuts
+        acc = GramAccumulator(d_col=5)
+        for start in range(0, m, 37):
+            acc.accumulate(x[start:start + 37])
+        assert acc.samples_seen == m
+        assert np.array_equal(acc.gram, ref)
 
     def test_dimension_mismatch(self):
         acc = GramAccumulator(d_col=3)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mgquant
-from mgquant.calibration import GramAccumulator, build_hessian_cholesky
+from mgquant.calibration import CHUNK_ROWS, GramAccumulator, build_hessian_cholesky
 from mgquant.cli import main
 from mgquant.tensorfile import read_tensor_file, write_tensor_file
 
@@ -362,6 +362,27 @@ class TestBlasThreadCount:
         rng = np.random.default_rng(22)
         calib = tmp_path / "calib.mgqt"
         write_tensor_file(calib, {"x": 0.05 * rng.standard_normal((512, 256))})
+        outputs = []
+        for threads in ("1", "2"):
+            env = src_env(OPENBLAS_NUM_THREADS=threads)
+            gram, factor = tmp_path / f"g{threads}.mgqt", tmp_path / f"h{threads}.mgqt"
+            for argv in (
+                ["gram", "--calib", str(calib), "--out", str(gram)],
+                ["hessian", "--gram", str(gram), "--damp", "0.01", "--out", str(factor)],
+            ):
+                proc = subprocess.run([sys.executable, "-m", "mgquant", *argv], env=env,
+                                      capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+            outputs.append([gram.read_bytes(), factor.read_bytes()])
+        assert outputs[0][0] == outputs[1][0]
+        assert outputs[0][1] == outputs[1][1]
+
+    def test_gram_and_hessian_bytes_independent_of_threads_past_full_chunks(self, tmp_path):
+        # more than two full Gram chunks plus a remainder, on a factor that recurses
+        assert 4133 > 2 * CHUNK_ROWS
+        rng = np.random.default_rng(23)
+        calib = tmp_path / "calib.mgqt"
+        write_tensor_file(calib, {"x": 0.05 * rng.standard_normal((4133, 192))})
         outputs = []
         for threads in ("1", "2"):
             env = src_env(OPENBLAS_NUM_THREADS=threads)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mgquant.linalg import (
     NotPositiveDefiniteError,
     ShapeMismatchError,
     cholesky,
+    cholesky_of_inverse,
     matmul,
     spd_inverse,
     symmetry_gap,
@@ -140,6 +143,24 @@ class TestSpdInverse:
             spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+class TestNonFiniteInput:
+    ENTRY_POINTS = (cholesky, spd_inverse, cholesky_of_inverse)
+
+    @pytest.mark.parametrize("factorize", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_rejected_before_arithmetic(self, factorize, bad):
+        small = np.array([[1.0, bad], [bad, 1.0]])
+        large = random_spd(np.random.default_rng(7), 70)
+        large[3, 66] = large[66, 3] = bad
+        diagonal = np.eye(3)
+        diagonal[2, 2] = bad
+        for a in (small, large, diagonal, small.astype(np.float32)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="NaN/Inf"):
+                    factorize(a)
+
+
 # The factorization recurses on halves down to blocks of LEAF = 64 columns;
 # these sizes sit on, around and well past that boundary.
 BOUNDARY_SIZES = (1, 63, 64, 65, 129, 300)
@@ -204,3 +225,39 @@ class TestRecursionBoundaries:
             with pytest.raises(NotPositiveDefiniteError, match=rf"at pivot {k};") as exc:
                 build_hessian_cholesky(acc, damp_frac=0.0)
             assert exc.value.pivot == k
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    def test_cholesky_of_inverse_factor_and_residual(self, n, dtype):
+        a = random_spd(np.random.default_rng(200 + n), n, dtype=dtype)
+        hc = cholesky_of_inverse(a)
+        assert hc.dtype == dtype
+        assert np.all(np.tril(hc, k=-1) == 0.0)
+        assert np.all(np.diag(hc) > 0)
+        bound = 1e-6 if dtype == np.float64 else 1e-4
+        assert np.max(np.abs(hc.T @ hc @ a - np.eye(n))) < bound
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    def test_cholesky_of_inverse_pivot_matches_cholesky(self, n, dtype):
+        # the pass runs on the reversed matrix, but the pivot is numbered in a's;
+        # a negative last entry makes the reversed pass fail at its first pivot
+        for k in sorted({k for k in (0, 63, 64, 65, n - 1) if k < n}):
+            a = indefinite_at(np.random.default_rng(k), n, k, dtype)
+            tail_negative = a.copy()
+            tail_negative[-1, -1] = -n
+            for m in (a, tail_negative):
+                with pytest.raises(NotPositiveDefiniteError) as forward:
+                    cholesky(m)
+                with pytest.raises(NotPositiveDefiniteError) as exc:
+                    cholesky_of_inverse(m)
+                assert exc.value.pivot == forward.value.pivot == k, (n, k)
+
+    def test_cholesky_of_inverse_singular_to_rounding(self):
+        # rank 2 up to rounding: the forward order factors with a last pivot
+        # of about 4e-16, the reversed one fails on the whole matrix
+        a = np.array([[0.65, -0.24, -0.59], [-0.24, 0.17, 0.14], [-0.59, 0.14, 0.61]])
+        assert np.all(np.diag(cholesky(a)) > 0)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky_of_inverse(a)
+        assert exc.value.pivot == 0
