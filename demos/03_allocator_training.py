@@ -11,7 +11,7 @@ Run: python demos/03_allocator_training.py
 
 import numpy as np
 
-from mgquant import TrainConfig, allocate, gcn_forward, preprocess, quantize_blockwise, train
+from mgquant import TrainConfig, quantize_blockwise, train, widths_for
 from mgquant.synth import salience_instance
 
 w, hc, calib = salience_instance(seed=0)
@@ -29,9 +29,9 @@ print(f"epoch   0: l_quant={first.l_quant:.4f} soft_bits={first.soft_mean_bits:.
 print(f"epoch {cfg.epochs - 1:>3}: l_quant={last.l_quant:.4f} "
       f"soft_bits={last.soft_mean_bits:.3f}")
 
-# Inference is deterministic: argmax over the head logits, no sampling.
-x2 = gcn_forward(hc, preprocess(np.asarray(w, np.float64), cfg.d_gnn), params)
-widths = allocate(x2, params)
+# Inference is deterministic: node features, the same forward pass training
+# used, then argmax over the head logits, no sampling.
+widths = widths_for(w, hc, params)
 print(f"\nlearned widths: mean={widths.mean():.3f} "
       f"histogram={np.bincount(widths, minlength=5)[1:].tolist()} (widths 1..4)")
 

@@ -9,12 +9,10 @@ import numpy as np
 from mgquant import (
     BaselineSpec,
     TrainConfig,
-    allocate,
-    gcn_forward,
-    preprocess,
     quantize_blockwise,
     run_baseline,
     train,
+    widths_for,
 )
 from mgquant.synth import salience_instance
 
@@ -37,7 +35,7 @@ res = run_baseline(BaselineSpec(method="mlp-ptq", bits=2, target_bits=2.5),
 rows.append(("mlp-ptq @ 2.5", res.mean_bits, res.proxy_loss))
 
 params, _ = train([(w, hc)], cfg)
-widths = allocate(gcn_forward(hc, preprocess(np.asarray(w, np.float64), 32), params), params)
+widths = widths_for(w, hc, params)
 res = quantize_blockwise(w, hc, widths, block_size=64, calib=calib)
 rows.append(("graph allocator @ 2.5", res.mean_bits, res.proxy_loss))
 

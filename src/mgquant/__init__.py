@@ -13,15 +13,14 @@ from .allocator import (
     gumbel_softmax,
     hessian_node_features,
     init_allocator_params,
-    mlp_forward,
     preprocess,
     sample_gumbel,
 )
 from .baselines import BaselineSpec, run_baseline
 from .calibration import CalibrationSet, GramAccumulator, build_hessian_cholesky
 from .gptq import QuantResult, proxy_loss, quantize_blockwise
-from .linalg import NotPositiveDefiniteError, ShapeMismatchError, cholesky, matmul, spd_inverse
-from .pipeline import AllocatorTimings, quantize_with_allocator
+from .linalg import NotPositiveDefiniteError, ShapeMismatchError, cholesky, spd_inverse
+from .pipeline import AllocatorTimings, quantize_with_allocator, widths_for
 from .quant import error_table, quantize
 from .tensorfile import TensorFileError, read_tensor_file, write_tensor_file
 from .training import (
@@ -57,8 +56,6 @@ __all__ = [
     "gumbel_softmax",
     "hessian_node_features",
     "init_allocator_params",
-    "matmul",
-    "mlp_forward",
     "preprocess",
     "proxy_loss",
     "quantize",
@@ -70,5 +67,6 @@ __all__ = [
     "soft_losses",
     "spd_inverse",
     "train",
+    "widths_for",
     "write_tensor_file",
 ]

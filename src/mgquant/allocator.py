@@ -4,16 +4,19 @@ Each weight column is a graph node. Node features are built by transposing
 the weight matrix, zero-padding the row dimension up to a multiple of the
 feature width, and chunk-averaging (``preprocess``). The upper-triangular
 Hessian-Cholesky factor is used as the weighted adjacency exactly as given
-(no symmetrization or degree normalization by default), through a 2-layer
-graph convolution:
+(no symmetrization or degree normalization), through a 2-layer graph
+convolution:
 
     X1 = relu(adj @ X0 @ W0)
     X2 = relu(adj @ X1 @ W1)
 
-A classifier head maps X2 to per-node logits over widths 1..t_max; class c
-means c+1 bits. Inference takes the argmax (ties resolve to the lower
-width); training replaces argmax with Gumbel-Softmax sampling, implemented
-here as a pure function of explicit noise so the training loop owns all
+With no adjacency (``hc=None``) the layers are plain dense ones: the MLP
+ablation. A classifier head maps X2 to per-node logits over widths
+1..t_max; class c means c+1 bits. ``gcn_forward`` and ``ffnn_logits`` are
+the only code for the layers and the head, for inference and training
+alike. Inference takes the argmax (ties resolve to the lower width);
+training replaces argmax with Gumbel-Softmax sampling, implemented here as
+a pure function of explicit noise so the training loop owns all
 randomness.
 """
 
@@ -32,7 +35,6 @@ __all__ = [
     "preprocess",
     "hessian_node_features",
     "gcn_forward",
-    "mlp_forward",
     "ffnn_logits",
     "allocate",
     "gumbel_softmax",
@@ -97,16 +99,6 @@ class AllocatorParams:
             out["wf"] = self.wf
             out["bf"] = self.bf
         return out
-
-    def astype(self, dtype) -> "AllocatorParams":
-        return AllocatorParams(
-            w0=self.w0.astype(dtype),
-            w1=self.w1.astype(dtype),
-            wc=self.wc.astype(dtype),
-            bc=self.bc.astype(dtype),
-            wf=None if self.wf is None else self.wf.astype(dtype),
-            bf=None if self.bf is None else self.bf.astype(dtype),
-        )
 
 
 def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -173,53 +165,39 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def _adjacency(hc: np.ndarray, symmetrize: bool) -> np.ndarray:
-    return (hc + hc.T) * hc.dtype.type(0.5) if symmetrize else hc
-
-
 def gcn_forward(
-    hc: np.ndarray,
-    x0: np.ndarray,
-    params: AllocatorParams,
-    symmetrize: bool = False,
-) -> np.ndarray:
+    hc: np.ndarray | None, x0: np.ndarray, params: AllocatorParams
+) -> tuple[np.ndarray, np.ndarray]:
     """Two graph-convolution layers over the factor-as-adjacency.
 
-    The triangular factor is used as-is unless ``symmetrize`` is set
-    (experimental variant, off by default).
+    Returns ``(x1, x2)``, both layers' activations, in ``x0``'s dtype; the
+    factor and weights are cast to it. ``hc=None`` drops the propagation,
+    which is the MLP ablation.
     """
-    hc = np.asarray(hc)
-    x0 = np.asarray(x0)
-    if hc.shape[0] != hc.shape[1] or hc.shape[0] != x0.shape[0]:
-        raise ShapeMismatchError(
-            f"adjacency {hc.shape} does not match features {x0.shape}"
-        )
-    if x0.shape[1] != params.d_gnn:
-        raise ShapeMismatchError(
-            f"features have width {x0.shape[1]}, params expect {params.d_gnn}"
-        )
-    dtype = x0.dtype
-    adj = _adjacency(hc.astype(dtype, copy=False), symmetrize)
-    w0 = params.w0.astype(dtype, copy=False)
-    w1 = params.w1.astype(dtype, copy=False)
-    x1 = _relu(adj @ (x0 @ w0))
-    return _relu(adj @ (x1 @ w1))
-
-
-def mlp_forward(x0: np.ndarray, params: AllocatorParams) -> np.ndarray:
-    """Ablation forward pass: the same two layers without graph propagation."""
     x0 = np.asarray(x0)
     if x0.ndim != 2 or x0.shape[1] != params.d_gnn:
         raise ShapeMismatchError(
             f"features shape {x0.shape} does not match d_gnn {params.d_gnn}"
         )
     dtype = x0.dtype
-    x1 = _relu(x0 @ params.w0.astype(dtype, copy=False))
-    return _relu(x1 @ params.w1.astype(dtype, copy=False))
+    adj = None if hc is None else np.asarray(hc).astype(dtype, copy=False)
+    if adj is not None and adj.shape != (len(x0), len(x0)):
+        raise ShapeMismatchError(f"adjacency {adj.shape} does not match features {x0.shape}")
+
+    def layer(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        x = x @ w.astype(dtype, copy=False)
+        return _relu(x if adj is None else adj @ x)
+
+    x1 = layer(x0, params.w0)
+    return x1, layer(x1, params.w1)
 
 
-def ffnn_logits(x2: np.ndarray, params: AllocatorParams) -> np.ndarray:
-    """Classifier head: per-node logits over widths (d_col x t_max)."""
+def ffnn_logits(x2: np.ndarray, params: AllocatorParams) -> tuple[np.ndarray, np.ndarray]:
+    """Classifier head: returns ``(head, logits)``, logits (d_col x t_max).
+
+    ``head`` is the input of the final affine map: ``x2`` itself, or the
+    optional hidden layer's activation.
+    """
     x2 = np.asarray(x2)
     if x2.ndim != 2 or x2.shape[1] != params.hidden:
         raise ShapeMismatchError(
@@ -229,7 +207,7 @@ def ffnn_logits(x2: np.ndarray, params: AllocatorParams) -> np.ndarray:
     h = x2
     if params.has_hidden_head:
         h = _relu(x2 @ params.wf.astype(dtype, copy=False) + params.bf.astype(dtype, copy=False))
-    return h @ params.wc.astype(dtype, copy=False) + params.bc.astype(dtype, copy=False)
+    return h, h @ params.wc.astype(dtype, copy=False) + params.bc.astype(dtype, copy=False)
 
 
 def allocate(x2: np.ndarray, params: AllocatorParams) -> np.ndarray:
@@ -238,7 +216,7 @@ def allocate(x2: np.ndarray, params: AllocatorParams) -> np.ndarray:
     Softmax is order-preserving, so the argmax is taken on raw logits.
     Ties resolve to the lower width (numpy argmax returns the first max).
     """
-    logits = ffnn_logits(x2, params)
+    _, logits = ffnn_logits(x2, params)
     return np.argmax(logits, axis=1).astype(np.int64) + 1
 
 

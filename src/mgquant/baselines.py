@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import allocate, hessian_node_features, mlp_forward
 from .calibration import CalibrationSet
 from .gptq import MAX_BITS, QuantResult, proxy_loss, quantize_blockwise, validate_widths
+from .pipeline import widths_for
 from .quant import quantize
 from .training import TrainConfig, train
 
@@ -102,8 +102,7 @@ def run_baseline(
     # with its hard assignment.
     train_cfg = dataclasses.replace(cfg, target_bits=spec.budget)
     params, _ = train([(w, hc)], train_cfg, arch="mlp")
-    x0 = hessian_node_features(np.asarray(hc, dtype=np.float64), train_cfg.d_gnn)
-    widths = allocate(mlp_forward(x0, params), params)
+    widths = widths_for(w, np.asarray(hc, dtype=np.float64), params, arch="mlp")
     return quantize_blockwise(
         w, hc, widths,
         block_size=min(cfg.block_size, d_col),

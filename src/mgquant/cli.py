@@ -142,9 +142,7 @@ def cmd_train(args) -> int:
     out = args.out or cfg.out_path
     if not out:
         raise ValueError("--out is required")
-    write_tensor_file(
-        out, params_to_sections(params, symmetrize_adjacency=cfg.symmetrize_adjacency)
-    )
+    write_tensor_file(out, params_to_sections(params))
     log_path = args.log or cfg.log_path or (out + ".log")
     write_atomic(log_path, format_training_log(records).encode())
     last = records[-1] if records else None
@@ -156,7 +154,7 @@ def cmd_train(args) -> int:
 def cmd_quantize(args) -> int:
     w = _load_weights(args.weights)
     hc = _load_hessian(args.hessian)
-    params, symmetrize = params_from_sections(read_tensor_file(args.params))
+    params = params_from_sections(read_tensor_file(args.params))
     calib = _load_calib(args.calib) if args.calib else None
     dtype = np.float32 if args.precision == "f32" else np.float64
 
@@ -164,7 +162,6 @@ def cmd_quantize(args) -> int:
         w, hc, params,
         block_size=args.block,
         dtype=dtype,
-        symmetrize_adjacency=symmetrize,
         calib=calib,
     )
     write_tensor_file(args.out, result_to_sections(result))
@@ -177,7 +174,6 @@ def cmd_quantize(args) -> int:
             "command": "quantize",
             "block_size": args.block,
             "precision": args.precision,
-            "symmetrize_adjacency": symmetrize,
             "params": args.params,
         },
         layers=[entry],

@@ -4,21 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .training import TrainConfig
 
 __all__ = ["RunConfig", "load_run_config"]
-
-_PATH_FIELDS = (
-    "weights_dir",
-    "hessians_dir",
-    "calib_paths",
-    "out_path",
-    "report_path",
-    "log_path",
-)
 
 
 @dataclass
@@ -64,35 +57,31 @@ class RunConfig(TrainConfig):
         return dataclasses.asdict(self)
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_BOOL_FIELDS = {"tau_anneal", "ffnn_hidden", "symmetrize_adjacency", "intra_block"}
-_INT_FIELDS = {"epochs", "accum_steps", "seed", "d_gnn", "hidden", "t_max", "block_size"}
-_FLOAT_FIELDS = {
-    "lr", "alpha", "tau", "target_bits", "weight_decay",
-    "beta1", "beta2", "eps", "damp_frac",
-}
+def _kind(hint) -> tuple[object, bool]:
+    """(type, optional) of a field annotation; ``X | None`` is X, optional."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType) and type(None) in args:
+        return next(a for a in args if a is not type(None)), True
+    return hint, False
+
+
+_FIELD_KINDS = {key: _kind(hint) for key, hint in typing.get_type_hints(RunConfig).items()}
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list[str]: "a list of strings"}
 
 
 def _check_type(key: str, value):
-    if key in _BOOL_FIELDS:
-        if not isinstance(value, bool):
-            raise ValueError(f"config key {key!r} must be a boolean, got {value!r}")
-    elif key in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            if not (key == "hidden" and value is None):
-                raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    elif key in _FLOAT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-    elif key == "precision":
-        if not isinstance(value, str):
-            raise ValueError(f"config key {key!r} must be a string, got {value!r}")
-    elif key == "calib_paths":
-        if value is not None and not isinstance(value, list):
-            raise ValueError(f"config key {key!r} must be a list, got {value!r}")
-    elif key in _PATH_FIELDS:
-        if value is not None and not isinstance(value, str):
-            raise ValueError(f"config key {key!r} must be a string, got {value!r}")
+    kind, optional = _FIELD_KINDS[key]
+    if value is None and optional:
+        return
+    if kind is bool or isinstance(value, bool):
+        ok = kind is bool and isinstance(value, bool)
+    elif kind == list[str]:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -104,13 +93,12 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(raw) - set(_FIELD_TYPES))
+    unknown = sorted(set(raw) - set(_FIELD_KINDS))
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     for key, value in raw.items():
         _check_type(key, value)
-    for key in _FLOAT_FIELDS:
-        if key in raw:
-            raw[key] = float(raw[key])
+        if _FIELD_KINDS[key][0] is float and value is not None:
+            raw[key] = float(value)
     cfg = RunConfig(**raw)
     return cfg.validate()

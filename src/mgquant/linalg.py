@@ -34,7 +34,6 @@ import numpy as np
 __all__ = [
     "ShapeMismatchError",
     "NotPositiveDefiniteError",
-    "matmul",
     "cholesky",
     "spd_inverse",
     "cholesky_of_inverse",
@@ -73,22 +72,6 @@ def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:
     if a.dtype not in (np.float32, np.float64):
         a = a.astype(np.float64)
     return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape validation.
-
-    Raises:
-        ShapeMismatchError: if ``a.cols != b.rows``; the message names both
-            shapes.
-    """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
 
 
 def _max_abs(a: np.ndarray) -> float:

@@ -2,12 +2,12 @@
 
 Weight files carry a 2-D ``weights`` section; Gram files carry ``gram`` and
 ``samples``; hessian files carry ``hessian_cholesky`` (upper triangular);
-allocator parameter files carry ``w0/w1/wc/bc`` (optionally ``wf/bf``) plus
-a one-byte ``flags`` section (bit 0: adjacency was symmetrized during
-training, so inference must match). Quantized outputs carry the dequantized
-``quantized`` matrix, u8 ``codes``, per-column ``scales``/``zeros`` grids
-and u8 ``widths``, which :func:`result_to_sections` takes as they are from
-the :class:`~mgquant.gptq.QuantResult` arrays.
+allocator parameter files carry ``w0/w1/wc/bc`` (optionally ``wf/bf``).
+Quantized outputs carry the dequantized ``quantized`` matrix, u8 ``codes``,
+per-column ``scales``/``zeros`` grids and u8 ``widths``, which
+:func:`result_to_sections` takes as they are from the
+:class:`~mgquant.gptq.QuantResult` arrays. :func:`widths_for` is the one
+inference path of the allocator, for the graph and the MLP ablation alike.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .allocator import (
     AllocatorParams,
     allocate,
     gcn_forward,
+    hessian_node_features,
     preprocess,
 )
 from .calibration import CalibrationSet
@@ -28,6 +29,7 @@ from .gptq import QuantResult, quantize_blockwise
 
 __all__ = [
     "AllocatorTimings",
+    "widths_for",
     "quantize_with_allocator",
     "params_to_sections",
     "params_from_sections",
@@ -48,13 +50,31 @@ class AllocatorTimings:
         return self.allocator_time + self.engine_time
 
 
+def widths_for(
+    w: np.ndarray, hc: np.ndarray, params: AllocatorParams, arch: str = "gcn"
+) -> np.ndarray:
+    """Hard per-column widths: node features, the forward pass, argmax.
+
+    ``arch="gcn"`` pools features from ``w`` and propagates over ``hc``; the
+    ``"mlp"`` ablation pools them from the rows of ``hc`` and does not
+    propagate. Everything runs in the features' dtype.
+    """
+    if arch == "gcn":
+        x0, adj = preprocess(w, params.d_gnn), hc
+    elif arch == "mlp":
+        x0, adj = hessian_node_features(hc, params.d_gnn), None
+    else:
+        raise ValueError(f"arch must be 'gcn' or 'mlp', got {arch!r}")
+    _, x2 = gcn_forward(adj, x0, params)
+    return allocate(x2, params)
+
+
 def quantize_with_allocator(
     w: np.ndarray,
     hc: np.ndarray,
     params: AllocatorParams,
     block_size: int = 128,
     dtype=np.float32,
-    symmetrize_adjacency: bool = False,
     calib: CalibrationSet | None = None,
     intra_block: bool = True,
 ) -> tuple[QuantResult, AllocatorTimings]:
@@ -65,12 +85,9 @@ def quantize_with_allocator(
     """
     w = np.ascontiguousarray(np.asarray(w), dtype=dtype)
     hc_t = np.ascontiguousarray(np.asarray(hc), dtype=dtype)
-    params_t = params.astype(dtype)
 
     start = time.perf_counter()
-    x0 = preprocess(w, params.d_gnn)
-    x2 = gcn_forward(hc_t, x0, params_t, symmetrize=symmetrize_adjacency)
-    widths = allocate(x2, params_t)
+    widths = widths_for(w, hc_t, params)
     allocator_time = time.perf_counter() - start
 
     result = quantize_blockwise(
@@ -82,20 +99,24 @@ def quantize_with_allocator(
     return result, AllocatorTimings(allocator_time=allocator_time, engine_time=result.wall_time)
 
 
-def params_to_sections(
-    params: AllocatorParams, symmetrize_adjacency: bool = False
-) -> dict[str, np.ndarray]:
-    sections = {k: np.asarray(v, dtype=np.float64) for k, v in params.as_dict().items()}
-    sections["flags"] = np.array([1 if symmetrize_adjacency else 0], dtype=np.uint8)
-    return sections
+def params_to_sections(params: AllocatorParams) -> dict[str, np.ndarray]:
+    return {k: np.asarray(v, dtype=np.float64) for k, v in params.as_dict().items()}
 
 
-def params_from_sections(sections: dict[str, np.ndarray]) -> tuple[AllocatorParams, bool]:
-    """Rebuild allocator parameters; returns (params, symmetrize_adjacency)."""
+def params_from_sections(sections: dict[str, np.ndarray]) -> AllocatorParams:
+    """Rebuild allocator parameters.
+
+    Older files also carry a one-byte ``flags`` section; 0 loads, while bit 0
+    (trained over a symmetrized adjacency, no longer supported) is rejected.
+    """
     missing = [k for k in ("w0", "w1", "wc", "bc") if k not in sections]
     if missing:
         raise ValueError(f"allocator parameter file is missing sections: {missing}")
-    params = AllocatorParams(
+    flags = sections.get("flags")
+    if flags is not None and flags.size and int(flags.flat[0]) & 1:
+        raise ValueError("allocator parameters trained on a symmetrized adjacency "
+                         "(flags bit 0) are no longer supported; retrain them")
+    return AllocatorParams(
         w0=np.asarray(sections["w0"], dtype=np.float64),
         w1=np.asarray(sections["w1"], dtype=np.float64),
         wc=np.asarray(sections["wc"], dtype=np.float64),
@@ -103,9 +124,6 @@ def params_from_sections(sections: dict[str, np.ndarray]) -> tuple[AllocatorPara
         wf=np.asarray(sections["wf"], dtype=np.float64) if "wf" in sections else None,
         bf=np.asarray(sections["bf"], dtype=np.float64) if "bf" in sections else None,
     )
-    flags = sections.get("flags")
-    symmetrize = bool(flags is not None and flags.size and (int(flags.flat[0]) & 1))
-    return params, symmetrize
 
 
 def result_to_sections(result: QuantResult) -> dict[str, np.ndarray]:

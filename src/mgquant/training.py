@@ -13,9 +13,10 @@ surrogate in the relaxed assignment P:
 P comes from Gumbel-Softmax over the classifier logits; the hard assignment
 fed to the engine is the argmax of the same sample (straight-through), so
 compensation always sees realistic discrete widths while gradients flow
-through the soft distribution. Backprop through the softmax, classifier
-head and both graph layers is written out by hand; gradients accumulate by
-plain summation across ``accum_steps`` layer passes before one AdamW step.
+through the soft distribution. The forward pass is the inference one, its
+activations kept; backprop through the softmax, classifier head and both
+graph layers is written out by hand. Gradients accumulate by plain
+summation across ``accum_steps`` layer passes before one AdamW step.
 
 All randomness (parameter init, Gumbel noise) comes from the config seed,
 and everything runs in float64, so a training run is bit-reproducible.
@@ -32,6 +33,7 @@ import numpy as np
 from .allocator import (
     AllocatorParams,
     ffnn_logits,
+    gcn_forward,
     gumbel_softmax,
     hessian_node_features,
     init_allocator_params,
@@ -78,7 +80,6 @@ class TrainConfig:
     t_max: int = 4
     block_size: int = 128
     ffnn_hidden: bool = False
-    symmetrize_adjacency: bool = False
     intra_block: bool = True
 
     @property
@@ -192,17 +193,18 @@ def soft_losses(
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations needed by the hand-written backward pass."""
+    """Activations of one forward pass, kept for the hand-written backward.
+
+    A ReLU output is positive exactly where its input is, so the outputs
+    double as the masks.
+    """
 
     x0: np.ndarray
-    a1: np.ndarray  # pre-activation of layer 1
     x1: np.ndarray
-    a2: np.ndarray  # pre-activation of layer 2
     x2: np.ndarray
+    head: np.ndarray  # input of the final affine map (x2 without a hidden layer)
     logits: np.ndarray
-    head_pre: np.ndarray | None  # pre-activation of the optional head layer
     adj: np.ndarray | None  # None for the MLP ablation
-    adj_t: np.ndarray | None
 
 
 def forward_cached(
@@ -210,28 +212,13 @@ def forward_cached(
     params: AllocatorParams,
     adj: np.ndarray | None = None,
 ) -> ForwardCache:
-    """Forward pass keeping pre-activations; ``adj=None`` runs the MLP variant."""
+    """The inference forward pass in float64; ``adj=None`` runs the MLP variant."""
     x0 = np.asarray(x0, dtype=np.float64)
-    adj_t = None
-    if adj is None:
-        a1 = x0 @ params.w0
-    else:
+    if adj is not None:
         adj = np.asarray(adj, dtype=np.float64)
-        adj_t = adj.T
-        a1 = adj @ (x0 @ params.w0)
-    x1 = np.maximum(a1, 0)
-    a2 = x1 @ params.w1 if adj is None else adj @ (x1 @ params.w1)
-    x2 = np.maximum(a2, 0)
-    head_pre = None
-    if params.has_hidden_head:
-        head_pre = x2 @ params.wf + params.bf
-        logits = np.maximum(head_pre, 0) @ params.wc + params.bc
-    else:
-        logits = x2 @ params.wc + params.bc
-    return ForwardCache(
-        x0=x0, a1=a1, x1=x1, a2=a2, x2=x2, logits=logits,
-        head_pre=head_pre, adj=adj, adj_t=adj_t,
-    )
+    x1, x2 = gcn_forward(adj, x0, params)
+    head, logits = ffnn_logits(x2, params)
+    return ForwardCache(x0=x0, x1=x1, x2=x2, head=head, logits=logits, adj=adj)
 
 
 def backward_from_cache(
@@ -260,34 +247,23 @@ def backward_from_cache(
     inner = np.sum(dP * P, axis=1, keepdims=True)
     dZ = P * (dP - inner) / tau
 
-    grads: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray] = {"wc": cache.head.T @ dZ, "bc": dZ.sum(axis=0)}
+    dX2 = dZ @ params.wc.T
     if params.has_hidden_head:
-        head_act = np.maximum(cache.head_pre, 0)
-        grads["wc"] = head_act.T @ dZ
-        grads["bc"] = dZ.sum(axis=0)
-        d_head = (dZ @ params.wc.T) * (cache.head_pre > 0)
+        d_head = dX2 * (cache.head > 0)
         grads["wf"] = cache.x2.T @ d_head
         grads["bf"] = d_head.sum(axis=0)
         dX2 = d_head @ params.wf.T
-    else:
-        grads["wc"] = cache.x2.T @ dZ
-        grads["bc"] = dZ.sum(axis=0)
-        dX2 = dZ @ params.wc.T
 
-    dA2 = dX2 * (cache.a2 > 0)
-    if cache.adj is None:
-        grads["w1"] = cache.x1.T @ dA2
-        dX1 = dA2 @ params.w1.T
-    else:
-        m2 = cache.adj_t @ dA2
-        grads["w1"] = cache.x1.T @ m2
-        dX1 = m2 @ params.w1.T
+    dA2 = dX2 * (cache.x2 > 0)
+    if cache.adj is not None:
+        dA2 = cache.adj.T @ dA2
+    grads["w1"] = cache.x1.T @ dA2
 
-    dA1 = dX1 * (cache.a1 > 0)
-    if cache.adj is None:
-        grads["w0"] = cache.x0.T @ dA1
-    else:
-        grads["w0"] = cache.x0.T @ (cache.adj_t @ dA1)
+    dA1 = (dA2 @ params.w1.T) * (cache.x1 > 0)
+    if cache.adj is not None:
+        dA1 = cache.adj.T @ dA1
+    grads["w0"] = cache.x0.T @ dA1
     return grads
 
 
@@ -380,14 +356,10 @@ def train(
             raise ShapeMismatchError(
                 f"layer {i}: weights {w.shape} incompatible with factor {hc.shape}"
             )
-        if cfg.symmetrize_adjacency:
-            adj = (hc + hc.T) * 0.5
-        else:
-            adj = hc
         if arch == "gcn":
-            x0 = preprocess(w, cfg.d_gnn)
+            x0, adj = preprocess(w, cfg.d_gnn), hc
         else:
-            x0 = hessian_node_features(hc, cfg.d_gnn)
+            x0, adj = hessian_node_features(hc, cfg.d_gnn), None
         prepared.append((w, hc, adj, x0))
 
     rng = np.random.default_rng(cfg.seed)
@@ -404,7 +376,7 @@ def train(
     for epoch in range(cfg.epochs):
         tau = cfg.tau_at(epoch)
         for li, (w, hc, adj, x0) in enumerate(prepared):
-            cache = forward_cached(x0, params, adj=adj if arch == "gcn" else None)
+            cache = forward_cached(x0, params, adj=adj)
             noise = sample_gumbel(cache.logits.shape, rng)
             P = gumbel_softmax(cache.logits, tau, noise)
             hard = np.argmax(P, axis=1).astype(np.int64) + 1

@@ -10,7 +10,6 @@ def gradient_check_config(
     seed: int,
     arch: str = "gcn",
     ffnn_hidden: bool = False,
-    symmetrized: bool = False,
     tau: float = 1.0,
     alpha: float = 1.0,
     step: float = 1e-5,
@@ -37,8 +36,6 @@ def gradient_check_config(
     if arch == "gcn":
         adj = np.triu(rng.standard_normal((d_col, d_col)))
         np.fill_diagonal(adj, np.abs(np.diag(adj)) + 0.5)
-        if symmetrized:
-            adj = (adj + adj.T) * 0.5
     noise = sample_gumbel((d_col, t_max), rng)
     errs = np.abs(rng.standard_normal((d_col, t_max)))
     target = 2.5

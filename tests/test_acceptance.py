@@ -12,19 +12,12 @@ import numpy as np
 import pytest
 
 from helpers import gradient_check_config
-from mgquant.allocator import (
-    allocate,
-    gcn_forward,
-    gumbel_softmax,
-    init_allocator_params,
-    preprocess,
-    sample_gumbel,
-)
+from mgquant.allocator import gumbel_softmax, init_allocator_params, sample_gumbel
 from mgquant.baselines import BaselineSpec, quantize_rtn_matrix, run_baseline
 from mgquant.cli import main
 from mgquant.gptq import quantize_blockwise
 from mgquant.linalg import cholesky, spd_inverse
-from mgquant.pipeline import quantize_with_allocator
+from mgquant.pipeline import quantize_with_allocator, widths_for
 from mgquant.report import build_report, layer_entry, write_report
 from mgquant.synth import make_layer, salience_instance
 from mgquant.tensorfile import read_tensor_file, write_tensor_file
@@ -83,10 +76,7 @@ def test_criterion_03_mixed_precision_advantage():
             target_bits=2.5, seed=1000 + seed, block_size=64,
         )
         params, _ = train([(w, hc)], cfg)
-        widths = allocate(
-            gcn_forward(hc, preprocess(np.asarray(w, np.float64), cfg.d_gnn), params),
-            params,
-        )
+        widths = widths_for(w, hc, params)
         mg = quantize_blockwise(w, hc, widths, block_size=64, calib=calib)
         split = np.full(d_col, 2, dtype=np.int64)
         split[d_col // 2:] = 3
@@ -320,9 +310,7 @@ def test_criterion_10_ablation_harness(tmp_path, fixture_layers):
         target_bits=2.5, seed=3, block_size=128,
     )
     params, _ = train([(w, hc)], cfg)
-    widths = allocate(
-        gcn_forward(hc, preprocess(np.asarray(w, np.float64), 64), params), params
-    )
+    widths = widths_for(w, hc, params)
     gcn = quantize_blockwise(w, hc, widths, block_size=128, calib=calibs[0])
 
     comparison = {

@@ -9,7 +9,6 @@ from mgquant.allocator import (
     gumbel_softmax,
     hessian_node_features,
     init_allocator_params,
-    mlp_forward,
     preprocess,
     sample_gumbel,
 )
@@ -80,7 +79,7 @@ class TestGcnForward:
         params.w0[:] = 0.0
         hc = upper_factor(rng, 6)
         x0 = rng.standard_normal((6, 4))
-        assert np.all(gcn_forward(hc, x0, params) == 0.0)
+        assert np.all(gcn_forward(hc, x0, params)[1] == 0.0)
 
     def test_identity_propagation(self):
         # identity adjacency and identity layer weights pass relu(x0) through
@@ -90,7 +89,7 @@ class TestGcnForward:
             wc=np.zeros((4, 4)), bc=np.zeros(4),
         )
         x0 = rng.standard_normal((5, 4))
-        out = gcn_forward(np.eye(5), x0, params)
+        out = gcn_forward(np.eye(5), x0, params)[1]
         assert np.array_equal(out, np.maximum(x0, 0.0))
 
     def test_matches_composition_oracle(self):
@@ -98,32 +97,23 @@ class TestGcnForward:
         params = small_params(rng, d_gnn=3, hidden=5)
         hc = upper_factor(rng, 8)
         x0 = rng.standard_normal((8, 3))
-        out = gcn_forward(hc, x0, params)
+        out1, out = gcn_forward(hc, x0, params)
         x1 = np.maximum(hc @ (x0 @ params.w0), 0.0)
         x2 = np.maximum(hc @ (x1 @ params.w1), 0.0)
+        assert np.max(np.abs(out1 - x1)) < 1e-10
         assert np.max(np.abs(out - x2)) < 1e-10
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(6)
         params = small_params(rng)
-        out = gcn_forward(upper_factor(rng, 7), rng.standard_normal((7, 4)), params)
+        out = gcn_forward(upper_factor(rng, 7), rng.standard_normal((7, 4)), params)[1]
         assert np.all(out >= 0.0)
 
     def test_zero_features_give_zero(self):
         rng = np.random.default_rng(60)
         params = small_params(rng)
-        out = gcn_forward(upper_factor(rng, 6), np.zeros((6, 4)), params)
+        out = gcn_forward(upper_factor(rng, 6), np.zeros((6, 4)), params)[1]
         assert np.all(out == 0.0)
-
-    def test_symmetrized_variant(self):
-        rng = np.random.default_rng(7)
-        params = small_params(rng)
-        hc = upper_factor(rng, 6)
-        x0 = rng.standard_normal((6, 4))
-        sym = (hc + hc.T) * 0.5
-        expect = np.maximum(sym @ (np.maximum(sym @ (x0 @ params.w0), 0) @ params.w1), 0)
-        out = gcn_forward(hc, x0, params, symmetrize=True)
-        assert np.allclose(out, expect, atol=1e-12)
 
     def test_shape_validation(self):
         rng = np.random.default_rng(8)
@@ -139,7 +129,7 @@ class TestMlpForward:
         rng = np.random.default_rng(9)
         params = small_params(rng)
         params.w0[:] = 0.0
-        assert np.all(mlp_forward(rng.standard_normal((5, 4)), params) == 0.0)
+        assert np.all(gcn_forward(None, rng.standard_normal((5, 4)), params)[1] == 0.0)
 
     def test_identity_layers(self):
         rng = np.random.default_rng(10)
@@ -147,14 +137,14 @@ class TestMlpForward:
             w0=np.eye(3), w1=np.eye(3), wc=np.zeros((3, 4)), bc=np.zeros(4)
         )
         x0 = rng.standard_normal((6, 3))
-        assert np.array_equal(mlp_forward(x0, params), np.maximum(x0, 0.0))
+        assert np.array_equal(gcn_forward(None, x0, params)[1], np.maximum(x0, 0.0))
 
     def test_matches_two_matmul_oracle(self):
         rng = np.random.default_rng(11)
         params = small_params(rng, d_gnn=3, hidden=6)
         x0 = rng.standard_normal((9, 3))
         expect = np.maximum(np.maximum(x0 @ params.w0, 0) @ params.w1, 0)
-        assert np.max(np.abs(mlp_forward(x0, params) - expect)) < 1e-10
+        assert np.max(np.abs(gcn_forward(None, x0, params)[1] - expect)) < 1e-10
 
     def test_hessian_node_features_pools_rows(self):
         rng = np.random.default_rng(12)
@@ -180,7 +170,7 @@ class TestAllocate:
         rng = np.random.default_rng(14)
         params = small_params(rng)
         x2 = np.abs(rng.standard_normal((12, 4)))
-        logits = ffnn_logits(x2, params)
+        _, logits = ffnn_logits(x2, params)
         assert np.array_equal(
             np.argmax(logits, axis=1), np.argmax(2.0 * logits + 1.0, axis=1)
         )
@@ -190,7 +180,7 @@ class TestAllocate:
         params = small_params(rng, d_gnn=4, hidden=4, t_max=4)
         x2 = np.abs(rng.standard_normal((32, 4)))
         widths = allocate(x2, params)
-        logits = ffnn_logits(x2, params)
+        _, logits = ffnn_logits(x2, params)
         for j in range(32):
             best, arg = -np.inf, 0
             for t in range(4):
@@ -209,9 +199,13 @@ class TestAllocate:
         rng = np.random.default_rng(16)
         p2 = small_params(rng, ffnn_hidden=True)
         x2 = np.abs(rng.standard_normal((5, 4)))
-        logits = ffnn_logits(x2, p2)
+        head, logits = ffnn_logits(x2, p2)
         hidden = np.maximum(x2 @ p2.wf + p2.bf, 0.0)
+        assert np.allclose(head, hidden, atol=1e-14)
         assert np.allclose(logits, hidden @ p2.wc + p2.bc, atol=1e-14)
+        # without the hidden layer the head input is x2 itself
+        head, _ = ffnn_logits(x2, small_params(rng))
+        assert head is x2
 
 
 class TestGumbelSoftmax:

@@ -166,7 +166,21 @@ class TestTrainCli:
         assert log1 == log2
         assert log1.startswith("epoch\tlayer\t")
         sections = read_tensor_file(p1)
-        assert {"w0", "w1", "wc", "bc", "flags"} <= set(sections)
+        assert set(sections) == {"w0", "w1", "wc", "bc"}
+
+    def test_symmetrize_adjacency_key_exit_2(self, tmp_path, capsys):
+        # the option is gone, so a config that still sets it is an unknown key
+        wdir, hdir, _, _ = make_instance(tmp_path, n_layers=1)
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"epochs": 1, "d_gnn": 8, "hidden": 8,
+                                   "symmetrize_adjacency": True}))
+        out = tmp_path / "p.mgqt"
+        rc = main(["train", "--weights", str(wdir), "--hessians", str(hdir),
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "unknown config keys: symmetrize_adjacency" in err[0]
+        assert not out.exists()
 
     def test_epochs_zero_writes_initialized_params(self, tmp_path, capsys):
         wdir, hdir, calibs, _ = make_instance(tmp_path, seed=2)
@@ -242,6 +256,26 @@ class TestQuantizeCli:
         assert np.allclose(sections["quantized"], deq, atol=1e-6)
         payload = last_json_line(capsys)
         assert payload["proxy_loss"] is not None
+
+    def test_old_params_flags_section(self, tmp_path, capsys):
+        # older parameter files carry a u8 flags section: 0 loads as if absent,
+        # bit 0 (trained on a symmetrized adjacency) exits 2 with one line
+        wdir, hdir, calibs, params = self.make_trained(tmp_path, capsys)
+        sections = read_tensor_file(params)
+        outs = {}
+        for name, extra in (("new", {}), ("flags0", {"flags": np.array([0], np.uint8)}),
+                            ("flags1", {"flags": np.array([1], np.uint8)})):
+            ppath = tmp_path / f"params_{name}.mgqt"
+            write_tensor_file(ppath, {**sections, **extra})
+            outs[name] = tmp_path / f"q_{name}.mgqt"
+            rc = main(["quantize", "--weights", str(wdir / "L0.mgqt"),
+                       "--hessian", str(hdir / "L0.mgqt"), "--params", str(ppath),
+                       "--block", "8", "--out", str(outs[name])])
+            assert rc == (2 if name == "flags1" else 0), name
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "symmetrized adjacency" in err[0]
+        assert outs["flags0"].read_bytes() == outs["new"].read_bytes()
+        assert not outs["flags1"].exists()
 
     def test_representable_fixture_zero_proxy_and_identity_oracle(self, tmp_path, capsys):
         # allocator parameters pinned so every column gets 3 bits; weights

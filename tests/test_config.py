@@ -1,8 +1,32 @@
 import json
+import types
+import typing
 
 import pytest
 
 from mgquant.config import RunConfig, load_run_config
+
+# Values of the wrong kind for each annotated field type; ``{}`` is wrong for all.
+WRONG_VALUES = {
+    bool: [1, "yes"],
+    int: [True, 2.5, "3"],
+    float: [False, "0.5"],
+    str: [1, ["f32"]],
+    list[str]: ["calib.mgqt", [1]],
+}
+
+
+def field_cases():
+    """(key, wrong value) for every RunConfig field, plus None where not optional."""
+    cases = []
+    for key, hint in typing.get_type_hints(RunConfig).items():
+        optional = isinstance(hint, types.UnionType) and type(None) in typing.get_args(hint)
+        if optional:
+            (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+        else:
+            cases.append((key, None))
+        cases += [(key, v) for v in [{}] + WRONG_VALUES[hint]]
+    return cases
 
 
 def write(tmp_path, payload):
@@ -28,8 +52,9 @@ class TestLoadRunConfig:
     def test_overrides(self, tmp_path):
         cfg = load_run_config(
             write(tmp_path, {"epochs": 3, "d_gnn": 16, "hidden": 8, "target_bits": 2.0,
-                             "precision": "f64", "seed": 9})
+                             "precision": "f64", "seed": 9, "alpha": 2})
         )
+        assert type(cfg.alpha) is float and cfg.alpha == 2.0  # JSON int cast for a float field
         assert cfg.epochs == 3
         assert cfg.hidden_dim == 8
         assert cfg.precision == "f64"
@@ -44,6 +69,11 @@ class TestLoadRunConfig:
             load_run_config(write(tmp_path, {"epochs": "fifty"}))
         with pytest.raises(ValueError, match="intra_block"):
             load_run_config(write(tmp_path, {"intra_block": "yes"}))
+
+    @pytest.mark.parametrize("key,value", field_cases())
+    def test_every_field_type_checked(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            load_run_config(write(tmp_path, {key: value}))
 
     def test_invariants_enforced(self, tmp_path):
         with pytest.raises(ValueError, match="target_bits"):

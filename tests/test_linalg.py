@@ -9,7 +9,6 @@ from mgquant.linalg import (
     ShapeMismatchError,
     cholesky,
     cholesky_of_inverse,
-    matmul,
     spd_inverse,
     symmetry_gap,
 )
@@ -18,47 +17,6 @@ from mgquant.linalg import (
 def random_spd(rng, n, dtype=np.float64):
     a = rng.standard_normal((n + 4, n)).astype(dtype)
     return (a.T @ a + n * np.eye(n, dtype=dtype)).astype(dtype)
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_hand_checkable_1x1(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(42)
-        a = rng.standard_normal((5, 4))
-        b = rng.standard_normal((4, 3))
-        expect = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                for k in range(4):
-                    expect[i, j] += a[i, k] * b[k, j]
-        assert np.max(np.abs(matmul(a, b) - expect)) < 1e-12
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeMismatchError, match=r"2x3.*4x2"):
-            matmul(np.ones((2, 3)), np.ones((4, 2)))
-
-    def test_associativity_on_seeded_triples(self):
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            a, b, c = (rng.standard_normal((6, 6)) for _ in range(3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            scale = np.max(np.abs(left))
-            assert np.max(np.abs(left - right)) / scale < 1e-10
-
-    def test_pure_bit_identical(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((7, 5))
-        b = rng.standard_normal((5, 6))
-        assert np.array_equal(matmul(a, b), matmul(a, b))
 
 
 class TestCholesky:

@@ -1,0 +1,55 @@
+"""The bench tracer (`bench/tracing.py`) times the package by swapping wrappers
+onto module attributes. A rename or fusion in `mgquant` breaks `--trace 1`;
+these tests make that fail in the unit suite. The tracer is loaded from its
+file by path and never modified.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import numpy as np
+
+from mgquant.allocator import init_allocator_params
+from mgquant.pipeline import quantize_with_allocator
+from mgquant.synth import make_layer
+from mgquant.training import TrainConfig, train
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing() -> types.ModuleType:
+    module = types.ModuleType("bench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_every_wrapped_name_resolves():
+    unresolved = []
+    for module, path, *_ in load_tracing().WRAPPERS:
+        owner = importlib.import_module(module)
+        *parents, attr = path.split(".")
+        for part in parents:
+            owner = owner.__dict__.get(part)
+            if owner is None:
+                break
+        if owner is None or attr not in owner.__dict__:
+            unresolved.append(f"{module}.{path}")
+    assert not unresolved, f"tracer names no longer in the package: {unresolved}"
+
+
+def test_allocator_and_training_names_stay_on_their_call_paths():
+    rng = np.random.default_rng(0)
+    w, hc, _ = make_layer(rng, 24, 16, 64)
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        quantize_with_allocator(w, hc, init_allocator_params(8, 8, 4, rng), block_size=8)
+        cfg = TrainConfig(epochs=2, accum_steps=2, d_gnn=8, hidden=8, block_size=8)
+        train([(w, hc), (w, hc)], cfg)
+    counts = {}
+    for span in tracer.spans:
+        counts[span["name"]] = counts.get(span["name"], 0) + 1
+    for name in ("allocator.preprocess", "allocator.gcn_forward", "allocator.allocate"):
+        assert counts.get(name) == 1, name
+    assert counts.get("training.forward") == 4
+    assert counts.get("training.backward") == 4
