@@ -44,13 +44,6 @@ for block in (1, 16, 64):
     print(f"compensated, block={block:>3}:      proxy loss {res.proxy_loss:.5f} "
           f"({res.proxy_loss / rtn.proxy_loss:.2%} of RTN)")
 
-# Disabling the per-column propagation inside a block keeps only the
-# block-level update; still better than RTN, usually worse than full
-# propagation.
-partial = quantize_blockwise(w, hc, widths, block_size=16, calib=calib,
-                             intra_block=False)
-print(f"block-level update only:     proxy loss {partial.proxy_loss:.5f}")
-
 # With an uncorrelated (diagonal) factor nothing can be compensated and the
 # engine reduces to per-column RTN exactly.
 diag = quantize_blockwise(w, np.eye(d_col), widths, block_size=16, calib=calib)

@@ -95,7 +95,6 @@ def run_baseline(
             w, hc, widths,
             block_size=min(cfg.block_size, d_col),
             calib=calib,
-            intra_block=cfg.intra_block,
         )
 
     # mlp-ptq: train the dense-ablation allocator on this layer, then quantize
@@ -107,5 +106,4 @@ def run_baseline(
         w, hc, widths,
         block_size=min(cfg.block_size, d_col),
         calib=calib,
-        intra_block=cfg.intra_block,
     )

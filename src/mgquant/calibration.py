@@ -167,10 +167,10 @@ def build_hessian_cholesky(acc: GramAccumulator, damp_frac: float = 0.01) -> np.
         raise ValueError("no calibration samples accumulated")
     if not 0 <= damp_frac < np.inf:  # NaN fails too
         raise ValueError(f"damp_frac must be finite and >= 0, got {damp_frac}")
-    gram = acc.gram
-    mean_diag = float(np.mean(np.diag(gram)))
+    damped = acc.gram  # a copy, damped in place
+    mean_diag = float(np.mean(np.diag(damped)))
     lam = damp_frac * mean_diag if mean_diag != 0.0 else damp_frac
-    damped = gram + lam * np.eye(acc.d_col)
+    damped.flat[:: acc.d_col + 1] += lam
     try:
         return cholesky_of_inverse(damped)
     except NotPositiveDefiniteError as exc:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import METHODS, BaselineSpec, run_baseline
 from .calibration import GramAccumulator, build_hessian_cholesky
-from .config import RunConfig, load_run_config
+from .config import load_run_config
 from .gptq import proxy_loss
 from .linalg import NotPositiveDefiniteError
 from .pipeline import (
@@ -34,7 +34,7 @@ from .pipeline import (
 )
 from .report import build_report, layer_entry, write_report
 from .tensorfile import TensorFileError, read_tensor_file, write_atomic, write_tensor_file
-from .training import format_training_log, train
+from .training import TrainConfig, format_training_log, train
 
 __all__ = ["main"]
 
@@ -128,26 +128,18 @@ def _paired_layers(weights_dir: str, hessians_dir: str) -> list[tuple[str, Path,
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    cfg.validate()
-    weights_dir = args.weights or cfg.weights_dir
-    hessians_dir = args.hessians or cfg.hessians_dir
-    if not weights_dir or not hessians_dir:
-        raise ValueError("both --weights and --hessians directories are required")
-    pairs = _paired_layers(weights_dir, hessians_dir)
+    cfg = load_run_config(args.config) if args.config else TrainConfig()
+    pairs = _paired_layers(args.weights, args.hessians)
     layers = [
         (_load_weights(str(wp)), _load_hessian(str(hp))) for _, wp, hp in pairs
     ]
-    params, records = train(layers, cfg.train_config(), arch="gcn")
-    out = args.out or cfg.out_path
-    if not out:
-        raise ValueError("--out is required")
-    write_tensor_file(out, params_to_sections(params))
-    log_path = args.log or cfg.log_path or (out + ".log")
+    params, records = train(layers, cfg, arch="gcn")
+    write_tensor_file(args.out, params_to_sections(params))
+    log_path = args.log or (args.out + ".log")
     write_atomic(log_path, format_training_log(records).encode())
     last = records[-1] if records else None
     fields = ("l_quant", "l_bit", "total", "hard_mean_bits", "soft_mean_bits")
-    _emit({**{k: getattr(last, k, None) for k in fields}, "out": out, "log": log_path})
+    _emit({**{k: getattr(last, k, None) for k in fields}, "out": args.out, "log": log_path})
     return 0
 
 
@@ -203,8 +195,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    cfg.validate()
+    cfg = load_run_config(args.config) if args.config else TrainConfig()
     w = _load_weights(args.weights)
     hc = _load_hessian(args.hessian)
     calib = _load_calib(args.calib) if args.calib else None
@@ -214,7 +205,7 @@ def cmd_baseline(args) -> int:
         target_bits=args.target_bits,
     )
     start = time.perf_counter()
-    result = run_baseline(spec, w, hc, calib=calib, cfg=cfg.train_config())
+    result = run_baseline(spec, w, hc, calib=calib, cfg=cfg)
     wall = time.perf_counter() - start
     if args.out:
         write_tensor_file(args.out, result_to_sections(result))
@@ -303,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hessian)
 
     p = sub.add_parser("train", help="train the bit-width allocator")
-    p.add_argument("--weights", help="directory of layer weight files")
-    p.add_argument("--hessians", help="directory of matching hessian files")
-    p.add_argument("--config", help="JSON run config")
-    p.add_argument("--out", help="output allocator parameter file")
+    p.add_argument("--weights", required=True, help="directory of layer weight files")
+    p.add_argument("--hessians", required=True, help="directory of matching hessian files")
+    p.add_argument("--config", help="JSON training config")
+    p.add_argument("--out", required=True, help="output allocator parameter file")
     p.add_argument("--log", help="training log path (default: <out>.log)")
     p.set_defaults(func=cmd_train)
 

@@ -2,59 +2,14 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import types
 import typing
-from dataclasses import dataclass
 from pathlib import Path
 
 from .training import TrainConfig
 
-__all__ = ["RunConfig", "load_run_config"]
-
-
-@dataclass
-class RunConfig(TrainConfig):
-    """Training hyperparameters plus pipeline-level settings and file paths.
-
-    Paths are optional defaults; command-line flags override them.
-    """
-
-    damp_frac: float = 0.01
-    precision: str = "f32"
-    weights_dir: str | None = None
-    hessians_dir: str | None = None
-    calib_paths: list[str] | None = None
-    out_path: str | None = None
-    report_path: str | None = None
-    log_path: str | None = None
-
-    def validate(self) -> "RunConfig":
-        super().validate()
-        if not 0 <= self.damp_frac < float("inf"):  # json.loads accepts NaN/Infinity
-            raise ValueError(f"damp_frac must be finite and >= 0, got {self.damp_frac}")
-        if self.precision not in ("f32", "f64"):
-            raise ValueError(f"precision must be 'f32' or 'f64', got {self.precision!r}")
-        if self.calib_paths is not None and not all(
-            isinstance(p, str) for p in self.calib_paths
-        ):
-            raise ValueError("calib_paths must be a list of strings")
-        return self
-
-    @property
-    def dtype(self):
-        import numpy as np
-
-        return np.float32 if self.precision == "f32" else np.float64
-
-    def train_config(self) -> TrainConfig:
-        fields = {f.name for f in dataclasses.fields(TrainConfig)}
-        return TrainConfig(**{k: getattr(self, k) for k in fields})
-
-    def echo(self) -> dict:
-        """JSON-safe dict of every field, for embedding in reports."""
-        return dataclasses.asdict(self)
+__all__ = ["load_run_config"]
 
 
 def _kind(hint) -> tuple[object, bool]:
@@ -65,9 +20,8 @@ def _kind(hint) -> tuple[object, bool]:
     return hint, False
 
 
-_FIELD_KINDS = {key: _kind(hint) for key, hint in typing.get_type_hints(RunConfig).items()}
-_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-               list[str]: "a list of strings"}
+_FIELD_KINDS = {key: _kind(hint) for key, hint in typing.get_type_hints(TrainConfig).items()}
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
 def _check_type(key: str, value):
@@ -76,16 +30,14 @@ def _check_type(key: str, value):
         return
     if kind is bool or isinstance(value, bool):
         ok = kind is bool and isinstance(value, bool)
-    elif kind == list[str]:
-        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
     else:
         ok = isinstance(value, (int, float) if kind is float else kind)
     if not ok:
         raise ValueError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def load_run_config(path: str | Path) -> RunConfig:
-    """Load and validate a JSON run config; unknown keys are an error."""
+def load_run_config(path: str | Path) -> TrainConfig:
+    """Load and validate a JSON training config; unknown keys are an error."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -100,5 +52,4 @@ def load_run_config(path: str | Path) -> RunConfig:
         _check_type(key, value)
         if _FIELD_KINDS[key][0] is float and value is not None:
             raw[key] = float(value)
-    cfg = RunConfig(**raw)
-    return cfg.validate()
+    return TrainConfig(**raw).validate()

@@ -22,7 +22,6 @@ Every column thus sees the same updates as with one rank-1 update per
 column across the whole block; only the order of the additions differs, so
 results move at rounding level. With a diagonal factor all cross terms
 vanish and the result reduces to independent per-column quantization.
-``intra_block=False`` keeps only the block-level update, for comparison.
 
 The engine works on ``W.T``, so each column is a contiguous row, and
 quantizes it with :func:`mgquant.quant.quantize`. The errors of a block are
@@ -111,7 +110,6 @@ def quantize_blockwise(
     widths: np.ndarray,
     block_size: int = 128,
     calib: CalibrationSet | None = None,
-    intra_block: bool = True,
     keep_residuals: bool = False,
 ) -> QuantResult:
     """Quantize ``w`` column-blockwise at per-column widths with compensation.
@@ -124,9 +122,6 @@ def quantize_blockwise(
         widths: per-column bit widths, each in 1..8.
         block_size: columns per compensation block (1..d_col).
         calib: optional calibration set for the proxy loss.
-        intra_block: propagate each column's error to later columns of the
-            same block (the default); False applies only the block-level
-            update to later blocks.
         keep_residuals: record the compensated column values seen by the
             quantizer (returned as a transposed view, shape d_row x d_col).
     """
@@ -174,9 +169,9 @@ def quantize_blockwise(
                 err = errs[j - b]
                 np.subtract(col, quantized[j], out=err)
                 err /= hc[j, j]
-                if intra_block and j + 1 < f:
+                if j + 1 < f:
                     work[j + 1 : f] -= hc[j, j + 1 : f, None] * err
-            if intra_block and f < e:
+            if f < e:
                 work[f:e] -= hc[s:f, f:e].T @ errs[s - b : f - b]
         # Summed in (d_row, block) order, as a column-at-a-time loop sums
         # them, so the two agree bit for bit where no update is reordered.

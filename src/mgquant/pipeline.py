@@ -76,7 +76,6 @@ def quantize_with_allocator(
     block_size: int = 128,
     dtype=np.float32,
     calib: CalibrationSet | None = None,
-    intra_block: bool = True,
 ) -> tuple[QuantResult, AllocatorTimings]:
     """Allocate widths with the trained graph allocator, then quantize.
 
@@ -94,7 +93,6 @@ def quantize_with_allocator(
         w, hc_t, widths,
         block_size=min(block_size, w.shape[1]),
         calib=calib,
-        intra_block=intra_block,
     )
     return result, AllocatorTimings(allocator_time=allocator_time, engine_time=result.wall_time)
 

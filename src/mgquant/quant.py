@@ -70,40 +70,14 @@ def _uncoverable(bits: int, vmin: float, vmax: float) -> ValueError:
     return ValueError(f"cannot fit a finite {bits}-bit grid covering [{vmin!r}, {vmax!r}]")
 
 
-def _fit_covering(vmin: np.ndarray, vmax: np.ndarray, bits: int):
-    # Rounding of scale/zero can leave the nominal grid short of the data
-    # range. For those rows, widen the span by a slack proportional to the
-    # endpoint magnitude (when the span is tiny relative to the values, the
-    # window of admissible zeros is narrower than one representable step,
-    # so ulp-nudging alone cannot land in it) and walk zero down until both
-    # endpoints are covered. Each row keeps the first grid that covers it;
-    # a row still uncovered after the last widening is an error.
-    cmax = (1 << bits) - 1
-    span = vmax - vmin
-    slack = 4.0 * np.spacing(np.maximum(np.abs(vmin), np.abs(vmax)))
-    scale = np.empty_like(span)
-    zero = np.empty_like(span)
-    done = np.zeros(span.shape, dtype=bool)
-    for _ in range(60):
-        s = (span + slack) / cmax
-        z = _exact_zero(vmin, s)
-        for _ in range(64):
-            low = s * (0.0 - z) > vmin
-            if not low.any():
-                break
-            z = np.where(low, np.nextafter(z, np.inf), z)
-        scale[~done] = s[~done]
-        zero[~done] = z[~done]
-        done |= _covers(vmin, vmax, cmax, s, z)
-        if done.all():
-            return scale, zero
-        slack *= 2.0
-    row = int(np.argmin(done))
-    raise _uncoverable(bits, float(vmin.flat[row]), float(vmax.flat[row]))
-
-
 def _fit_covering_1d(vmin: float, vmax: float, bits: int) -> tuple[float, float]:
-    # _fit_covering on Python floats, for one vector.
+    # Rounding of scale/zero can leave the nominal grid short of the data
+    # range. Widen the span by a slack proportional to the endpoint
+    # magnitude (when the span is tiny relative to the values, the window of
+    # admissible zeros is narrower than one representable step, so
+    # ulp-nudging alone cannot land in it) and walk zero down until both
+    # endpoints are covered. The first grid that covers wins; a range still
+    # uncovered after the last widening is an error.
     cmax = (1 << bits) - 1
     span = vmax - vmin
     slack = 4.0 * math.ulp(max(abs(vmin), abs(vmax)))
@@ -173,8 +147,8 @@ def _quantize_rows(x: np.ndarray, bits: int):
     scale = np.where(span == 0.0, 1.0, np.maximum(span / cmax, TINY))
     zero = _exact_zero(vmin, scale)
     short = ~_covers(vmin, vmax, cmax, scale, zero)  # never a constant row
-    if short.any():
-        scale[short], zero[short] = _fit_covering(vmin[short], vmax[short], bits)
+    for i in zip(*np.nonzero(short)):  # rare: widen one short row at a time
+        scale[i], zero[i] = _fit_covering_1d(float(vmin[i]), float(vmax[i]), bits)
     return _round(x, scale, zero, cmax), scale, zero
 
 

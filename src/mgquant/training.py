@@ -80,7 +80,6 @@ class TrainConfig:
     t_max: int = 4
     block_size: int = 128
     ffnn_hidden: bool = False
-    intra_block: bool = True
 
     @property
     def hidden_dim(self) -> int:
@@ -384,7 +383,6 @@ def train(
             result = quantize_blockwise(
                 w, hc, hard,
                 block_size=min(cfg.block_size, w.shape[1]),
-                intra_block=cfg.intra_block,
                 keep_residuals=True,
             )
             errs = error_table(result.residuals, np.diag(hc), cfg.t_max)

@@ -168,19 +168,39 @@ class TestTrainCli:
         sections = read_tensor_file(p1)
         assert set(sections) == {"w0", "w1", "wc", "bc"}
 
-    def test_symmetrize_adjacency_key_exit_2(self, tmp_path, capsys):
-        # the option is gone, so a config that still sets it is an unknown key
+    # Keys that earlier versions accepted, each with a value of the type it took.
+    REMOVED_KEYS = {"damp_frac": 0.1, "precision": "f64", "weights_dir": "w",
+                    "hessians_dir": "h", "calib_paths": ["c.mgqt"], "out_path": "p.mgqt",
+                    "report_path": "r.json", "log_path": "t.log", "intra_block": False,
+                    "symmetrize_adjacency": True}
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+    def test_removed_key_exit_2(self, tmp_path, capsys, key):
         wdir, hdir, _, _ = make_instance(tmp_path, n_layers=1)
         cfg = tmp_path / "old.json"
         cfg.write_text(json.dumps({"epochs": 1, "d_gnn": 8, "hidden": 8,
-                                   "symmetrize_adjacency": True}))
-        out = tmp_path / "p.mgqt"
+                                   key: self.REMOVED_KEYS[key]}))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
         rc = main(["train", "--weights", str(wdir), "--hessians", str(hdir),
-                   "--config", str(cfg), "--out", str(out)])
+                   "--config", str(cfg), "--out", str(tmp_path / "p.mgqt")])
         assert rc == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "unknown config keys: symmetrize_adjacency" in err[0]
-        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and f"unknown config keys: {key}" in err[0]
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("flag", ["--weights", "--hessians", "--out"])
+    def test_missing_required_flag_usage_error(self, tmp_path, flag):
+        wdir, hdir, _, _ = make_instance(tmp_path, n_layers=1)
+        flags = {"--weights": str(wdir), "--hessians": str(hdir),
+                 "--out": str(tmp_path / "p.mgqt")}
+        del flags[flag]
+        with pytest.raises(SystemExit) as exc:
+            main(["train", *(x for kv in flags.items() for x in kv)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "p.mgqt").exists()
 
     def test_epochs_zero_writes_initialized_params(self, tmp_path, capsys):
         wdir, hdir, calibs, _ = make_instance(tmp_path, seed=2)

@@ -96,14 +96,8 @@ class TestEngineBasics:
             total += float(e @ e)
         assert np.sum(res.block_errors) == pytest.approx(total, rel=1e-12)
 
-    def test_intra_block_flag_changes_result(self):
-        w, hc, _ = correlated_layer(10, d_row=8, d_col=8, rows=32)
-        on = quantize_blockwise(w, hc, np.full(8, 2), block_size=8, intra_block=True)
-        off = quantize_blockwise(w, hc, np.full(8, 2), block_size=8, intra_block=False)
-        assert not np.array_equal(on.quantized, off.quantized)
 
-
-def reference_blockwise(w, hc, widths, block_size, intra_block):
+def reference_blockwise(w, hc, widths, block_size):
     """The engine as a plain loop: one column at a time on (d_row, d_col)
     arrays, each column's error reaching the rest of its block by a rank-1
     update."""
@@ -126,7 +120,7 @@ def reference_blockwise(w, hc, widths, block_size, intra_block):
             quantized[:, j] = q
             err = (col - quantized[:, j]) / hc[j, j]
             errs[:, j - b] = err
-            if intra_block and j + 1 < e:
+            if j + 1 < e:
                 work[:, j + 1 : e] -= np.outer(err, hc[j, j + 1 : e])
         block_errors.append(float(np.sum(np.square(errs, dtype=np.float64))))
         if e < d_col:
@@ -140,38 +134,44 @@ class TestAgainstReference:
 
     D_ROW, D_COL = 48, 150  # 150 is not a multiple of the sub-block width
 
-    def run_both(self, w, hc, block_size, intra_block):
+    def run_both(self, w, hc, block_size, keep_residuals):
+        # Training keeps the residuals and inference does not; both must
+        # match the loop, which always records them.
         widths = np.random.default_rng(22).integers(1, 5, self.D_COL)
         res = quantize_blockwise(w, hc, widths, block_size=block_size,
-                                 intra_block=intra_block, keep_residuals=True)
+                                 keep_residuals=keep_residuals)
         assert np.array_equal(res.widths, widths)
-        return res, reference_blockwise(w, hc, widths, block_size, intra_block)
+        ref = reference_blockwise(w, hc, widths, block_size)
+        if not keep_residuals:
+            assert res.residuals is None
+            del ref["residuals"]
+        return res, ref
 
-    @pytest.mark.parametrize("intra_block", [True, False])
+    @pytest.mark.parametrize("keep_residuals", [True, False])
     @pytest.mark.parametrize("block_size", [1, 7, 128, D_COL])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_column_at_a_time_loop(self, dtype, block_size, intra_block):
+    def test_matches_column_at_a_time_loop(self, dtype, block_size, keep_residuals):
         assert self.D_COL % SUB_BLOCK
         w, hc, _ = correlated_layer(21, d_row=self.D_ROW, d_col=self.D_COL, rows=300)
-        res, ref = self.run_both(w.astype(dtype), hc, block_size, intra_block)
+        res, ref = self.run_both(w.astype(dtype), hc, block_size, keep_residuals)
         assert np.array_equal(res.codes, ref["codes"])
         # Only the order of the compensation sums differs: each entry sums
         # at most d_col terms, so it may move by d_col roundings of the largest.
         tol = self.D_COL * np.finfo(dtype).eps
-        for key in ("quantized", "residuals", "scales", "zeros", "block_errors"):
+        for key in sorted(ref.keys() - {"codes"}):
             got = np.asarray(getattr(res, key), dtype=np.float64)
             want = np.asarray(ref[key], dtype=np.float64)
             assert np.abs(got - want).max() <= tol * np.abs(want).max(), key
 
-    @pytest.mark.parametrize("intra_block", [True, False])
+    @pytest.mark.parametrize("keep_residuals", [True, False])
     @pytest.mark.parametrize("block_size", [1, 7, 128, D_COL])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_diagonal_factor_is_exact(self, dtype, block_size, intra_block):
+    def test_diagonal_factor_is_exact(self, dtype, block_size, keep_residuals):
         # no cross terms, so nothing is summed in another order
         rng = np.random.default_rng(23)
         w = (0.05 * rng.standard_normal((self.D_ROW, self.D_COL))).astype(dtype)
         hc = np.diag(rng.uniform(0.5, 2.0, self.D_COL))
-        res, ref = self.run_both(w, hc, block_size, intra_block)
+        res, ref = self.run_both(w, hc, block_size, keep_residuals)
         for key, want in ref.items():
             assert np.array_equal(getattr(res, key), want), key
 
