@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibrationSet
 from .gptq import MAX_BITS, QuantResult, proxy_loss, quantize_blockwise, validate_widths
 from .pipeline import widths_for
 from .quant import quantize
@@ -49,7 +49,7 @@ class BaselineSpec:
 
 
 def quantize_rtn_matrix(
-    w: np.ndarray, bits: int, calib: CalibrationSet | None = None
+    w: np.ndarray, bits: int, calib: Iterable[np.ndarray] | None = None
 ) -> QuantResult:
     """Independent per-column quantization at a fixed width, no compensation."""
     w = np.asarray(w)
@@ -79,7 +79,7 @@ def run_baseline(
     spec: BaselineSpec,
     w: np.ndarray,
     hc: np.ndarray,
-    calib: CalibrationSet | None = None,
+    calib: Iterable[np.ndarray] | None = None,
     cfg: TrainConfig | None = None,
 ) -> QuantResult:
     """Run one reference method on a single layer."""

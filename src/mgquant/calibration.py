@@ -11,16 +11,17 @@ with ``lambda = damp_frac * mean(diag(gram))`` (or ``damp_frac`` itself for
 an all-zero Gram), computed in one factorization by
 :func:`mgquant.linalg.cholesky_of_inverse` without forming the inverse.
 
-Rows are buffered and folded into the Gram in fixed ``CHUNK_ROWS`` (2,048)
-row chunks, with the remainder flushed on finalize. Each fold is one matrix
-product, doubled and added in place. The accumulated bytes therefore depend
-only on the concatenated row stream, not on how rows were split into batches
-or files, which keeps e.g. two half files bit-identical to one concatenated
-file.
+Rows are copied into one float64 buffer and folded into the Gram in fixed
+``CHUNK_ROWS`` (2,048) row chunks, with the remainder flushed on finalize.
+Each fold is one matrix product, doubled and added in place. The
+accumulated bytes therefore depend only on the concatenated row stream, not
+on how rows were split into batches or files, which keeps e.g. two half
+files bit-identical to one concatenated file.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,11 @@ CHUNK_ROWS = 2048
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """A list of activation batches, all with the same feature dimension."""
+    """A list of activation batches, all with the same feature dimension.
+
+    Iterating yields the batches, so a set can stand wherever a stream of
+    batches is read (see :func:`mgquant.gptq.proxy_loss`).
+    """
 
     batches: list[np.ndarray]
 
@@ -65,6 +70,9 @@ class CalibrationSet:
     def from_matrix(cls, x: np.ndarray) -> "CalibrationSet":
         return cls(batches=[np.asarray(x)])
 
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(self.batches)
+
     @property
     def d_col(self) -> int:
         return int(np.asarray(self.batches[0]).shape[1])
@@ -81,7 +89,7 @@ class GramAccumulator:
     d_col: int
     samples_seen: int = 0
     _gram: np.ndarray = field(init=False, repr=False)
-    _pending: list[np.ndarray] = field(init=False, repr=False, default_factory=list)
+    _chunk: np.ndarray | None = field(init=False, repr=False, default=None)
     _pending_rows: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self):
@@ -102,46 +110,33 @@ class GramAccumulator:
         return acc
 
     def accumulate(self, batch: np.ndarray) -> "GramAccumulator":
-        """Fold one activation batch (rows x d_col) into the running Gram."""
-        b = np.asarray(batch, dtype=np.float64)
+        """Fold one activation batch (rows x d_col) into the running Gram.
+
+        Rows are copied, converted to float64, into one ``CHUNK_ROWS`` buffer,
+        which is folded each time it fills.
+        """
+        b = np.asarray(batch)
         if b.ndim != 2 or b.shape[1] != self.d_col:
-            raise ValueError(
-                f"batch shape {np.asarray(batch).shape} does not match d_col {self.d_col}"
-            )
+            raise ValueError(f"batch shape {b.shape} does not match d_col {self.d_col}")
+        if b.dtype.kind != "f":
+            b = b.astype(np.float64)
         if not np.isfinite(b).all():
             raise ValueError("calibration batch contains NaN/Inf")
-        if b.shape[0]:
-            self._pending.append(b)
-            self._pending_rows += b.shape[0]
-            self.samples_seen += b.shape[0]
-            self._flush_full_chunks()
+        if self._chunk is None and b.shape[0]:
+            self._chunk = np.empty((CHUNK_ROWS, self.d_col), dtype=np.float64)
+        start = 0
+        while start < b.shape[0]:
+            take = min(CHUNK_ROWS - self._pending_rows, b.shape[0] - start)
+            self._chunk[self._pending_rows : self._pending_rows + take] = b[start : start + take]
+            self._pending_rows += take
+            start += take
+            if self._pending_rows == CHUNK_ROWS:
+                self._fold(self._chunk)
+                self._pending_rows = 0
+        self.samples_seen += b.shape[0]
         return self
 
-    def _flush_full_chunks(self) -> None:
-        while self._pending_rows >= CHUNK_ROWS:
-            rows: list[np.ndarray] = []
-            need = CHUNK_ROWS
-            while need:
-                head = self._pending[0]
-                if head.shape[0] <= need:
-                    rows.append(head)
-                    need -= head.shape[0]
-                    self._pending.pop(0)
-                else:
-                    rows.append(head[:need])
-                    self._pending[0] = head[need:]
-                    need = 0
-            self._fold(rows[0] if len(rows) == 1 else np.vstack(rows))
-            self._pending_rows -= CHUNK_ROWS
-
-    def _flush_remainder(self) -> None:
-        if self._pending_rows:
-            self._fold(self._pending[0] if len(self._pending) == 1 else np.vstack(self._pending))
-            self._pending = []
-            self._pending_rows = 0
-
     def _fold(self, rows: np.ndarray) -> None:
-        rows = np.ascontiguousarray(rows)
         prod = rows.T @ rows
         prod *= 2.0
         self._gram += prod
@@ -149,7 +144,9 @@ class GramAccumulator:
     @property
     def gram(self) -> np.ndarray:
         """Current ``2 * X^T X`` including buffered rows (copy)."""
-        self._flush_remainder()
+        if self._pending_rows:
+            self._fold(self._chunk[: self._pending_rows])
+            self._pending_rows = 0
         return self._gram.copy()
 
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .config import load_run_config
 from .gptq import proxy_loss
 from .linalg import NotPositiveDefiniteError
 from .pipeline import (
-    calib_from_sections,
     params_from_sections,
     params_to_sections,
     quantize_with_allocator,
@@ -67,25 +67,46 @@ def _load_hessian(path: str) -> np.ndarray:
     return hc
 
 
-def _load_calib(paths: list[str]):
-    return calib_from_sections([read_tensor_file(p) for p in paths])
+class _CalibFiles:
+    """The sections of the ``--calib`` files as one stream of batches.
+
+    Iterating reads the files in order and yields their sections one at a
+    time; each section leaves its file's dict as it is yielded, so no more
+    than one file is held. Every section must be 2-D with the column count
+    of the first. ``total_rows`` counts the rows yielded by the last pass.
+    """
+
+    def __init__(self, paths: list[str]):
+        self.paths = paths
+        self.total_rows = 0
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        d_col = None
+        self.total_rows = 0
+        for path in self.paths:
+            sections = read_tensor_file(path)
+            while sections:
+                name = next(iter(sections))
+                shape = sections[name].shape
+                if len(shape) != 2:
+                    raise ValueError(f"{path}: section {name!r} must be 2-D, got {shape}")
+                if d_col is None:
+                    d_col = shape[1]
+                elif shape[1] != d_col:
+                    raise ValueError(
+                        f"{path}: section {name!r} has {shape[1]} columns, expected {d_col}"
+                    )
+                self.total_rows += shape[0]
+                yield sections.pop(name)
 
 
 def cmd_gram(args) -> int:
     acc: GramAccumulator | None = None
-    for path in args.calib:
-        sections = read_tensor_file(path)
-        for name, arr in sections.items():
-            if arr.ndim != 2:
-                raise ValueError(f"{path}: section {name!r} must be 2-D, got {arr.shape}")
-            if acc is None:
-                acc = GramAccumulator(d_col=arr.shape[1])
-            elif arr.shape[1] != acc.d_col:
-                raise ValueError(
-                    f"{path}: section {name!r} has {arr.shape[1]} columns, "
-                    f"expected {acc.d_col}"
-                )
-            acc.accumulate(arr)
+    for batch in _CalibFiles(args.calib):
+        if acc is None:
+            acc = GramAccumulator(d_col=batch.shape[1])
+        acc.accumulate(batch)
+        del batch  # keep no folded batch alive while the next file is read
     if acc is None or acc.samples_seen == 0:
         raise ValueError("no calibration rows found in the given files")
     write_tensor_file(
@@ -147,7 +168,7 @@ def cmd_quantize(args) -> int:
     w = _load_weights(args.weights)
     hc = _load_hessian(args.hessian)
     params = params_from_sections(read_tensor_file(args.params))
-    calib = _load_calib(args.calib) if args.calib else None
+    calib = _CalibFiles(args.calib) if args.calib else None
     dtype = np.float32 if args.precision == "f32" else np.float64
 
     result, timings = quantize_with_allocator(
@@ -166,7 +187,7 @@ def cmd_quantize(args) -> int:
             "command": "quantize",
             "block_size": args.block,
             "precision": args.precision,
-            "params": args.params,
+            "params": Path(args.params).name,
         },
         layers=[entry],
         timing={
@@ -198,7 +219,7 @@ def cmd_baseline(args) -> int:
     cfg = load_run_config(args.config) if args.config else TrainConfig()
     w = _load_weights(args.weights)
     hc = _load_hessian(args.hessian)
-    calib = _load_calib(args.calib) if args.calib else None
+    calib = _CalibFiles(args.calib) if args.calib else None
     spec = BaselineSpec(
         method=args.method,
         bits=args.bits,
@@ -250,7 +271,7 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"shape mismatch: {args.orig} has {w.shape}, {args.quant} has {q.shape}"
         )
-    calib = _load_calib(args.calib)
+    calib = _CalibFiles(args.calib)
     loss = proxy_loss(w, q, calib)
     max_abs = float(np.max(np.abs(np.asarray(w, dtype=np.float64) - q))) if w.size else 0.0
     payload: dict = {

@@ -35,15 +35,22 @@ code must fit in a byte.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibrationSet
+from .calibration import GramAccumulator
 from .linalg import ShapeMismatchError
 from .quant import quantize
 
-__all__ = ["QuantResult", "quantize_blockwise", "proxy_loss", "validate_widths"]
+__all__ = [
+    "QuantResult",
+    "quantize_blockwise",
+    "gram_break_even",
+    "proxy_loss",
+    "validate_widths",
+]
 
 MAX_BITS = 8  # codes are stored one byte each
 SUB_BLOCK = 16  # columns per rank-1 sub-block inside a compensation block
@@ -109,7 +116,7 @@ def quantize_blockwise(
     hc: np.ndarray,
     widths: np.ndarray,
     block_size: int = 128,
-    calib: CalibrationSet | None = None,
+    calib: Iterable[np.ndarray] | None = None,
     keep_residuals: bool = False,
 ) -> QuantResult:
     """Quantize ``w`` column-blockwise at per-column widths with compensation.
@@ -121,7 +128,7 @@ def quantize_blockwise(
             (d_col x d_col) with strictly positive diagonal.
         widths: per-column bit widths, each in 1..8.
         block_size: columns per compensation block (1..d_col).
-        calib: optional calibration set for the proxy loss.
+        calib: optional calibration batches for the proxy loss, read once.
         keep_residuals: record the compensated column values seen by the
             quantizer (returned as a transposed view, shape d_row x d_col).
     """
@@ -196,19 +203,64 @@ def quantize_blockwise(
     )
 
 
-def proxy_loss(w: np.ndarray, q: np.ndarray, calib: CalibrationSet) -> float:
-    """Layer output distortion ``||(w - q) @ X^T||_F^2 / m`` over all calibration rows."""
+def gram_break_even(d_row: int, d_col: int) -> float:
+    """Rows m* past which the proxy loss is cheaper through the Gram.
+
+    The row order costs ``2 d_row d_col m`` flops; folding the Gram costs
+    ``m d_col^2`` and the final ``(D G) . D`` another ``2 d_row d_col^2``.
+    They break even at ``m* = 2 d_row d_col / (2 d_row - d_col)``; with
+    ``d_col >= 2 d_row`` the Gram order never wins.
+    """
+    if d_col >= 2 * d_row:
+        return float("inf")
+    return 2 * d_row * d_col / (2 * d_row - d_col)
+
+
+def proxy_loss(w: np.ndarray, q: np.ndarray, calib: Iterable[np.ndarray]) -> float:
+    """Layer output distortion ``||(w - q) @ X^T||_F^2 / m`` over all calibration rows.
+
+    ``calib`` is read once, batch by batch: a ``CalibrationSet`` or any
+    stream of 2-D batches. Up to :func:`gram_break_even` rows the batches
+    are held and the loss is summed batch by batch in row order. Past it,
+    the held batches and every later one are folded into a
+    :class:`GramAccumulator` G = 2 X^T X, the fold ``mgquant gram`` uses,
+    and the loss is ``sum((D G) . D) / (2 m)`` with D = w - q. That side
+    depends only on the concatenated rows, not on how they are split into
+    batches. Ties go to the row order.
+    """
     w = np.asarray(w, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if w.shape != q.shape:
         raise ShapeMismatchError(f"weight shapes differ: {w.shape} vs {q.shape}")
-    if calib.d_col != w.shape[1]:
-        raise ShapeMismatchError(
-            f"calibration dimension {calib.d_col} does not match d_col {w.shape[1]}"
-        )
+    d_row, d_col = w.shape
+    m_star = gram_break_even(d_row, d_col)
+    held: list[np.ndarray] = []
+    acc: GramAccumulator | None = None
+    m = 0
+    for batch in calib:
+        batch = np.asarray(batch)
+        if batch.ndim != 2 or batch.shape[1] != d_col:
+            raise ShapeMismatchError(
+                f"calibration batch of shape {batch.shape} does not match d_col {d_col}"
+            )
+        m += batch.shape[0]
+        if acc is not None:
+            acc.accumulate(batch)
+        else:
+            held.append(batch)
+            if m > m_star:
+                acc = GramAccumulator(d_col)
+                while held:
+                    acc.accumulate(held.pop(0))
+        del batch  # keep no folded batch alive while the next one is read
+    if m == 0:
+        raise ValueError("calibration set has no rows")
     diff = w - q
+    if acc is not None:
+        # The sum of d^T G d over rows d of D is >= 0; rounding may not keep it so.
+        return max(float(np.sum((diff @ acc.gram) * diff)) / (2 * m), 0.0)
     total = 0.0
-    for batch in calib.batches:
+    for batch in held:
         proj = diff @ np.asarray(batch, dtype=np.float64).T
         total += float(np.sum(proj * proj))
-    return total / calib.total_rows
+    return total / m

@@ -75,19 +75,15 @@ def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def _gap(a: np.ndarray, a_t: np.ndarray, scale: float) -> float:
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(a - a_t))) / scale
+    # max and -min in two passes, without an |A| buffer; NaN if any entry is.
+    return max(float(a.max()), -float(a.min())) if a.size else 0.0
 
 
 def symmetry_gap(a: np.ndarray) -> float:
     """Relative asymmetry ``max|A - A^T| / max|A|`` (0 for the zero matrix)."""
     a = np.asarray(a)
-    return _gap(a, a.T, _max_abs(a))
+    scale = _max_abs(a)
+    return _max_abs(a - a.T) / scale if scale != 0.0 else 0.0
 
 
 def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
@@ -98,16 +94,19 @@ def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
     scale = _max_abs(a)
     if not np.isfinite(scale):
         raise ValueError("matrix contains NaN/Inf")
-    # One strided pass over A^T, shared by the check and the symmetrization:
-    # reading a large A^T in place costs more than copying it once.
+    # One strided pass copies A^T; A - A^T goes into one more buffer, which
+    # then takes the exact symmetrization: f32 accumulation chains are only
+    # symmetric to rounding.
     a_t = np.ascontiguousarray(a.T)
-    gap = _gap(a, a_t, scale)
+    out = np.subtract(a, a_t)
+    gap = _max_abs(out) / scale if scale != 0.0 else 0.0
     if gap > SYMMETRY_RTOL:
         raise ValueError(
             f"matrix is not symmetric (relative asymmetry {gap:.3e} > {SYMMETRY_RTOL:.0e})"
         )
-    # Exact symmetrization; f32 accumulation chains are only symmetric to rounding.
-    return np.ascontiguousarray((a + a_t) * a.dtype.type(0.5))
+    np.add(a, a_t, out=out)
+    out *= a.dtype.type(0.5)
+    return out
 
 
 def _first_failing_minor(a: np.ndarray) -> int:
@@ -127,12 +126,13 @@ def _first_failing_minor(a: np.ndarray) -> int:
     return lo
 
 
-def _factor(a: np.ndarray, offset: int, want_inverse: bool):
-    """Lower Cholesky factor L of ``a``, and ``L^{-1}`` if ``want_inverse``.
+def _factor(a: np.ndarray, offset: int, want_low: bool, want_inverse: bool):
+    """Lower Cholesky factor L of ``a``, and/or ``L^{-1}``, as asked.
 
     Splits at ``h = n // 2``: ``L11 = chol(A11)``, ``L21 = A21 L11^{-T}`` and
     ``L22 = chol(A22 - L21 L21^T)``, with the triangular inverse
     ``inv([[L11, 0], [L21, L22]]) = [[L11^{-1}, 0], [-L22^{-1} L21 L11^{-1}, L22^{-1}]]``.
+    Only the pieces asked for are assembled; the other is returned as None.
     ``offset`` is the index of ``a[0, 0]`` in the caller's matrix, so a
     failing pivot is reported in the caller's numbering.
     """
@@ -144,19 +144,20 @@ def _factor(a: np.ndarray, offset: int, want_inverse: bool):
             raise NotPositiveDefiniteError(pivot=offset + _first_failing_minor(a)) from None
         return low, (np.tril(np.linalg.inv(low)) if want_inverse else None)
     h = n // 2
-    l11, inv11 = _factor(a[:h, :h], offset, True)
+    l11, inv11 = _factor(a[:h, :h], offset, want_low, True)
     l21 = a[h:, :h] @ inv11.T
-    l22, inv22 = _factor(a[h:, h:] - l21 @ l21.T, offset + h, want_inverse)
-    low = np.zeros_like(a)
-    low[:h, :h] = l11
-    low[h:, :h] = l21
-    low[h:, h:] = l22
-    if not want_inverse:
-        return low, None
-    inv = np.zeros_like(a)
-    inv[:h, :h] = inv11
-    inv[h:, :h] = -(inv22 @ l21) @ inv11
-    inv[h:, h:] = inv22
+    l22, inv22 = _factor(a[h:, h:] - l21 @ l21.T, offset + h, want_low, want_inverse)
+    low = inv = None
+    if want_low:
+        low = np.zeros_like(a)
+        low[:h, :h] = l11
+        low[h:, :h] = l21
+        low[h:, h:] = l22
+    if want_inverse:
+        inv = np.zeros_like(a)
+        inv[:h, :h] = inv11
+        inv[h:, :h] = -(inv22 @ l21) @ inv11
+        inv[h:, h:] = inv22
     return low, inv
 
 
@@ -179,7 +180,7 @@ def cholesky(a: np.ndarray, orientation: str = "lower") -> np.ndarray:
     if orientation not in ("lower", "upper"):
         raise ValueError(f"orientation must be 'lower' or 'upper', got {orientation!r}")
     a = _as_matrix(a, "a")
-    low, _ = _factor(_check_square_symmetric(a), 0, False)
+    low, _ = _factor(_check_square_symmetric(a), 0, True, False)
     return low if orientation == "lower" else np.ascontiguousarray(low.T)
 
 
@@ -187,8 +188,9 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix.
 
     Computed as ``L^{-T} L^{-1}`` from the recursive factorization, which
-    returns ``L^{-1}`` alongside ``L``, then symmetrized exactly by mirroring
-    the upper triangle, so the result satisfies ``out == out.T`` bit for bit.
+    returns ``L^{-1}`` without assembling ``L``, then symmetrized exactly by
+    mirroring the upper triangle, so the result satisfies ``out == out.T``
+    bit for bit.
 
     Raises:
         ValueError: if ``a`` has a NaN/Inf entry or is not symmetric.
@@ -196,7 +198,7 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
             the first leading minor that is not positive definite.
     """
     a = _as_matrix(a, "a")
-    _, inv_low = _factor(_check_square_symmetric(a), 0, True)
+    _, inv_low = _factor(_check_square_symmetric(a), 0, False, True)
     inv = inv_low.T @ inv_low
     upper = np.triu(inv)
     return upper + np.triu(inv, k=1).T
@@ -222,12 +224,14 @@ def cholesky_of_inverse(a: np.ndarray) -> np.ndarray:
             failed.
     """
     a = _as_matrix(a, "a")
-    sym = _check_square_symmetric(a)
+    # Symmetrizing the reversed view gives J sym(a) J entry for entry, with
+    # no second copy to reverse it.
+    sym_r = _check_square_symmetric(a[::-1, ::-1])
     try:
-        _, inv_low = _factor(np.ascontiguousarray(sym[::-1, ::-1]), 0, True)
+        _, inv_low = _factor(sym_r, 0, False, True)
     except NotPositiveDefiniteError as exc:
         # The reversed pass numbers trailing blocks of ``a``; factoring ``a``
         # itself raises with its first failing leading minor.
-        _factor(sym, 0, False)
+        _factor(np.ascontiguousarray(sym_r[::-1, ::-1]), 0, False, False)
         raise NotPositiveDefiniteError(pivot=a.shape[0] - 1 - exc.pivot) from None
     return np.ascontiguousarray(inv_low[::-1, ::-1])

@@ -13,6 +13,7 @@ inference path of the allocator, for the graph and the MLP ablation alike.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ from .allocator import (
     hessian_node_features,
     preprocess,
 )
-from .calibration import CalibrationSet
 from .gptq import QuantResult, quantize_blockwise
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "params_to_sections",
     "params_from_sections",
     "result_to_sections",
-    "calib_from_sections",
 ]
 
 
@@ -75,7 +74,7 @@ def quantize_with_allocator(
     params: AllocatorParams,
     block_size: int = 128,
     dtype=np.float32,
-    calib: CalibrationSet | None = None,
+    calib: Iterable[np.ndarray] | None = None,
 ) -> tuple[QuantResult, AllocatorTimings]:
     """Allocate widths with the trained graph allocator, then quantize.
 
@@ -136,12 +135,3 @@ def result_to_sections(result: QuantResult) -> dict[str, np.ndarray]:
         "zeros": result.zeros,
         "widths": result.widths.astype(np.uint8),
     }
-
-
-def calib_from_sections(files: list[dict[str, np.ndarray]]) -> CalibrationSet:
-    """Every section of every calibration file is one activation batch, in order."""
-    batches: list[np.ndarray] = []
-    for sections in files:
-        for arr in sections.values():
-            batches.append(np.asarray(arr))
-    return CalibrationSet(batches=batches)

@@ -14,9 +14,10 @@ A file holds named n-dimensional arrays, written little-endian:
 
 Section names must be unique within a file. Float payloads must be finite:
 the writer refuses NaN/Inf, and the reader treats them as corruption.
-Writes go to a temp file in the same directory and are renamed into place,
-so readers never observe a partial file. Writing the dict returned by
-:func:`read_tensor_file` back out reproduces the original bytes exactly.
+A file holds at least one section. Writes go to a temp file in the same
+directory and are renamed into place, so readers never observe a partial
+file. Writing the dict returned by :func:`read_tensor_file` back out
+reproduces the original bytes exactly.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class TensorFileError(Exception):
 
 
 def _coerce(name: str, array: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(array)
+    arr = np.asarray(array, order="C")  # keeps 0-d arrays 0-d
     if arr.dtype == np.float32:
         arr = arr.astype("<f4", copy=False)
     elif arr.dtype == np.float64:
@@ -109,65 +110,82 @@ def write_tensor_file(path: str | Path, sections: dict[str, np.ndarray]) -> None
     write_atomic(path, b"".join(blobs))
 
 
-class _Cursor:
-    def __init__(self, data: memoryview, path: Path):
-        self.data = data
-        self.pos = 0
-        self.path = path
+class _Reader:
+    """Sequential reads from an open container, bounded by its size."""
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.pos + n > len(self.data):
+    def __init__(self, fh, path: Path):
+        self.fh = fh
+        self.path = path
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def take(self, n: int, what: str) -> bytes:
+        data = self.fh.read(n) if n <= self.left else b""
+        if len(data) != n:
             raise TensorFileError(f"{self.path}: truncated while reading {what}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        self.left -= n
+        return data
+
+    def take_into(self, arr: np.ndarray, what: str) -> None:
+        view = memoryview(arr.reshape(-1).view(np.uint8))
+        if self.fh.readinto(view) != view.nbytes:
+            raise TensorFileError(f"{self.path}: {what} truncated")
+        self.left -= view.nbytes
 
 
 def read_tensor_file(path: str | Path) -> dict[str, np.ndarray]:
     """Read all sections of a tensor file, in file order.
 
+    Each payload is read straight into a fresh array, so the file's bytes
+    are never held a second time.
+
     Raises:
-        TensorFileError: on bad magic, unknown version or dtype, duplicate
-            names, truncation, trailing garbage, or non-finite float data.
+        TensorFileError: on bad magic, unknown version or dtype, no or
+            duplicate sections, an impossible shape, truncation, trailing
+            garbage, or non-finite float data.
     """
     path = Path(path)
-    # Slices of one view of the file: payloads are copied once, into arrays.
-    cur = _Cursor(memoryview(path.read_bytes()), path)
+    with open(path, "rb") as fh:
+        cur = _Reader(fh, path)
+        if cur.take(4, "magic") != MAGIC:
+            raise TensorFileError(f"{path}: bad magic (not a tensor container)")
+        version, count = struct.unpack("<BH", cur.take(3, "header"))
+        if version != VERSION:
+            raise TensorFileError(f"{path}: unsupported version {version}")
+        if count == 0:
+            raise TensorFileError(f"{path}: no sections")
 
-    if cur.take(4, "magic") != MAGIC:
-        raise TensorFileError(f"{path}: bad magic (not a tensor container)")
-    version, count = struct.unpack("<BH", cur.take(3, "header"))
-    if version != VERSION:
-        raise TensorFileError(f"{path}: unsupported version {version}")
+        sections: dict[str, np.ndarray] = {}
+        for i in range(count):
+            (name_len,) = struct.unpack("<B", cur.take(1, f"section {i} name length"))
+            if name_len == 0:
+                raise TensorFileError(f"{path}: section {i} has empty name")
+            try:
+                name = cur.take(name_len, f"section {i} name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TensorFileError(f"{path}: section {i} name is not UTF-8") from exc
+            if name in sections:
+                raise TensorFileError(f"{path}: duplicate section name {name!r}")
+            dtype_code, ndim = struct.unpack("<BB", cur.take(2, f"section {name!r} header"))
+            if dtype_code not in _CODE_TO_DTYPE:
+                raise TensorFileError(f"{path}: section {name!r} has unknown dtype {dtype_code}")
+            dtype = _CODE_TO_DTYPE[dtype_code]
+            dims = struct.unpack(f"<{ndim}Q", cur.take(8 * ndim, f"section {name!r} dims"))
+            n_items = 1
+            for d in dims:
+                n_items *= d
+            # Checked before allocating, so a corrupt header cannot ask for more
+            # memory than the file holds.
+            if n_items * dtype.itemsize > cur.left:
+                raise TensorFileError(f"{path}: section {name!r} payload truncated")
+            try:
+                arr = np.empty(dims, dtype=dtype)
+            except ValueError as exc:  # too many dims, or a dim past numpy's limit
+                raise TensorFileError(f"{path}: section {name!r}: {exc}") from None
+            cur.take_into(arr, f"section {name!r} payload")
+            if dtype_code in (0, 1) and arr.size and not np.isfinite(arr).all():
+                raise TensorFileError(f"{path}: section {name!r} contains NaN/Inf")
+            sections[name] = arr
 
-    sections: dict[str, np.ndarray] = {}
-    for i in range(count):
-        (name_len,) = struct.unpack("<B", cur.take(1, f"section {i} name length"))
-        if name_len == 0:
-            raise TensorFileError(f"{path}: section {i} has empty name")
-        try:
-            name = bytes(cur.take(name_len, f"section {i} name")).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TensorFileError(f"{path}: section {i} name is not UTF-8") from exc
-        if name in sections:
-            raise TensorFileError(f"{path}: duplicate section name {name!r}")
-        dtype_code, ndim = struct.unpack("<BB", cur.take(2, f"section {name!r} header"))
-        if dtype_code not in _CODE_TO_DTYPE:
-            raise TensorFileError(f"{path}: section {name!r} has unknown dtype {dtype_code}")
-        dtype = _CODE_TO_DTYPE[dtype_code]
-        dims = struct.unpack(f"<{ndim}Q", cur.take(8 * ndim, f"section {name!r} dims"))
-        n_items = 1
-        for d in dims:
-            n_items *= d
-        payload_len = n_items * dtype.itemsize
-        if payload_len > len(cur.data) - cur.pos:
-            raise TensorFileError(f"{path}: section {name!r} payload truncated")
-        payload = cur.take(payload_len, f"section {name!r} payload")
-        arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-        if dtype_code in (0, 1) and arr.size and not np.isfinite(arr).all():
-            raise TensorFileError(f"{path}: section {name!r} contains NaN/Inf")
-        sections[name] = arr
-
-    if cur.pos != len(cur.data):
-        raise TensorFileError(f"{path}: {len(cur.data) - cur.pos} trailing bytes")
+        if cur.left:
+            raise TensorFileError(f"{path}: {cur.left} trailing bytes")
     return sections

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,24 @@ class TestQuantizeCli:
         payload = last_json_line(capsys)
         assert payload["proxy_loss"] is not None
 
+    def test_report_does_not_depend_on_working_directory(self, tmp_path, capsys, monkeypatch):
+        # the report echoes the parameter file's name, not the path as typed
+        wdir, hdir, calibs, params = self.make_trained(tmp_path, capsys)
+        (tmp_path / "sub").mkdir()
+        reports = []
+        for cwd, typed in ((tmp_path, "params.mgqt"), (tmp_path / "sub", "../params.mgqt")):
+            monkeypatch.chdir(cwd)
+            rep = cwd / "r.json"
+            assert main(["quantize", "--weights", str(wdir / "L0.mgqt"),
+                         "--hessian", str(hdir / "L0.mgqt"), "--params", typed,
+                         "--block", "8", "--calib", str(calibs[0]),
+                         "--out", str(cwd / "q.mgqt"), "--report", str(rep)]) == 0
+            r = json.loads(rep.read_text())
+            r.pop("timing")
+            reports.append(r)
+        assert reports[0] == reports[1]
+        assert reports[0]["config"]["params"] == "params.mgqt"
+
     def test_old_params_flags_section(self, tmp_path, capsys):
         # older parameter files carry a u8 flags section: 0 loads as if absent,
         # bit 0 (trained on a symmetrized adjacency) exits 2 with one line
@@ -517,6 +536,43 @@ class TestEvalCli:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--orig", "a", "--quant", "b"])
         assert exc.value.code == 2
+
+    def test_calibration_files_are_held_one_at_a_time(self, tmp_path, capsys):
+        # eval over 8 one-section files peaks below two files' payload plus
+        # the layer's own arrays (weights, their difference, the Gram and the
+        # fold's row chunk), so no path holds every file at once
+        rng = np.random.default_rng(9)
+        d, rows, n_files = 32, 8192, 8
+        w = rng.standard_normal((d, d))
+        orig, quant = tmp_path / "o.mgqt", tmp_path / "q.mgqt"
+        write_tensor_file(orig, {"weights": w})
+        write_tensor_file(quant, {"quantized": w + 0.01 * rng.standard_normal((d, d))})
+        paths = []
+        for i in range(n_files):
+            paths.append(str(tmp_path / f"c{i}.mgqt"))
+            write_tensor_file(paths[-1], {"x": rng.standard_normal((rows, d))})
+        file_payload = rows * d * 8
+        layer = 8 * (12 * d * d + CHUNK_ROWS * d)
+        tracemalloc.start()
+        try:
+            rc = main(["eval", "--orig", str(orig), "--quant", str(quant), "--calib", *paths])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert last_json_line(capsys)["proxy_loss"] > 0
+        assert peak < 2 * file_payload + layer, (peak, file_payload)
+
+    def test_calibration_column_mismatch_exit_2_names_file(self, tmp_path, capsys):
+        orig, quant, a, b = (tmp_path / n for n in ("o.mgqt", "q.mgqt", "a.mgqt", "b.mgqt"))
+        write_tensor_file(orig, {"weights": np.zeros((2, 3))})
+        write_tensor_file(quant, {"quantized": np.zeros((2, 3))})
+        write_tensor_file(a, {"x": np.eye(3)})
+        write_tensor_file(b, {"x": np.eye(3), "y": np.ones((2, 4))})
+        rc = main(["eval", "--orig", str(orig), "--quant", str(quant), "--calib", str(a), str(b)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "b.mgqt" in err[0] and "'y'" in err[0]
 
     def test_shape_mismatch_exit_2(self, tmp_path, capsys):
         orig, quant, calib = (tmp_path / n for n in ("o.mgqt", "q.mgqt", "c.mgqt"))

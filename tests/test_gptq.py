@@ -1,10 +1,21 @@
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgquant.calibration import CalibrationSet, GramAccumulator, build_hessian_cholesky
 from mgquant.baselines import quantize_rtn_matrix
-from mgquant.gptq import SUB_BLOCK, proxy_loss, quantize_blockwise
+from mgquant.cli import main
+from mgquant.gptq import SUB_BLOCK, gram_break_even, proxy_loss, quantize_blockwise
 from mgquant.linalg import ShapeMismatchError
+from mgquant.tensorfile import write_tensor_file
 from mgquant.quant import quantize
 
 
@@ -256,6 +267,18 @@ class TestValidation:
             quantize_blockwise(w, np.eye(3), np.full(3, 2), block_size=4)
 
 
+def loop_oracle(w, q, x):
+    """``||(w - q) x^T||_F^2 / m``, one output entry at a time in row order."""
+    total = 0.0
+    for i in range(w.shape[0]):
+        for r in range(x.shape[0]):
+            acc = 0.0
+            for j in range(w.shape[1]):
+                acc += (w[i, j] - q[i, j]) * x[r, j]
+            total += acc * acc
+    return total / x.shape[0]
+
+
 class TestProxyLoss:
     def test_zero_when_equal(self):
         w = np.ones((3, 4))
@@ -276,14 +299,7 @@ class TestProxyLoss:
         q = rng.standard_normal((4, 5))
         x = rng.standard_normal((7, 5))
         calib = CalibrationSet.from_matrix(x)
-        total = 0.0
-        for i in range(4):
-            for r in range(7):
-                acc = 0.0
-                for j in range(5):
-                    acc += (w[i, j] - q[i, j]) * x[r, j]
-                total += acc * acc
-        assert proxy_loss(w, q, calib) == pytest.approx(total / 7.0, rel=1e-10)
+        assert proxy_loss(w, q, calib) == pytest.approx(loop_oracle(w, q, x), rel=1e-10)
 
     def test_shape_mismatch(self):
         calib = CalibrationSet.from_matrix(np.ones((2, 3)))
@@ -300,3 +316,91 @@ class TestProxyLoss:
         split = CalibrationSet(batches=[x[:4], x[4:]])
         whole = CalibrationSet.from_matrix(x)
         assert proxy_loss(w, q, split) == pytest.approx(proxy_loss(w, q, whole), rel=1e-12)
+
+
+class TestStreamedProxyLoss:
+    def test_break_even(self):
+        # 2 d_row d_col m = m d_col^2 + 2 d_row d_col^2 at m*
+        assert gram_break_even(256, 256) == 512
+        assert gram_break_even(2048, 2048) == 4096
+        assert gram_break_even(512, 512) == 1024
+        assert gram_break_even(4, 5) == pytest.approx(40 / 3)
+        assert gram_break_even(4, 8) == math.inf
+        assert gram_break_even(1, 64) == math.inf
+
+    def test_sides_meet_the_two_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        w = rng.standard_normal((8, 8))
+        q = w + 0.01 * rng.standard_normal((8, 8))
+        diff = w - q
+        x = rng.standard_normal((17, 8))
+        # m* = 16: the tie stays in row order, one more row goes through the Gram
+        tie = x[:16]
+        rows = float(np.sum((diff @ tie[:5].T) ** 2)) + float(np.sum((diff @ tie[5:].T) ** 2))
+        assert proxy_loss(w, q, iter([tie[:5], tie[5:]])) == rows / 16
+        gram = GramAccumulator(8).accumulate(x).gram
+        assert proxy_loss(w, q, iter([x[:5], x[5:]])) == float(np.sum((diff @ gram) * diff)) / 34
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="no rows"):
+            proxy_loss(np.ones((2, 3)), np.ones((2, 3)), iter([np.zeros((0, 3))]))
+
+    def test_batch_width_checked(self):
+        with pytest.raises(ShapeMismatchError):
+            proxy_loss(np.ones((2, 3)), np.ones((2, 3)), iter([np.ones((40, 3)), np.ones((4, 2))]))
+
+
+def random_split(draw, m):
+    """Cut ``m`` rows into files of sections; sections may be empty."""
+    cuts = sorted(draw(st.lists(st.integers(0, m), max_size=5)))
+    sections = [(a, b) for a, b in zip([0, *cuts], [*cuts, m])]
+    files, i = [], 0
+    while i < len(sections):
+        n = draw(st.integers(1, len(sections) - i))
+        files.append(sections[i : i + n])
+        i += n
+    return files
+
+
+def eval_loss(root, tag, x, files):
+    paths = []
+    for k, sections in enumerate(files):
+        path = root / f"{tag}{k}.mgqt"
+        write_tensor_file(path, {f"b{j}": x[a:b] for j, (a, b) in enumerate(sections)})
+        paths.append(str(path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["eval", "--orig", str(root / "w.mgqt"), "--quant", str(root / "q.mgqt"),
+                     "--calib", *paths]) == 0
+    return json.loads(out.getvalue())["proxy_loss"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_streamed_loss_over_random_files_and_sections(data):
+    # eval over the same rows cut into random files and sections: through the
+    # Gram (m > m*) the loss keeps its bits across cuts; on both sides it
+    # matches the row-order oracle and is never negative
+    d_row, d_col = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    m_star = gram_break_even(d_row, d_col)
+    gram_side = math.isfinite(m_star) and data.draw(st.booleans())
+    if gram_side:
+        m = data.draw(st.integers(math.floor(m_star) + 1, math.floor(m_star) + 30))
+    else:
+        m = data.draw(st.integers(1, int(min(m_star, 30))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal((d_row, d_col))
+    q = w + data.draw(st.sampled_from([0.0, 1e-3, 1.0])) * rng.standard_normal((d_row, d_col))
+    x = rng.standard_normal((m, d_col)) * rng.choice([1.0, 0.01], size=(1, d_col))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_tensor_file(root / "w.mgqt", {"weights": w})
+        write_tensor_file(root / "q.mgqt", {"quantized": q})
+        first = eval_loss(root, "a", x, random_split(data.draw, m))
+        second = eval_loss(root, "b", x, random_split(data.draw, m))
+    oracle = loop_oracle(w, q, x)
+    for loss in (first, second):
+        assert loss >= 0.0
+        assert abs(loss - oracle) <= 1e-12 * oracle
+    if gram_side:
+        assert first == second

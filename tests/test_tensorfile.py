@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgquant.tensorfile import (
     MAGIC,
@@ -141,3 +143,74 @@ def test_nonfinite_write_rejected_before_touching_disk(tmp_path):
             with pytest.raises(ValueError, match="NaN/Inf"):
                 write_tensor_file(out, {"ok": np.zeros(2), "bad": arr})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_no_sections_rejected(tmp_path):
+    # the writer refuses an empty file, so the reader treats one as corrupt
+    p = tmp_path / "e.mgqt"
+    p.write_bytes(MAGIC + struct.pack("<BH", 1, 0))
+    with pytest.raises(TensorFileError, match="no sections"):
+        read_tensor_file(p)
+
+
+def test_zero_dim_section_round_trips(tmp_path):
+    p = tmp_path / "z.mgqt"
+    write_tensor_file(p, {"s": np.array(2.5)})
+    back = read_tensor_file(p)["s"]
+    assert back.shape == () and back == 2.5
+    q = tmp_path / "z2.mgqt"
+    write_tensor_file(q, {"s": back})
+    assert q.read_bytes() == p.read_bytes()
+
+
+@st.composite
+def container_bytes(draw):
+    """A valid container, then maybe cut, overwritten, spliced or extended."""
+    sections = {}
+    for i in range(draw(st.integers(1, 3))):
+        dtype = draw(st.sampled_from(["<f4", "<f8", "u1"]))
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        raw = draw(st.binary(min_size=8 * int(np.prod(shape)), max_size=8 * int(np.prod(shape))))
+        arr = np.frombuffer(raw, dtype=np.uint8)[: int(np.prod(shape)) * np.dtype(dtype).itemsize]
+        arr = arr.view(dtype).reshape(shape)
+        if arr.dtype.kind == "f":
+            arr = np.where(np.isfinite(arr), arr, 0).astype(dtype)
+        sections[draw(st.text(min_size=1, max_size=4)) + str(i)] = arr
+    blob = [MAGIC, struct.pack("<BH", 1, len(sections))]
+    for name, arr in sections.items():
+        encoded = name.encode("utf-8")
+        code = {"<f4": 0, "<f8": 1, "|u1": 2}[arr.dtype.str]
+        blob += [struct.pack("<B", len(encoded)), encoded, struct.pack("<BB", code, arr.ndim),
+                 struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.tobytes()]
+    data = bytearray(b"".join(blob))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["cut", "set", "splice", "append"]))
+        pos = draw(st.integers(0, len(data)))
+        if op == "cut":
+            del data[pos:]
+        elif op == "set" and pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+        elif op == "splice":
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=9))
+        else:
+            data += draw(st.binary(min_size=1, max_size=9))
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(blob=st.one_of(st.binary(max_size=64), container_bytes()))
+def test_fuzzed_bytes_fail_cleanly_or_round_trip(tmp_path_factory, blob):
+    # any byte string either raises TensorFileError or reads into arrays
+    # that write back to the very same bytes
+    root = tmp_path_factory.getbasetemp()
+    path = root / "fuzz.mgqt"
+    path.write_bytes(blob)
+    try:
+        sections = read_tensor_file(path)
+    except TensorFileError:
+        return
+    for arr in sections.values():
+        assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+    again = root / "fuzz_again.mgqt"
+    write_tensor_file(again, sections)
+    assert again.read_bytes() == blob
