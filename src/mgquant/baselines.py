@@ -91,17 +91,12 @@ def run_baseline(
     cfg = cfg if cfg is not None else TrainConfig()
     if spec.method == "gptq-uniform":
         widths = np.full(d_col, spec.bits, dtype=np.int64)
-        return quantize_blockwise(
-            w, hc, widths,
-            block_size=min(cfg.block_size, d_col),
-            calib=calib,
-        )
-
-    # mlp-ptq: train the dense-ablation allocator on this layer, then quantize
-    # with its hard assignment.
-    train_cfg = dataclasses.replace(cfg, target_bits=spec.budget)
-    params, _ = train([(w, hc)], train_cfg, arch="mlp")
-    widths = widths_for(w, np.asarray(hc, dtype=np.float64), params, arch="mlp")
+    else:
+        # mlp-ptq: train the dense-ablation allocator on this layer and take
+        # its hard assignment.
+        train_cfg = dataclasses.replace(cfg, target_bits=spec.budget)
+        params, _ = train([(w, hc)], train_cfg, arch="mlp")
+        widths = widths_for(w, np.asarray(hc, dtype=np.float64), params, arch="mlp")
     return quantize_blockwise(
         w, hc, widths,
         block_size=min(cfg.block_size, d_col),

@@ -12,10 +12,11 @@ an all-zero Gram), computed in one factorization by
 :func:`mgquant.linalg.cholesky_of_inverse` without forming the inverse.
 
 Rows are copied into one float64 buffer and folded into the Gram in fixed
-``CHUNK_ROWS`` (2,048) row chunks, with the remainder flushed on finalize.
-Each fold is one matrix product, doubled and added in place. The
-accumulated bytes therefore depend only on the concatenated row stream, not
-on how rows were split into batches or files, which keeps e.g. two half
+``CHUNK_ROWS`` (2,048) row chunks; the remainder is folded into each copy
+that ``gram`` returns, never into the running sum. Each fold is one matrix
+product, doubled and added in place. The accumulated bytes therefore depend
+only on the concatenated row stream, not on how rows were split into
+batches or files, nor on when the Gram was read, which keeps e.g. two half
 files bit-identical to one concatenated file.
 """
 
@@ -131,23 +132,29 @@ class GramAccumulator:
             self._pending_rows += take
             start += take
             if self._pending_rows == CHUNK_ROWS:
-                self._fold(self._chunk)
+                _fold(self._chunk, self._gram)
                 self._pending_rows = 0
         self.samples_seen += b.shape[0]
         return self
 
-    def _fold(self, rows: np.ndarray) -> None:
-        prod = rows.T @ rows
-        prod *= 2.0
-        self._gram += prod
-
     @property
     def gram(self) -> np.ndarray:
-        """Current ``2 * X^T X`` including buffered rows (copy)."""
+        """Current ``2 * X^T X`` including buffered rows (copy).
+
+        The buffered rows are folded into the copy only, so reading the Gram
+        mid-stream leaves every later chunk boundary where it was.
+        """
+        gram = self._gram.copy()
         if self._pending_rows:
-            self._fold(self._chunk[: self._pending_rows])
-            self._pending_rows = 0
-        return self._gram.copy()
+            _fold(self._chunk[: self._pending_rows], gram)
+        return gram
+
+
+def _fold(rows: np.ndarray, gram: np.ndarray) -> None:
+    """Add ``2 * rows^T rows`` to ``gram`` in place."""
+    prod = rows.T @ rows
+    prod *= 2.0
+    gram += prod
 
 
 def build_hessian_cholesky(acc: GramAccumulator, damp_frac: float = 0.01) -> np.ndarray:

@@ -24,9 +24,10 @@ import numpy as np
 from .baselines import METHODS, BaselineSpec, run_baseline
 from .calibration import GramAccumulator, build_hessian_cholesky
 from .config import load_run_config
-from .gptq import proxy_loss
+from .gptq import QuantResult, proxy_loss
 from .linalg import NotPositiveDefiniteError
 from .pipeline import (
+    AllocatorTimings,
     params_from_sections,
     params_to_sections,
     quantize_with_allocator,
@@ -43,21 +44,24 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _load_weights(path: str) -> np.ndarray:
+def _read(path: str, *names: str) -> dict[str, np.ndarray]:
+    """The sections of a tensor file that must hold every section in ``names``."""
     sections = read_tensor_file(path)
-    if "weights" not in sections:
-        raise ValueError(f"{path}: missing 'weights' section")
-    w = sections["weights"]
+    for name in names:
+        if name not in sections:
+            raise ValueError(f"{path}: missing {name!r} section")
+    return sections
+
+
+def _load_weights(path: str) -> np.ndarray:
+    w = _read(path, "weights")["weights"]
     if w.ndim != 2:
         raise ValueError(f"{path}: 'weights' must be 2-D, got shape {w.shape}")
     return w
 
 
 def _load_hessian(path: str) -> np.ndarray:
-    sections = read_tensor_file(path)
-    if "hessian_cholesky" not in sections:
-        raise ValueError(f"{path}: missing 'hessian_cholesky' section")
-    hc = sections["hessian_cholesky"]
+    hc = _read(path, "hessian_cholesky")["hessian_cholesky"]
     if hc.ndim != 2 or hc.shape[0] != hc.shape[1]:
         raise ValueError(f"{path}: 'hessian_cholesky' must be square, got {hc.shape}")
     # A lower factor or the full inverse would pass the engine's diagonal
@@ -118,11 +122,11 @@ def cmd_gram(args) -> int:
 
 
 def cmd_hessian(args) -> int:
-    sections = read_tensor_file(args.gram)
-    for key in ("gram", "samples"):
-        if key not in sections:
-            raise ValueError(f"{args.gram}: missing {key!r} section")
-    acc = GramAccumulator.from_gram(sections["gram"], int(sections["samples"].flat[0]))
+    sections = _read(args.gram, "gram", "samples")
+    samples = sections["samples"]
+    if samples.size != 1 or not (samples.flat[0] >= 0 and float(samples.flat[0]).is_integer()):
+        raise ValueError(f"{args.gram}: 'samples' must hold one non-negative whole number")
+    acc = GramAccumulator.from_gram(sections["gram"], int(samples.flat[0]))
     hc = build_hessian_cholesky(acc, damp_frac=args.damp)
     write_tensor_file(args.out, {"hessian_cholesky": hc})
     _emit({"out": args.out, "d_col": acc.d_col, "damp": args.damp})
@@ -164,55 +168,35 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _write_layer(args, result: QuantResult, timings: AllocatorTimings, t_max: int,
+                 seed: int, config_echo: dict, **stdout) -> int:
+    """Write a quantized layer, its report and its JSON line (``quantize``, ``baseline``)."""
+    if args.out:
+        write_tensor_file(args.out, result_to_sections(result))
+    name = Path(args.weights).stem
+    entry = layer_entry(name, result, *result.quantized.shape, t_max)
+    if args.report:
+        row = {"name": name, "allocator_time": timings.allocator_time,
+               "engine_time": timings.engine_time, "wall_time": timings.total}
+        timing = {"layers": [row], "total_wall_time": timings.total}
+        write_report(args.report, build_report(seed, config_echo, [entry], timing))
+    _emit({**stdout, "out": args.out, "report": args.report,
+           "mean_bits": entry["mean_bits"], "proxy_loss": entry["proxy_loss"]})
+    return 0
+
+
 def cmd_quantize(args) -> int:
     w = _load_weights(args.weights)
     hc = _load_hessian(args.hessian)
     params = params_from_sections(read_tensor_file(args.params))
     calib = _CalibFiles(args.calib) if args.calib else None
     dtype = np.float32 if args.precision == "f32" else np.float64
-
     result, timings = quantize_with_allocator(
-        w, hc, params,
-        block_size=args.block,
-        dtype=dtype,
-        calib=calib,
+        w, hc, params, block_size=args.block, dtype=dtype, calib=calib
     )
-    write_tensor_file(args.out, result_to_sections(result))
-
-    name = Path(args.weights).stem
-    entry = layer_entry(name, result, w.shape[0], w.shape[1], params.t_max)
-    report = build_report(
-        seed=args.seed,
-        config_echo={
-            "command": "quantize",
-            "block_size": args.block,
-            "precision": args.precision,
-            "params": Path(args.params).name,
-        },
-        layers=[entry],
-        timing={
-            "layers": [
-                {
-                    "name": name,
-                    "allocator_time": timings.allocator_time,
-                    "engine_time": timings.engine_time,
-                    "wall_time": timings.total,
-                }
-            ],
-            "total_wall_time": timings.total,
-        },
-    )
-    if args.report:
-        write_report(args.report, report)
-    _emit(
-        {
-            "out": args.out,
-            "report": args.report,
-            "mean_bits": entry["mean_bits"],
-            "proxy_loss": entry["proxy_loss"],
-        }
-    )
-    return 0
+    echo = {"command": "quantize", "block_size": args.block, "precision": args.precision,
+            "params": Path(args.params).name}
+    return _write_layer(args, result, timings, params.t_max, 0, echo)
 
 
 def cmd_baseline(args) -> int:
@@ -220,78 +204,34 @@ def cmd_baseline(args) -> int:
     w = _load_weights(args.weights)
     hc = _load_hessian(args.hessian)
     calib = _CalibFiles(args.calib) if args.calib else None
-    spec = BaselineSpec(
-        method=args.method,
-        bits=args.bits,
-        target_bits=args.target_bits,
-    )
+    spec = BaselineSpec(method=args.method, bits=args.bits, target_bits=args.target_bits)
     start = time.perf_counter()
     result = run_baseline(spec, w, hc, calib=calib, cfg=cfg)
-    wall = time.perf_counter() - start
-    if args.out:
-        write_tensor_file(args.out, result_to_sections(result))
-    name = Path(args.weights).stem
-    entry = layer_entry(name, result, w.shape[0], w.shape[1], cfg.t_max)
-    report = build_report(
-        seed=cfg.seed,
-        config_echo={
-            "command": "baseline",
-            "method": spec.method,
-            "bits": spec.bits,
-            "target_bits": spec.target_bits,
-            "block_size": cfg.block_size,
-        },
-        layers=[entry],
-        timing={
-            "layers": [{"name": name, "wall_time": wall, "engine_time": result.wall_time}],
-            "total_wall_time": wall,
-        },
-    )
-    if args.report:
-        write_report(args.report, report)
-    _emit(
-        {
-            "method": spec.method,
-            "out": args.out,
-            "report": args.report,
-            "mean_bits": entry["mean_bits"],
-            "proxy_loss": entry["proxy_loss"],
-        }
-    )
-    return 0
+    # Time outside the engine: choosing the widths (mlp-ptq's training) and the proxy loss.
+    outside = time.perf_counter() - start - result.wall_time
+    timings = AllocatorTimings(allocator_time=outside, engine_time=result.wall_time)
+    echo = {"command": "baseline", "method": spec.method, "bits": spec.bits,
+            "target_bits": spec.target_bits, "block_size": cfg.block_size}
+    return _write_layer(args, result, timings, cfg.t_max, cfg.seed, echo, method=spec.method)
 
 
 def cmd_eval(args) -> int:
     w = _load_weights(args.orig)
-    qsections = read_tensor_file(args.quant)
-    if "quantized" not in qsections:
-        raise ValueError(f"{args.quant}: missing 'quantized' section")
-    q = qsections["quantized"]
+    q = _read(args.quant, "quantized")["quantized"]
     if q.shape != w.shape:
         raise ValueError(
             f"shape mismatch: {args.orig} has {w.shape}, {args.quant} has {q.shape}"
         )
-    calib = _CalibFiles(args.calib)
-    loss = proxy_loss(w, q, calib)
+    loss = proxy_loss(w, q, _CalibFiles(args.calib))
     max_abs = float(np.max(np.abs(np.asarray(w, dtype=np.float64) - q))) if w.size else 0.0
-    payload: dict = {
+    payload = {
         "proxy_loss": loss,
         "max_abs_error": max_abs,
         "orig": args.orig,
         "quant": args.quant,
     }
-    if "widths" in qsections:
-        widths = qsections["widths"].astype(np.int64)
-        t_max = int(widths.max()) if widths.size else 0
-        hist = np.bincount(widths, minlength=t_max + 1)[1:]
-        payload["bit_histogram"] = [int(c) for c in hist]
-        payload["mean_bits"] = round(float(widths.mean()), 3)
     if args.report:
-        report = {
-            "schema": "mgquant-eval-v1",
-            "metrics": payload,
-        }
-        write_report(args.report, report)
+        write_report(args.report, {"schema": "mgquant-eval-v1", "metrics": payload})
     _emit(payload)
     return 0
 
@@ -329,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", type=int, default=128)
     p.add_argument("--precision", choices=("f32", "f64"), default="f32")
     p.add_argument("--calib", nargs="*", default=[])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(func=cmd_quantize)

@@ -125,11 +125,8 @@ def params_from_sections(sections: dict[str, np.ndarray]) -> AllocatorParams:
 
 def result_to_sections(result: QuantResult) -> dict[str, np.ndarray]:
     """Pack a quantization result for the container format (one byte per code)."""
-    quantized = result.quantized
-    if quantized.dtype != np.float64:
-        quantized = quantized.astype(np.float32)
     return {
-        "quantized": quantized,
+        "quantized": result.quantized,
         "codes": result.codes,
         "scales": result.scales,
         "zeros": result.zeros,

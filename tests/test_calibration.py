@@ -63,6 +63,18 @@ class TestAccumulate:
         assert acc.samples_seen == m
         assert np.array_equal(acc.gram, ref)
 
+    def test_reading_gram_mid_stream_keeps_bytes(self):
+        # reading .gram folds the buffered rows into its copy, not the running sum
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((5000, 64))
+        ref = GramAccumulator(d_col=64).accumulate(x).gram
+        acc = GramAccumulator(d_col=64).accumulate(x[:100])
+        early = acc.gram
+        assert np.array_equal(early, GramAccumulator(d_col=64).accumulate(x[:100]).gram)
+        acc.accumulate(x[100:])
+        assert np.array_equal(acc.gram, ref)
+        assert np.array_equal(acc.gram, ref)  # a second read changes nothing either
+
     def test_dimension_mismatch(self):
         acc = GramAccumulator(d_col=3)
         with pytest.raises(ValueError, match="d_col"):

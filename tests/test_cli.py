@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +12,7 @@ import pytest
 
 import mgquant
 from mgquant.calibration import CHUNK_ROWS, GramAccumulator, build_hessian_cholesky
-from mgquant.cli import main
+from mgquant.cli import build_parser, main
 from mgquant.tensorfile import read_tensor_file, write_tensor_file
 
 
@@ -142,11 +144,54 @@ class TestHessian:
             assert not out.exists()
 
     def test_missing_section_exit_2(self, tmp_path, capsys):
+        # every file kind a command reads: weights, hessian, gram and quantized
+        other = tmp_path / "other.mgqt"
+        write_tensor_file(other, {"x": np.eye(2)})
+        good = {"weights": {"weights": np.eye(2)}, "hessian": {"hessian_cholesky": np.eye(2)},
+                "quant": {"quantized": np.eye(2)}}
+        for kind, sections in good.items():
+            write_tensor_file(tmp_path / f"{kind}.mgqt", sections)
+        w, h, q = (str(tmp_path / f"{k}.mgqt") for k in good)
+        params = tmp_path / "p.mgqt"
+        write_tensor_file(params, {"w0": np.zeros((8, 8)), "w1": np.zeros((8, 8)),
+                                   "wc": np.zeros((8, 4)), "bc": np.zeros(4)})
+        out = str(tmp_path / "out.mgqt")
+        cases = [
+            (["hessian", "--gram", "{}", "--out", out], {"gram": np.eye(2)}, "samples"),
+            (["hessian", "--gram", "{}", "--out", out], {"samples": np.array([2.0])}, "gram"),
+            (["quantize", "--weights", "{}", "--hessian", h, "--params", str(params),
+              "--out", out], None, "weights"),
+            (["quantize", "--weights", w, "--hessian", "{}", "--params", str(params),
+              "--out", out], None, "hessian_cholesky"),
+            (["baseline", "--method", "rtn", "--weights", w, "--hessian", "{}",
+              "--out", out], None, "hessian_cholesky"),
+            (["eval", "--orig", "{}", "--quant", q, "--calib", str(other)], None, "weights"),
+            (["eval", "--orig", w, "--quant", "{}", "--calib", str(other)], None, "quantized"),
+        ]
+        for i, (argv, sections, section) in enumerate(cases):
+            bad = tmp_path / f"bad{i}.mgqt"
+            write_tensor_file(bad, sections or {"x": np.eye(2)})
+            rc = main([str(bad) if a == "{}" else a for a in argv])
+            assert rc == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.strip().splitlines()
+            assert len(err) == 1 and f"bad{i}.mgqt" in err[0] and f"'{section}'" in err[0], err
+            assert not Path(out).exists()
+
+    @pytest.mark.parametrize("samples", [np.zeros(0), np.array([2.0, 2.0]), np.array([2.5]),
+                                         np.array([-2.0])], ids=["empty", "two", "fraction",
+                                                                 "negative"])
+    def test_bad_samples_exit_2(self, tmp_path, capsys, samples):
         gram = tmp_path / "g.mgqt"
-        write_tensor_file(gram, {"gram": np.eye(2)})
-        rc = main(["hessian", "--gram", str(gram), "--out", str(tmp_path / "h.mgqt")])
-        assert rc == 2
-        assert "samples" in capsys.readouterr().err
+        write_tensor_file(gram, {"gram": np.eye(2), "samples": samples})
+        out = tmp_path / "h.mgqt"
+        assert main(["hessian", "--gram", str(gram), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "g.mgqt" in err[0] and "'samples'" in err[0], err
+        assert not out.exists()
 
 
 class TestTrainCli:
@@ -363,6 +408,44 @@ class TestQuantizeCli:
         timing = json.loads(rep.read_text())["timing"]["layers"][0]
         assert "allocator_time" in timing and "engine_time" in timing
 
+    def test_seed_flag_usage_error(self, tmp_path, capsys):
+        # the report's seed is fixed at 0; quantize is deterministic without one
+        wdir, hdir, calibs, params = self.make_trained(tmp_path, capsys)
+        out = tmp_path / "q.mgqt"
+        with pytest.raises(SystemExit) as exc:
+            main(["quantize", "--weights", str(wdir / "L0.mgqt"), "--hessian",
+                  str(hdir / "L0.mgqt"), "--params", str(params), "--seed", "3",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_quantize_and_baseline_share_one_output_path(self, tmp_path, capsys):
+        wdir, hdir, calibs, params = self.make_trained(tmp_path, capsys)
+        layer = ["--weights", str(wdir / "L0.mgqt"), "--hessian", str(hdir / "L0.mgqt"),
+                 "--calib", str(calibs[0])]
+        runs = {
+            "quantize": ["quantize", *layer, "--params", str(params), "--block", "8"],
+            "baseline": ["baseline", "--method", "gptq-uniform", *layer],
+        }
+        reports, payloads = {}, {}
+        for name, argv in runs.items():
+            rep = tmp_path / f"{name}.json"
+            assert main([*argv, "--out", str(tmp_path / f"{name}.mgqt"),
+                         "--report", str(rep)]) == 0
+            payloads[name] = last_json_line(capsys)
+            reports[name] = json.loads(rep.read_text())
+        q, b = reports["quantize"], reports["baseline"]
+        assert set(q) == set(b)
+        assert set(q["layers"][0]) == set(b["layers"][0])
+        assert set(q["timing"]) == set(b["timing"]) == {"layers", "total_wall_time"}
+        assert set(q["timing"]["layers"][0]) == set(b["timing"]["layers"][0]) == {
+            "name", "allocator_time", "engine_time", "wall_time"}
+        assert set(payloads["quantize"]) == {"out", "report", "mean_bits", "proxy_loss"}
+        assert set(payloads["baseline"]) == set(payloads["quantize"]) | {"method"}
+        for name in runs:
+            assert payloads[name]["mean_bits"] == reports[name]["layers"][0]["mean_bits"]
+            assert payloads[name]["proxy_loss"] == reports[name]["layers"][0]["proxy_loss"]
+
 
 class TestLowerFactorRejected:
     def test_transposed_factor_exit_2(self, tmp_path, capsys):
@@ -537,6 +620,22 @@ class TestEvalCli:
             main(["eval", "--orig", "a", "--quant", "b"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("shape", [(6,), (2, 3)], ids=["1-D", "2-D"])
+    def test_prints_loss_and_paths_only(self, tmp_path, capsys, shape):
+        # the width summary lives in the quantize report, sized by t_max
+        orig, quant, calib = (tmp_path / n for n in ("o.mgqt", "q.mgqt", "c.mgqt"))
+        w = np.random.default_rng(3).standard_normal((4, 6))
+        widths = np.array([1, 3, 3, 1, 3, 3], dtype=np.uint8).reshape(shape)
+        write_tensor_file(orig, {"weights": w})
+        write_tensor_file(quant, {"quantized": np.round(w), "widths": widths})
+        write_tensor_file(calib, {"x": np.eye(6)})
+        rep = tmp_path / "r.json"
+        assert main(["eval", "--orig", str(orig), "--quant", str(quant),
+                     "--calib", str(calib), "--report", str(rep)]) == 0
+        payload = last_json_line(capsys)
+        assert set(payload) == {"proxy_loss", "max_abs_error", "orig", "quant"}
+        assert json.loads(rep.read_text())["metrics"] == payload
+
     def test_calibration_files_are_held_one_at_a_time(self, tmp_path, capsys):
         # eval over 8 one-section files peaks below two files' payload plus
         # the layer's own arrays (weights, their difference, the Gram and the
@@ -637,3 +736,27 @@ class TestStartupImports:
             ["eval", "--orig", weights, "--quant", quant, "--calib", calib],
         ):
             assert self.probe(*argv)["scipy_modules"] == 0, argv[0]
+
+
+class TestReadmeCli:
+    """README's CLI block shows every flag each subcommand defines, and no other."""
+
+    def readme_flags(self) -> dict[str, set[str]]:
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("\n## CLI\n", 1)[1]
+        block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+        flags: dict[str, set[str]] = {}
+        for line in block.replace("\\\n", " ").splitlines():
+            words = line.split()
+            if words[:1] == ["mgquant"]:
+                flags[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+        return flags
+
+    def test_readme_flags_match_parser(self):
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        defined = {
+            name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert self.readme_flags() == defined
