@@ -11,7 +11,6 @@ Run: python demos/02_hessian_compensation.py
 import numpy as np
 
 from mgquant import (
-    CalibrationSet,
     GramAccumulator,
     build_hessian_cholesky,
     proxy_loss,
@@ -26,10 +25,10 @@ d_row = d_col = 64
 z = rng.standard_normal((512, d_col))
 mix = rng.standard_normal((d_col, d_col)) / np.sqrt(d_col)
 x = z @ mix
-calib = CalibrationSet.from_matrix(x)
+calib = [x]  # calibration is any list (or stream) of 2-D batches
 
 acc = GramAccumulator(d_col=d_col).accumulate(x)
-hc = build_hessian_cholesky(acc, damp_frac=0.01)
+hc = build_hessian_cholesky(acc.gram, damp_frac=0.01)
 print(f"hessian factor: upper triangular, diag in "
       f"[{np.diag(hc).min():.3f}, {np.diag(hc).max():.3f}]")
 

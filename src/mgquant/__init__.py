@@ -17,7 +17,7 @@ from .allocator import (
     sample_gumbel,
 )
 from .baselines import BaselineSpec, run_baseline
-from .calibration import CalibrationSet, GramAccumulator, build_hessian_cholesky
+from .calibration import GramAccumulator, build_hessian_cholesky
 from .gptq import QuantResult, proxy_loss, quantize_blockwise
 from .linalg import NotPositiveDefiniteError, ShapeMismatchError, cholesky, spd_inverse
 from .pipeline import AllocatorTimings, quantize_with_allocator, widths_for
@@ -39,7 +39,6 @@ __all__ = [
     "AllocatorParams",
     "AllocatorTimings",
     "BaselineSpec",
-    "CalibrationSet",
     "GramAccumulator",
     "LossBreakdown",
     "NotPositiveDefiniteError",

@@ -8,7 +8,9 @@ Given calibration rows X (m x d_col), the accumulator maintains
     hessian_cholesky = upper Cholesky of (gram + lambda*I)^{-1}
 
 with ``lambda = damp_frac * mean(diag(gram))`` (or ``damp_frac`` itself for
-an all-zero Gram), computed in one factorization by
+an all-zero Gram). :func:`build_hessian_cholesky` reads only the Gram matrix
+(an accumulator's ``gram``, or the ``gram`` section of a file written by
+``mgquant gram``) and computes the factor in one factorization by
 :func:`mgquant.linalg.cholesky_of_inverse` without forming the inverse.
 
 Rows are copied into one float64 buffer and folded into the Gram in fixed
@@ -22,7 +24,6 @@ files bit-identical to one concatenated file.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,57 +31,10 @@ import numpy as np
 from .linalg import NotPositiveDefiniteError, cholesky_of_inverse
 from .linalg import cholesky, spd_inverse  # noqa: F401  (bench/tracing.py patches these names)
 
-__all__ = ["CalibrationSet", "GramAccumulator", "build_hessian_cholesky"]
+__all__ = ["GramAccumulator", "build_hessian_cholesky"]
 
 #: Rows per Gram flush. Fixed so results are independent of batch splits.
 CHUNK_ROWS = 2048
-
-
-@dataclass(frozen=True)
-class CalibrationSet:
-    """A list of activation batches, all with the same feature dimension.
-
-    Iterating yields the batches, so a set can stand wherever a stream of
-    batches is read (see :func:`mgquant.gptq.proxy_loss`).
-    """
-
-    batches: list[np.ndarray]
-
-    def __post_init__(self):
-        if not self.batches:
-            raise ValueError("calibration set needs at least one batch")
-        d = None
-        total = 0
-        for i, b in enumerate(self.batches):
-            b = np.asarray(b)
-            if b.ndim != 2:
-                raise ValueError(f"calibration batch {i} must be 2-D, got shape {b.shape}")
-            if not np.isfinite(b).all():
-                raise ValueError(f"calibration batch {i} contains NaN/Inf")
-            if d is None:
-                d = b.shape[1]
-            elif b.shape[1] != d:
-                raise ValueError(
-                    f"calibration batch {i} has {b.shape[1]} columns, expected {d}"
-                )
-            total += b.shape[0]
-        if total < 1:
-            raise ValueError("calibration set has no rows")
-
-    @classmethod
-    def from_matrix(cls, x: np.ndarray) -> "CalibrationSet":
-        return cls(batches=[np.asarray(x)])
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.batches)
-
-    @property
-    def d_col(self) -> int:
-        return int(np.asarray(self.batches[0]).shape[1])
-
-    @property
-    def total_rows(self) -> int:
-        return int(sum(np.asarray(b).shape[0] for b in self.batches))
 
 
 @dataclass
@@ -97,18 +51,6 @@ class GramAccumulator:
         if self.d_col < 1:
             raise ValueError(f"d_col must be >= 1, got {self.d_col}")
         self._gram = np.zeros((self.d_col, self.d_col), dtype=np.float64)
-
-    @classmethod
-    def from_gram(cls, gram: np.ndarray, samples_seen: int) -> "GramAccumulator":
-        """Rehydrate an accumulator from a previously saved Gram matrix."""
-        gram = np.asarray(gram, dtype=np.float64)
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise ValueError(f"gram must be square, got shape {gram.shape}")
-        if samples_seen < 0:
-            raise ValueError(f"samples_seen must be >= 0, got {samples_seen}")
-        acc = cls(d_col=gram.shape[0], samples_seen=int(samples_seen))
-        acc._gram = gram.copy()
-        return acc
 
     def accumulate(self, batch: np.ndarray) -> "GramAccumulator":
         """Fold one activation batch (rows x d_col) into the running Gram.
@@ -157,24 +99,24 @@ def _fold(rows: np.ndarray, gram: np.ndarray) -> None:
     gram += prod
 
 
-def build_hessian_cholesky(acc: GramAccumulator, damp_frac: float = 0.01) -> np.ndarray:
+def build_hessian_cholesky(gram: np.ndarray, damp_frac: float = 0.01) -> np.ndarray:
     """Upper Cholesky factor of the damped inverse Gram.
 
     Returns T (float64, upper triangular) with
-    ``T.T @ T == (gram + lambda*I)^{-1}``.
+    ``T.T @ T == (gram + lambda*I)^{-1}``. ``gram`` is left as it is.
 
     Raises:
         NotPositiveDefiniteError: if the damped Gram still fails to factor;
             the message advises a larger ``damp_frac``.
     """
-    if acc.samples_seen < 1:
-        raise ValueError("no calibration samples accumulated")
     if not 0 <= damp_frac < np.inf:  # NaN fails too
         raise ValueError(f"damp_frac must be finite and >= 0, got {damp_frac}")
-    damped = acc.gram  # a copy, damped in place
+    damped = np.array(gram, dtype=np.float64)  # one copy, damped in place
+    if damped.ndim != 2 or damped.shape[0] != damped.shape[1] or not damped.size:
+        raise ValueError(f"gram must be square and non-empty, got shape {damped.shape}")
     mean_diag = float(np.mean(np.diag(damped)))
     lam = damp_frac * mean_diag if mean_diag != 0.0 else damp_frac
-    damped.flat[:: acc.d_col + 1] += lam
+    damped.flat[:: damped.shape[0] + 1] += lam
     try:
         return cholesky_of_inverse(damped)
     except NotPositiveDefiniteError as exc:

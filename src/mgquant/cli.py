@@ -123,13 +123,12 @@ def cmd_gram(args) -> int:
 
 def cmd_hessian(args) -> int:
     sections = _read(args.gram, "gram", "samples")
-    samples = sections["samples"]
-    if samples.size != 1 or not (samples.flat[0] >= 0 and float(samples.flat[0]).is_integer()):
-        raise ValueError(f"{args.gram}: 'samples' must hold one non-negative whole number")
-    acc = GramAccumulator.from_gram(sections["gram"], int(samples.flat[0]))
-    hc = build_hessian_cholesky(acc, damp_frac=args.damp)
+    samples = sections.pop("samples")
+    if samples.size != 1 or not (samples.flat[0] > 0 and float(samples.flat[0]).is_integer()):
+        raise ValueError(f"{args.gram}: 'samples' must hold one positive whole number")
+    hc = build_hessian_cholesky(sections.pop("gram"), damp_frac=args.damp)
     write_tensor_file(args.out, {"hessian_cholesky": hc})
-    _emit({"out": args.out, "d_col": acc.d_col, "damp": args.damp})
+    _emit({"out": args.out, "d_col": hc.shape[0], "damp": args.damp})
     return 0
 
 
@@ -188,7 +187,11 @@ def _write_layer(args, result: QuantResult, timings: AllocatorTimings, t_max: in
 def cmd_quantize(args) -> int:
     w = _load_weights(args.weights)
     hc = _load_hessian(args.hessian)
-    params = params_from_sections(read_tensor_file(args.params))
+    sections = _read(args.params, "w0", "w1", "wc", "bc")
+    try:
+        params = params_from_sections(sections)
+    except ValueError as exc:
+        raise ValueError(f"{args.params}: {exc}") from None
     calib = _CalibFiles(args.calib) if args.calib else None
     dtype = np.float32 if args.precision == "f32" else np.float64
     result, timings = quantize_with_allocator(

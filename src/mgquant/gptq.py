@@ -219,14 +219,15 @@ def gram_break_even(d_row: int, d_col: int) -> float:
 def proxy_loss(w: np.ndarray, q: np.ndarray, calib: Iterable[np.ndarray]) -> float:
     """Layer output distortion ``||(w - q) @ X^T||_F^2 / m`` over all calibration rows.
 
-    ``calib`` is read once, batch by batch: a ``CalibrationSet`` or any
-    stream of 2-D batches. Up to :func:`gram_break_even` rows the batches
-    are held and the loss is summed batch by batch in row order. Past it,
-    the held batches and every later one are folded into a
-    :class:`GramAccumulator` G = 2 X^T X, the fold ``mgquant gram`` uses,
-    and the loss is ``sum((D G) . D) / (2 m)`` with D = w - q. That side
-    depends only on the concatenated rows, not on how they are split into
-    batches. Ties go to the row order.
+    ``calib`` is read once, batch by batch: a list of 2-D batches or any
+    stream of them. Every batch must have ``w``'s column count, the batches
+    at least one row between them, and every entry must be finite. Up to
+    :func:`gram_break_even` rows the batches are held and the loss is summed
+    batch by batch in row order. Past it, the held batches and every later
+    one are folded into a :class:`GramAccumulator` G = 2 X^T X, the fold
+    ``mgquant gram`` uses, and the loss is ``sum((D G) . D) / (2 m)`` with
+    D = w - q. That side depends only on the concatenated rows, not on how
+    they are split into batches. Ties go to the row order.
     """
     w = np.asarray(w, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -254,13 +255,16 @@ def proxy_loss(w: np.ndarray, q: np.ndarray, calib: Iterable[np.ndarray]) -> flo
                     acc.accumulate(held.pop(0))
         del batch  # keep no folded batch alive while the next one is read
     if m == 0:
-        raise ValueError("calibration set has no rows")
+        raise ValueError("calibration batches have no rows")
     diff = w - q
     if acc is not None:
         # The sum of d^T G d over rows d of D is >= 0; rounding may not keep it so.
         return max(float(np.sum((diff @ acc.gram) * diff)) / (2 * m), 0.0)
     total = 0.0
     for batch in held:
-        proj = diff @ np.asarray(batch, dtype=np.float64).T
+        batch = np.asarray(batch, dtype=np.float64)
+        if not np.isfinite(batch).all():  # the Gram order checks in accumulate
+            raise ValueError("calibration batch contains NaN/Inf")
+        proj = diff @ batch.T
         total += float(np.sum(proj * proj))
     return total / m

@@ -2,9 +2,9 @@
 
 Weight files carry a 2-D ``weights`` section; Gram files carry ``gram`` and
 ``samples``; hessian files carry ``hessian_cholesky`` (upper triangular);
-allocator parameter files carry ``w0/w1/wc/bc`` (optionally ``wf/bf``).
-Quantized outputs carry the dequantized ``quantized`` matrix, u8 ``codes``,
-per-column ``scales``/``zeros`` grids and u8 ``widths``, which
+allocator parameter files carry ``w0/w1/wc/bc`` (optionally ``wf/bf``) and
+nothing else. Quantized outputs carry the dequantized ``quantized`` matrix,
+u8 ``codes``, per-column ``scales``/``zeros`` grids and u8 ``widths``, which
 :func:`result_to_sections` takes as they are from the
 :class:`~mgquant.gptq.QuantResult` arrays. :func:`widths_for` is the one
 inference path of the allocator, for the graph and the MLP ablation alike.
@@ -101,26 +101,15 @@ def params_to_sections(params: AllocatorParams) -> dict[str, np.ndarray]:
 
 
 def params_from_sections(sections: dict[str, np.ndarray]) -> AllocatorParams:
-    """Rebuild allocator parameters.
+    """Rebuild allocator parameters from the sections :func:`params_to_sections` writes.
 
-    Older files also carry a one-byte ``flags`` section; 0 loads, while bit 0
-    (trained over a symmetrized adjacency, no longer supported) is rejected.
+    Any other section is an error, so that an older file whose ``flags``
+    section changed the adjacency it was trained on does not load silently.
     """
-    missing = [k for k in ("w0", "w1", "wc", "bc") if k not in sections]
-    if missing:
-        raise ValueError(f"allocator parameter file is missing sections: {missing}")
-    flags = sections.get("flags")
-    if flags is not None and flags.size and int(flags.flat[0]) & 1:
-        raise ValueError("allocator parameters trained on a symmetrized adjacency "
-                         "(flags bit 0) are no longer supported; retrain them")
-    return AllocatorParams(
-        w0=np.asarray(sections["w0"], dtype=np.float64),
-        w1=np.asarray(sections["w1"], dtype=np.float64),
-        wc=np.asarray(sections["wc"], dtype=np.float64),
-        bc=np.asarray(sections["bc"], dtype=np.float64),
-        wf=np.asarray(sections["wf"], dtype=np.float64) if "wf" in sections else None,
-        bf=np.asarray(sections["bf"], dtype=np.float64) if "bf" in sections else None,
-    )
+    unknown = sorted(set(sections) - {"w0", "w1", "wc", "bc", "wf", "bf"})
+    if unknown:
+        raise ValueError(f"unknown allocator parameter sections {unknown}")
+    return AllocatorParams(**{k: np.asarray(v, dtype=np.float64) for k, v in sections.items()})
 
 
 def result_to_sections(result: QuantResult) -> dict[str, np.ndarray]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import CalibrationSet, GramAccumulator, build_hessian_cholesky
+from .calibration import GramAccumulator, build_hessian_cholesky
 
 __all__ = [
     "correlated_calibration",
@@ -67,21 +67,20 @@ def make_layer(
     weight_scale: float = WEIGHT_SCALE,
     calib_scale: float = CALIB_SCALE,
     damp_frac: float = 0.01,
-) -> tuple[np.ndarray, np.ndarray, CalibrationSet]:
-    """One synthetic layer: weights, hessian factor, calibration set."""
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """One synthetic layer: weights, hessian factor, calibration batches ``[x]``."""
     if decades > 0:
         w = salient_weights(rng, d_row, d_col, decades=decades, scale=weight_scale)
     else:
         w = weight_scale * rng.standard_normal((d_row, d_col))
     x = correlated_calibration(rng, calib_rows, d_col, scale=calib_scale)
-    acc = GramAccumulator(d_col=d_col).accumulate(x)
-    hc = build_hessian_cholesky(acc, damp_frac=damp_frac)
-    return w, hc, CalibrationSet.from_matrix(x)
+    hc = build_hessian_cholesky(GramAccumulator(d_col=d_col).accumulate(x).gram, damp_frac)
+    return w, hc, [x]
 
 
 def regression_fixture(
     seed: int = 7, n_layers: int = 8, d_row: int = 256, d_col: int = 256
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[CalibrationSet]]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[list[np.ndarray]]]:
     """The 8-layer 256x256 training fixture used by the acceptance suite.
 
     Mild (one-decade) salience spread: enough heterogeneity for the expected
@@ -106,7 +105,7 @@ def regression_fixture(
 
 def salience_instance(
     seed: int, d_row: int = 64, d_col: int = 64, calib_rows: int = 256
-) -> tuple[np.ndarray, np.ndarray, CalibrationSet]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """A single strongly heterogeneous layer (two decades of column scales)."""
     rng = np.random.default_rng(seed)
     return make_layer(

@@ -290,7 +290,7 @@ def test_criterion_10_ablation_harness(tmp_path, fixture_layers):
     w, hc = layers[0]
     write_tensor_file(tmp_path / "w.mgqt", {"weights": w})
     write_tensor_file(tmp_path / "h.mgqt", {"hessian_cholesky": hc})
-    write_tensor_file(tmp_path / "c.mgqt", {"batch0": calibs[0].batches[0]})
+    write_tensor_file(tmp_path / "c.mgqt", {"batch0": calibs[0][0]})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "epochs": 150, "lr": 5e-3, "accum_steps": 4, "d_gnn": 64, "hidden": 64,

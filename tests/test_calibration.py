@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from mgquant.calibration import (
-    CHUNK_ROWS,
-    CalibrationSet,
-    GramAccumulator,
-    build_hessian_cholesky,
-)
+from mgquant.calibration import CHUNK_ROWS, GramAccumulator, build_hessian_cholesky
 from mgquant.linalg import NotPositiveDefiniteError
 
 
@@ -106,12 +101,11 @@ class TestAccumulate:
 class TestBuildHessianCholesky:
     def test_identity_calibration(self):
         acc = GramAccumulator(d_col=2).accumulate(np.eye(2))
-        hc = build_hessian_cholesky(acc, damp_frac=0.0)
+        hc = build_hessian_cholesky(acc.gram, damp_frac=0.0)
         assert np.allclose(hc, 0.70710678 * np.eye(2), atol=1e-8)
 
     def test_diagonal_gram(self):
-        acc = GramAccumulator.from_gram(np.diag([2.0, 8.0]), samples_seen=4)
-        hc = build_hessian_cholesky(acc, damp_frac=0.0)
+        hc = build_hessian_cholesky(np.diag([2.0, 8.0]), damp_frac=0.0)
         assert np.allclose(np.diag(hc), [1 / np.sqrt(2.0), 1 / np.sqrt(8.0)])
         assert hc[1, 0] == 0.0 and hc[0, 1] == 0.0
 
@@ -119,8 +113,8 @@ class TestBuildHessianCholesky:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((64, 16))
         acc = GramAccumulator(d_col=16).accumulate(x)
-        hc = build_hessian_cholesky(acc, damp_frac=0.01)
         gram = acc.gram
+        hc = build_hessian_cholesky(gram, damp_frac=0.01)
         lam = 0.01 * np.mean(np.diag(gram))
         residual = hc.T @ hc @ (gram + lam * np.eye(16))
         assert np.max(np.abs(residual - np.eye(16))) < 1e-5
@@ -129,7 +123,7 @@ class TestBuildHessianCholesky:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((50, 10))
         acc = GramAccumulator(d_col=10).accumulate(x)
-        hc = build_hessian_cholesky(acc)
+        hc = build_hessian_cholesky(acc.gram)
         assert np.all(np.tril(hc, k=-1) == 0.0)
         assert np.all(np.diag(hc) > 0.0)
 
@@ -146,44 +140,33 @@ class TestBuildHessianCholesky:
                 assert mn > prev
             prev = mn
 
-    def test_requires_samples(self):
-        with pytest.raises(ValueError, match="samples"):
-            build_hessian_cholesky(GramAccumulator(d_col=2))
+    def test_non_square_gram_rejected(self):
+        for gram in (np.ones((2, 3)), np.ones(4), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="square"):
+                build_hessian_cholesky(gram)
+
+    def test_gram_left_unchanged(self):
+        gram = np.diag([2.0, 8.0])
+        build_hessian_cholesky(gram, damp_frac=0.5)
+        assert np.array_equal(gram, np.diag([2.0, 8.0]))
 
     def test_negative_damp_rejected(self):
-        acc = GramAccumulator(d_col=2).accumulate(np.eye(2))
         with pytest.raises(ValueError):
-            build_hessian_cholesky(acc, damp_frac=-0.1)
+            build_hessian_cholesky(2.0 * np.eye(2), damp_frac=-0.1)
 
     def test_nonfinite_damp_rejected(self):
-        acc = GramAccumulator(d_col=2).accumulate(np.eye(2))
         for damp in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="damp_frac"):
-                build_hessian_cholesky(acc, damp_frac=damp)
+                build_hessian_cholesky(2.0 * np.eye(2), damp_frac=damp)
 
     def test_indefinite_gram_advises_larger_damp(self):
-        acc = GramAccumulator.from_gram(np.diag([1.0, -5.0]), samples_seen=1)
         with pytest.raises(NotPositiveDefiniteError, match="damp_frac"):
-            build_hessian_cholesky(acc, damp_frac=0.0)
+            build_hessian_cholesky(np.diag([1.0, -5.0]), damp_frac=0.0)
 
     def test_zero_gram_uses_absolute_damp(self):
         acc = GramAccumulator(d_col=3)
         acc.accumulate(np.zeros((2, 3)))
-        hc = build_hessian_cholesky(acc, damp_frac=0.25)
+        hc = build_hessian_cholesky(acc.gram, damp_frac=0.25)
         # gram is zero, lambda = 0.25, inverse = 4*I, factor = 2*I
         assert np.allclose(hc, 2.0 * np.eye(3))
 
-
-class TestCalibrationSet:
-    def test_validates_batches(self):
-        with pytest.raises(ValueError):
-            CalibrationSet(batches=[])
-        with pytest.raises(ValueError):
-            CalibrationSet(batches=[np.zeros((2, 3)), np.zeros((2, 4))])
-        with pytest.raises(ValueError):
-            CalibrationSet(batches=[np.zeros((0, 3))])
-
-    def test_counts(self):
-        cs = CalibrationSet(batches=[np.zeros((2, 3)), np.zeros((5, 3))])
-        assert cs.d_col == 3
-        assert cs.total_rows == 7

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import mgquant
+from mgquant.allocator import init_allocator_params
 from mgquant.calibration import CHUNK_ROWS, GramAccumulator, build_hessian_cholesky
 from mgquant.cli import build_parser, main
+from mgquant.pipeline import params_to_sections
 from mgquant.tensorfile import read_tensor_file, write_tensor_file
 
 
@@ -180,8 +182,8 @@ class TestHessian:
             assert not Path(out).exists()
 
     @pytest.mark.parametrize("samples", [np.zeros(0), np.array([2.0, 2.0]), np.array([2.5]),
-                                         np.array([-2.0])], ids=["empty", "two", "fraction",
-                                                                 "negative"])
+                                         np.array([-2.0]), np.array([0.0])],
+                             ids=["empty", "two", "fraction", "negative", "zero"])
     def test_bad_samples_exit_2(self, tmp_path, capsys, samples):
         gram = tmp_path / "g.mgqt"
         write_tensor_file(gram, {"gram": np.eye(2), "samples": samples})
@@ -341,25 +343,33 @@ class TestQuantizeCli:
         assert reports[0] == reports[1]
         assert reports[0]["config"]["params"] == "params.mgqt"
 
+    def quantize_with_params(self, tmp_path, capsys, sections):
+        """Exit code, stdout, stderr lines and output path of ``quantize`` with these params."""
+        tmp_path.mkdir(exist_ok=True)
+        wdir, hdir, _, _ = make_instance(tmp_path)
+        capsys.readouterr()
+        ppath = tmp_path / "odd_params.mgqt"
+        write_tensor_file(ppath, sections)
+        out = tmp_path / "q.mgqt"
+        rc = main(["quantize", "--weights", str(wdir / "L0.mgqt"),
+                   "--hessian", str(hdir / "L0.mgqt"), "--params", str(ppath),
+                   "--block", "8", "--out", str(out)])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err.strip().splitlines(), out
+
+    def test_params_missing_section_names_file(self, tmp_path, capsys):
+        rc, out, err, q = self.quantize_with_params(tmp_path, capsys, {"w0": np.zeros((8, 8))})
+        assert rc == 2 and out == "" and not q.exists()
+        assert len(err) == 1 and "odd_params.mgqt" in err[0] and "'w1'" in err[0], err
+
     def test_old_params_flags_section(self, tmp_path, capsys):
-        # older parameter files carry a u8 flags section: 0 loads as if absent,
-        # bit 0 (trained on a symmetrized adjacency) exits 2 with one line
-        wdir, hdir, calibs, params = self.make_trained(tmp_path, capsys)
-        sections = read_tensor_file(params)
-        outs = {}
-        for name, extra in (("new", {}), ("flags0", {"flags": np.array([0], np.uint8)}),
-                            ("flags1", {"flags": np.array([1], np.uint8)})):
-            ppath = tmp_path / f"params_{name}.mgqt"
-            write_tensor_file(ppath, {**sections, **extra})
-            outs[name] = tmp_path / f"q_{name}.mgqt"
-            rc = main(["quantize", "--weights", str(wdir / "L0.mgqt"),
-                       "--hessian", str(hdir / "L0.mgqt"), "--params", str(ppath),
-                       "--block", "8", "--out", str(outs[name])])
-            assert rc == (2 if name == "flags1" else 0), name
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "symmetrized adjacency" in err[0]
-        assert outs["flags0"].read_bytes() == outs["new"].read_bytes()
-        assert not outs["flags1"].exists()
+        # files from before the flags section was dropped are refused, flags 0 or not
+        params = params_to_sections(init_allocator_params(8, 8, 4, np.random.default_rng(0)))
+        assert self.quantize_with_params(tmp_path / "new", capsys, params)[0] == 0
+        flags = {**params, "flags": np.array([0], np.uint8)}
+        rc, out, err, q = self.quantize_with_params(tmp_path / "old", capsys, flags)
+        assert rc == 2 and out == "" and not q.exists()
+        assert len(err) == 1 and "odd_params.mgqt" in err[0] and "flags" in err[0], err
 
     def test_representable_fixture_zero_proxy_and_identity_oracle(self, tmp_path, capsys):
         # allocator parameters pinned so every column gets 3 bits; weights
@@ -487,7 +497,7 @@ class TestBlasThreadCount:
         w = (0.01 * rng.standard_normal((d, d))).astype(np.float32)
         write_tensor_file(wdir / "L0.mgqt", {"weights": w})
         x = 0.05 * rng.standard_normal((2 * d, d))
-        hc = build_hessian_cholesky(GramAccumulator(d_col=d).accumulate(x), 0.01)
+        hc = build_hessian_cholesky(GramAccumulator(d_col=d).accumulate(x).gram, 0.01)
         write_tensor_file(hdir / "L0.mgqt", {"hessian_cholesky": hc})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgquant.calibration import CalibrationSet, GramAccumulator, build_hessian_cholesky
+from mgquant.calibration import GramAccumulator, build_hessian_cholesky
 from mgquant.baselines import quantize_rtn_matrix
 from mgquant.cli import main
 from mgquant.gptq import SUB_BLOCK, gram_break_even, proxy_loss, quantize_blockwise
@@ -23,9 +23,8 @@ def correlated_layer(seed, d_row=64, d_col=64, rows=256):
     rng = np.random.default_rng(seed)
     w = 0.05 * rng.standard_normal((d_row, d_col))
     x = rng.standard_normal((rows, d_col)) @ (rng.standard_normal((d_col, d_col)) / np.sqrt(d_col))
-    acc = GramAccumulator(d_col=d_col).accumulate(x)
-    hc = build_hessian_cholesky(acc, 0.01)
-    return w, hc, CalibrationSet.from_matrix(x)
+    hc = build_hessian_cholesky(GramAccumulator(d_col=d_col).accumulate(x).gram, 0.01)
+    return w, hc, [x]
 
 
 class TestEngineBasics:
@@ -199,8 +198,8 @@ class TestEngineOracle:
 
         # proxy loss decomposes over weight rows; per row enumerate every
         # combination of one level per column
-        x = calib.batches[0]
-        m = calib.total_rows
+        x = calib[0]
+        m = x.shape[0]
         level_sets = [
             res.scales[j] * (np.arange(1 << int(res.widths[j]), dtype=np.float64) - res.zeros[j])
             for j in range(4)
@@ -282,27 +281,24 @@ def loop_oracle(w, q, x):
 class TestProxyLoss:
     def test_zero_when_equal(self):
         w = np.ones((3, 4))
-        calib = CalibrationSet.from_matrix(np.ones((5, 4)))
-        assert proxy_loss(w, w, calib) == 0.0
+        assert proxy_loss(w, w, [np.ones((5, 4))]) == 0.0
 
     def test_identity_calibration_reduces_to_frobenius(self):
         rng = np.random.default_rng(12)
         w = rng.standard_normal((3, 4))
         q = rng.standard_normal((3, 4))
-        calib = CalibrationSet.from_matrix(np.eye(4))
         expect = np.sum((w - q) ** 2) / 4.0
-        assert proxy_loss(w, q, calib) == pytest.approx(expect, rel=1e-12)
+        assert proxy_loss(w, q, [np.eye(4)]) == pytest.approx(expect, rel=1e-12)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(13)
         w = rng.standard_normal((4, 5))
         q = rng.standard_normal((4, 5))
         x = rng.standard_normal((7, 5))
-        calib = CalibrationSet.from_matrix(x)
-        assert proxy_loss(w, q, calib) == pytest.approx(loop_oracle(w, q, x), rel=1e-10)
+        assert proxy_loss(w, q, [x]) == pytest.approx(loop_oracle(w, q, x), rel=1e-10)
 
     def test_shape_mismatch(self):
-        calib = CalibrationSet.from_matrix(np.ones((2, 3)))
+        calib = [np.ones((2, 3))]
         with pytest.raises(ShapeMismatchError):
             proxy_loss(np.ones((2, 3)), np.ones((2, 4)), calib)
         with pytest.raises(ShapeMismatchError):
@@ -313,9 +309,29 @@ class TestProxyLoss:
         w = rng.standard_normal((3, 4))
         q = rng.standard_normal((3, 4))
         x = rng.standard_normal((10, 4))
-        split = CalibrationSet(batches=[x[:4], x[4:]])
-        whole = CalibrationSet.from_matrix(x)
-        assert proxy_loss(w, q, split) == pytest.approx(proxy_loss(w, q, whole), rel=1e-12)
+        split = proxy_loss(w, q, [x[:4], x[4:]])
+        assert split == pytest.approx(proxy_loss(w, q, [x]), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("rows", [16, 17], ids=["row-order", "gram-order"])
+    def test_nonfinite_batch_rejected(self, bad, rows):
+        # d_row = d_col = 8 gives m* = 16: 16 rows stay in row order, 17 fold a Gram
+        w = np.ones((8, 8))
+        x = np.ones((rows, 8))
+        x[3, 5] = bad
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            proxy_loss(w, 0.5 * w, [x[:4], x[4:]])
+
+    def test_batch_column_counts_differ(self):
+        w = np.ones((2, 3))
+        with pytest.raises(ShapeMismatchError):
+            proxy_loss(w, w, [np.ones((2, 3)), np.ones((2, 4))])
+
+    def test_no_batches_or_no_rows_rejected(self):
+        w = np.ones((2, 3))
+        for calib in ([], [np.zeros((0, 3))], [np.zeros((0, 3)), np.zeros((0, 3))]):
+            with pytest.raises(ValueError, match="no rows"):
+                proxy_loss(w, w, calib)
 
 
 class TestStreamedProxyLoss:

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 
-from mgquant.calibration import CalibrationSet
 from mgquant.gptq import quantize_blockwise
 from mgquant.report import SCHEMA, build_report, dump_report, layer_entry, write_report
 
@@ -18,8 +17,7 @@ def golden_result():
         [3.0, -1.0, -3.0, -1.5],
     ])
     hc = np.eye(4)
-    calib = CalibrationSet.from_matrix(np.eye(4))
-    return quantize_blockwise(w, hc, np.array([2, 1, 2, 3]), block_size=2, calib=calib)
+    return quantize_blockwise(w, hc, np.array([2, 1, 2, 3]), block_size=2, calib=[np.eye(4)])
 
 
 def golden_report():
