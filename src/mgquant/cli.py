@@ -154,8 +154,12 @@ def _paired_layers(weights_dir: str, hessians_dir: str) -> list[tuple[str, Path,
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config) if args.config else TrainConfig()
     pairs = _paired_layers(args.weights, args.hessians)
+    # Training runs in float64: convert each file as it loads, so no stored
+    # array stays alive beside its float64 copy.
     layers = [
-        (_load_weights(str(wp)), _load_hessian(str(hp))) for _, wp, hp in pairs
+        (_load_weights(str(wp)).astype(np.float64, copy=False),
+         _load_hessian(str(hp)).astype(np.float64, copy=False))
+        for _, wp, hp in pairs
     ]
     params, records = train(layers, cfg, arch="gcn")
     write_tensor_file(args.out, params_to_sections(params))
@@ -185,15 +189,17 @@ def _write_layer(args, result: QuantResult, timings: AllocatorTimings, t_max: in
 
 
 def cmd_quantize(args) -> int:
-    w = _load_weights(args.weights)
-    hc = _load_hessian(args.hessian)
+    # The engine works in the chosen precision: convert each file as it
+    # loads, so no stored array stays alive beside its converted copy.
+    dtype = np.float32 if args.precision == "f32" else np.float64
+    w = _load_weights(args.weights).astype(dtype, copy=False)
+    hc = _load_hessian(args.hessian).astype(dtype, copy=False)
     sections = _read(args.params, "w0", "w1", "wc", "bc")
     try:
         params = params_from_sections(sections)
     except ValueError as exc:
         raise ValueError(f"{args.params}: {exc}") from None
     calib = _CalibFiles(args.calib) if args.calib else None
-    dtype = np.float32 if args.precision == "f32" else np.float64
     result, timings = quantize_with_allocator(
         w, hc, params, block_size=args.block, dtype=dtype, calib=calib
     )
@@ -226,7 +232,10 @@ def cmd_eval(args) -> int:
             f"shape mismatch: {args.orig} has {w.shape}, {args.quant} has {q.shape}"
         )
     loss = proxy_loss(w, q, _CalibFiles(args.calib))
-    max_abs = float(np.max(np.abs(np.asarray(w, dtype=np.float64) - q))) if w.size else 0.0
+    max_abs = 0.0
+    if w.size:
+        diff = np.subtract(w, q, dtype=np.float64)
+        max_abs = float(np.max(np.abs(diff, out=diff)))
     payload = {
         "proxy_loss": loss,
         "max_abs_error": max_abs,

@@ -27,7 +27,11 @@ The engine works on ``W.T``, so each column is a contiguous row, and
 quantizes it with :func:`mgquant.quant.quantize`. The errors of a block are
 kept the same way, one row of a ``(block, d_row)`` buffer per column, so
 both products write contiguous rows: ``work[end:] -= hc[block, end:].T @ E``.
-The result carries the codes as one u8 matrix and the grids as per-column
+As in GPTQ's reference code, the engine quantizes in place: once e_j is
+formed (in the work dtype), row j of ``work`` is overwritten with column j's
+quantized values, so the engine holds one float copy of the matrix. The
+result carries ``quantized`` and the u8 ``codes`` as transposed views of the
+engine's ``(d_col, d_row)`` buffers, and the grids as per-column
 ``scales``/``zeros`` arrays; widths above 8 bits are rejected because a
 code must fit in a byte.
 """
@@ -63,8 +67,11 @@ class QuantResult:
     Attributes:
         quantized: dequantized weight matrix, same shape/dtype as the input;
             column j equals ``scales[j] * (codes[:, j] - zeros[j])`` cast
-            to that dtype.
-        codes: u8 integer codes, same shape as ``quantized``.
+            to that dtype. The engine returns it as a transposed view of its
+            column-major work buffer, so it need not be C-contiguous; the
+            container writer makes it row-major.
+        codes: u8 integer codes, same shape (and, from the engine, the same
+            column-major layout) as ``quantized``.
         scales, zeros: the grid of each column (float64, length d_col).
         widths: the bit assignment actually applied (copy).
         block_errors: per block, the sum of squared compensation entries.
@@ -123,7 +130,7 @@ def quantize_blockwise(
 
     Args:
         w: weight matrix (d_row x d_col), float32 or float64; work happens
-            in this dtype.
+            in this dtype, on a copy (``w`` is left unchanged).
         hc: upper-triangular Cholesky factor of the damped inverse Gram
             (d_col x d_col) with strictly positive diagonal.
         widths: per-column bit widths, each in 1..8.
@@ -154,9 +161,9 @@ def quantize_blockwise(
     hc = hc.astype(w.dtype, copy=False)
     start = time.perf_counter()
 
-    # Row j of each (d_col, d_row) buffer is column j of the matrix.
+    # Row j of each (d_col, d_row) buffer is column j of the matrix. Once
+    # column j is quantized, row j of ``work`` holds its quantized values.
     work = np.array(w.T, order="C")
-    quantized = np.empty_like(work)
     codes = np.empty(work.shape, dtype=np.uint8)
     scales = np.empty(d_col, dtype=np.float64)
     zeros = np.empty(d_col, dtype=np.float64)
@@ -172,9 +179,11 @@ def quantize_blockwise(
                 col = work[j]
                 if residuals is not None:
                     residuals[j] = col
-                quantized[j], codes[j], scales[j], zeros[j] = quantize(col, int(widths[j]))
+                q, codes[j], scales[j], zeros[j] = quantize(col, int(widths[j]))
+                q = q.astype(work.dtype, copy=False)
                 err = errs[j - b]
-                np.subtract(col, quantized[j], out=err)
+                np.subtract(col, q, out=err)
+                col[...] = q
                 err /= hc[j, j]
                 if j + 1 < f:
                     work[j + 1 : f] -= hc[j, j + 1 : f, None] * err
@@ -186,13 +195,11 @@ def quantize_blockwise(
         if e < d_col:
             work[e:] -= hc[b:e, e:].T @ errs
 
-    quantized = np.ascontiguousarray(quantized.T)
-    codes = np.ascontiguousarray(codes.T)
     wall = time.perf_counter() - start
-    loss = proxy_loss(w, quantized, calib) if calib is not None else None
+    loss = proxy_loss(w, work.T, calib) if calib is not None else None
     return QuantResult(
-        quantized=quantized,
-        codes=codes,
+        quantized=work.T,
+        codes=codes.T,
         scales=scales,
         zeros=zeros,
         widths=widths.copy(),
@@ -229,8 +236,8 @@ def proxy_loss(w: np.ndarray, q: np.ndarray, calib: Iterable[np.ndarray]) -> flo
     D = w - q. That side depends only on the concatenated rows, not on how
     they are split into batches. Ties go to the row order.
     """
-    w = np.asarray(w, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+    w = np.asarray(w)
+    q = np.asarray(q)
     if w.shape != q.shape:
         raise ShapeMismatchError(f"weight shapes differ: {w.shape} vs {q.shape}")
     d_row, d_col = w.shape
@@ -256,15 +263,20 @@ def proxy_loss(w: np.ndarray, q: np.ndarray, calib: Iterable[np.ndarray]) -> flo
         del batch  # keep no folded batch alive while the next one is read
     if m == 0:
         raise ValueError("calibration batches have no rows")
-    diff = w - q
+    # Float64 D without float64 copies of w and q; every product below is
+    # taken in place, with the bits of the out-of-place form.
+    diff = np.subtract(w, q, dtype=np.float64)
     if acc is not None:
+        prod = diff @ acc.gram
+        prod *= diff
         # The sum of d^T G d over rows d of D is >= 0; rounding may not keep it so.
-        return max(float(np.sum((diff @ acc.gram) * diff)) / (2 * m), 0.0)
+        return max(float(np.sum(prod)) / (2 * m), 0.0)
     total = 0.0
-    for batch in held:
-        batch = np.asarray(batch, dtype=np.float64)
+    while held:
+        batch = np.asarray(held.pop(0), dtype=np.float64)
         if not np.isfinite(batch).all():  # the Gram order checks in accumulate
             raise ValueError("calibration batch contains NaN/Inf")
         proj = diff @ batch.T
-        total += float(np.sum(proj * proj))
+        del batch  # the float64 rows are not read again
+        total += float(np.sum(np.square(proj, out=proj)))
     return total / m

@@ -35,6 +35,9 @@ LIMIT = np.finfo(np.float64).max / 4
 #: is a multiple of TINY, so the grid then reproduces each value exactly.
 TINY = math.ulp(0.0)
 
+#: Columns :func:`error_table` quantizes at once.
+CHUNK_COLS = 256
+
 
 def _exact_zero(vmin, scale):
     # zero = -vmin/scale up to rounding; where that misses, prefer the
@@ -226,6 +229,12 @@ def error_table(weights: np.ndarray, hc_diag: np.ndarray, t_max: int) -> np.ndar
     the squared norm of the compensation term the blockwise engine would
     emit if column j were quantized at t bits right now. The training loop
     calls this once per layer pass, on the engine's residuals.
+
+    Columns are taken :data:`CHUNK_COLS` at a time, so the temporaries are a
+    few chunks in size whatever the layer's width. Each entry is a sum over
+    one column alone, so the table's bits do not depend on the chunk size.
+    A column-major ``weights`` (the engine's residuals view) is read in
+    place; any other layout is copied one chunk at a time.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
@@ -236,11 +245,12 @@ def error_table(weights: np.ndarray, hc_diag: np.ndarray, t_max: int) -> np.ndar
         raise ValueError(f"hc_diag must have shape ({d_col},), got {hc_diag.shape}")
     if not (hc_diag > 0).all():
         raise ValueError("hc_diag entries must be positive")
-    cols = np.ascontiguousarray(w.T)
     out = np.empty((d_col, t_max), dtype=np.float64)
-    for t in range(1, t_max + 1):
-        diff = quantize(cols, t)[0]
-        diff -= cols
-        out[:, t - 1] = np.sum(np.square(diff, out=diff), axis=-1)
+    for c in range(0, d_col, CHUNK_COLS):
+        cols = np.ascontiguousarray(w[:, c : c + CHUNK_COLS].T)
+        for t in range(1, t_max + 1):
+            diff = quantize(cols, t)[0]
+            diff -= cols
+            out[c : c + CHUNK_COLS, t - 1] = np.sum(np.square(diff, out=diff), axis=-1)
     out /= (hc_diag**2)[:, None]
     return out

@@ -64,14 +64,16 @@ def _coerce(name: str, array: np.ndarray) -> np.ndarray:
     return arr
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path`` and rename it into place."""
+def write_atomic(path: str | Path, *parts) -> None:
+    """Write ``parts`` (bytes-like, in order) to a temp file beside ``path``
+    and rename it into place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -82,6 +84,10 @@ def write_atomic(path: str | Path, data: bytes) -> None:
 def write_tensor_file(path: str | Path, sections: dict[str, np.ndarray]) -> None:
     """Write named arrays to ``path`` atomically, preserving section order.
 
+    Every section is validated first; then each payload goes to the file
+    straight from its array, with no bytes copy. An array that is not
+    C-contiguous (a transposed view, say) is made row-major on the way.
+
     Raises:
         ValueError: for an unsupported dtype, a bad section name or NaN/Inf
             in a float section, before anything is written.
@@ -91,7 +97,7 @@ def write_tensor_file(path: str | Path, sections: dict[str, np.ndarray]) -> None
     if len(sections) > 0xFFFF:
         raise ValueError("too many sections")
 
-    blobs: list[bytes] = [MAGIC, struct.pack("<BH", VERSION, len(sections))]
+    parts: list = [MAGIC, struct.pack("<BH", VERSION, len(sections))]
     for name, array in sections.items():
         arr = _coerce(name, array)
         if arr.dtype != np.uint8 and not np.isfinite(arr).all():
@@ -101,13 +107,13 @@ def write_tensor_file(path: str | Path, sections: dict[str, np.ndarray]) -> None
             raise ValueError(f"section name {name!r} must encode to 1..255 bytes")
         if arr.ndim > 255:
             raise ValueError(f"section {name!r}: too many dimensions")
-        blobs.append(struct.pack("<B", len(encoded)))
-        blobs.append(encoded)
-        blobs.append(struct.pack("<BB", _DTYPE_TO_CODE[arr.dtype], arr.ndim))
-        blobs.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        blobs.append(arr.tobytes(order="C"))
+        parts.append(
+            struct.pack("<B", len(encoded)) + encoded
+            + struct.pack(f"<BB{arr.ndim}Q", _DTYPE_TO_CODE[arr.dtype], arr.ndim, *arr.shape)
+        )
+        parts.append(arr.reshape(-1).view(np.uint8))
 
-    write_atomic(path, b"".join(blobs))
+    write_atomic(path, *parts)
 
 
 class _Reader:

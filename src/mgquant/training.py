@@ -339,6 +339,9 @@ def train(
     summed gradients every ``accum_steps`` passes (a partial window is
     flushed at the epoch boundary).
 
+    Weights and factors already in float64 are used as given, not copied;
+    at most one pass's engine result and activations are alive at a time.
+
     Returns the trained parameters and one log record per (epoch, layer).
     """
     cfg.validate()
@@ -408,6 +411,10 @@ def train(
                 opt.step(param_arrays, pending)
                 pending = _zero_like(params)
                 pending_count = 0
+            # Free this pass's engine buffers and activations before the
+            # next pass allocates its own. The smaller temporaries stay, so
+            # the allocator keeps reusing their pages.
+            del result, cache
         if pending_count:
             opt.step(param_arrays, pending)
             pending = _zero_like(params)

@@ -15,6 +15,7 @@ from mgquant.baselines import quantize_rtn_matrix
 from mgquant.cli import main
 from mgquant.gptq import SUB_BLOCK, gram_break_even, proxy_loss, quantize_blockwise
 from mgquant.linalg import ShapeMismatchError
+from mgquant.pipeline import result_to_sections
 from mgquant.tensorfile import write_tensor_file
 from mgquant.quant import quantize
 
@@ -83,6 +84,29 @@ class TestEngineBasics:
         assert np.array_equal(a.quantized, b.quantized)
         assert np.array_equal(a.block_errors, b.block_errors)
         assert np.array_equal(a.codes, b.codes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weights_left_unchanged(self, dtype):
+        # the engine quantizes in place in its own copy, never in ``w``
+        w, hc, _ = correlated_layer(10, d_row=12, d_col=20, rows=80)
+        w = w.astype(dtype)
+        before = w.copy()
+        res = quantize_blockwise(w, hc, np.arange(20) % 4 + 1, block_size=8,
+                                 keep_residuals=True)
+        assert np.array_equal(w, before)
+        assert not np.shares_memory(res.quantized, w)
+        assert not np.array_equal(res.quantized, w)
+
+    def test_column_major_outputs_write_their_row_major_bytes(self, tmp_path):
+        w, hc, _ = correlated_layer(11, d_row=12, d_col=20, rows=80)
+        res = quantize_blockwise(w.astype(np.float32), hc, np.arange(20) % 4 + 1, block_size=8)
+        for arr in (res.quantized, res.codes):
+            assert arr.flags.f_contiguous and not arr.flags.c_contiguous
+        sections = result_to_sections(res)
+        write_tensor_file(tmp_path / "views.mgqt", sections)
+        write_tensor_file(tmp_path / "copies.mgqt",
+                          {k: np.ascontiguousarray(v) for k, v in sections.items()})
+        assert (tmp_path / "views.mgqt").read_bytes() == (tmp_path / "copies.mgqt").read_bytes()
 
     def test_residuals_match_manual_compensation(self):
         rng = np.random.default_rng(8)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mgquant import quant
 from mgquant.quant import LIMIT, _fit_covering_1d, error_table, quantize
 
 
@@ -205,6 +206,22 @@ class TestErrorTable:
             ref = [np.sum((w[:, j] - quantize(w[:, j], t)[0]) ** 2) / hd[j] ** 2
                    for t in range(1, 5)]
             assert np.array_equal(vec[j], ref)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_chunked_equals_whole_matrix(self, monkeypatch, order):
+        # each entry sums one column, so the chunk size cannot move a bit; the
+        # columns include a constant one and one of a single sign
+        rng = np.random.default_rng(14)
+        w = rng.standard_normal((24, 10)) * np.logspace(-1, 1, 10)
+        w[:, 3] = 0.25
+        w[:, 7] = np.abs(w[:, 7])
+        w = np.asarray(w, order=order)
+        hd = np.abs(rng.standard_normal(10)) + 0.05
+        monkeypatch.setattr(quant, "CHUNK_COLS", 10)
+        whole = error_table(w, hd, 4)
+        for chunk in (1, 3, 4):
+            monkeypatch.setattr(quant, "CHUNK_COLS", chunk)
+            assert np.array_equal(error_table(w, hd, 4), whole)
 
     def test_error_table_validation(self):
         with pytest.raises(ValueError):

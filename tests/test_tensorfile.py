@@ -145,6 +145,21 @@ def test_nonfinite_write_rejected_before_touching_disk(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_any_layout_writes_the_bytes_of_its_row_major_copy(tmp_path):
+    # payloads go to the file straight from the arrays; a transposed or
+    # strided array is written as its C copy
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5, 7))
+    sections = {"t": x.T, "s": x[::2, 1::3], "f": np.asfortranarray(x.astype(np.float32)),
+                "u": rng.integers(0, 256, (7, 5)).astype(np.uint8).T}
+    copies = {k: np.ascontiguousarray(v) for k, v in sections.items()}
+    write_tensor_file(tmp_path / "a.mgqt", sections)
+    write_tensor_file(tmp_path / "b.mgqt", copies)
+    assert (tmp_path / "a.mgqt").read_bytes() == (tmp_path / "b.mgqt").read_bytes()
+    back = read_tensor_file(tmp_path / "a.mgqt")
+    assert all(np.array_equal(back[k], v) for k, v in sections.items())
+
+
 def test_no_sections_rejected(tmp_path):
     # the writer refuses an empty file, so the reader treats one as corrupt
     p = tmp_path / "e.mgqt"
