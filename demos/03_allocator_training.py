@@ -11,7 +11,7 @@ Run: python demos/03_allocator_training.py
 
 import numpy as np
 
-from mgquant import TrainConfig, quantize_blockwise, train, widths_for
+from mgquant import TrainConfig, proxy_loss, quantize_blockwise, train, widths_for
 from mgquant.synth import salience_instance
 
 w, hc, calib = salience_instance(seed=0)
@@ -43,10 +43,12 @@ for t in range(1, 5):
         print(f"  width {t}: {cols.size:>2} columns, "
               f"median |w| scale {np.median(col_scale[cols]):.4f}")
 
-mg = quantize_blockwise(w, hc, widths, block_size=64, calib=calib)
+mg = quantize_blockwise(w, hc, widths, block_size=64)
 split = np.full(d_col, 2)
 split[d_col // 2:] = 3
-fixed = quantize_blockwise(w, hc, split, block_size=64, calib=calib)
-print(f"\nproxy loss, learned allocation: {mg.proxy_loss:.5f}")
-print(f"proxy loss, fixed 2/3 split:    {fixed.proxy_loss:.5f} "
-      f"(learned = {mg.proxy_loss / fixed.proxy_loss:.2%} of fixed)")
+fixed = quantize_blockwise(w, hc, split, block_size=64)
+mg_loss = proxy_loss(w, mg.quantized, calib)
+fixed_loss = proxy_loss(w, fixed.quantized, calib)
+print(f"\nproxy loss, learned allocation: {mg_loss:.5f}")
+print(f"proxy loss, fixed 2/3 split:    {fixed_loss:.5f} "
+      f"(learned = {mg_loss / fixed_loss:.2%} of fixed)")

@@ -9,6 +9,7 @@ import numpy as np
 from mgquant import (
     BaselineSpec,
     TrainConfig,
+    proxy_loss,
     quantize_blockwise,
     run_baseline,
     train,
@@ -23,21 +24,23 @@ cfg = TrainConfig(
 )
 
 rows = []
-for bits in (2, 3):
-    res = run_baseline(BaselineSpec(method="rtn", bits=bits), w, hc, calib=calib)
-    rows.append((f"rtn {bits}-bit", res.mean_bits, res.proxy_loss))
-    res = run_baseline(BaselineSpec(method="gptq-uniform", bits=bits), w, hc,
-                       calib=calib, cfg=cfg)
-    rows.append((f"compensated uniform {bits}-bit", res.mean_bits, res.proxy_loss))
 
-res = run_baseline(BaselineSpec(method="mlp-ptq", bits=2, target_bits=2.5),
-                   w, hc, calib=calib, cfg=cfg)
-rows.append(("mlp-ptq @ 2.5", res.mean_bits, res.proxy_loss))
+
+def add_row(name, res):
+    rows.append((name, res.mean_bits, proxy_loss(w, res.quantized, calib)))
+
+
+for bits in (2, 3):
+    add_row(f"rtn {bits}-bit", run_baseline(BaselineSpec(method="rtn", bits=bits), w, hc))
+    add_row(f"compensated uniform {bits}-bit",
+            run_baseline(BaselineSpec(method="gptq-uniform", bits=bits), w, hc, cfg=cfg))
+
+add_row("mlp-ptq @ 2.5",
+        run_baseline(BaselineSpec(method="mlp-ptq", bits=2, target_bits=2.5), w, hc, cfg=cfg))
 
 params, _ = train([(w, hc)], cfg)
 widths = widths_for(w, hc, params)
-res = quantize_blockwise(w, hc, widths, block_size=64, calib=calib)
-rows.append(("graph allocator @ 2.5", res.mean_bits, res.proxy_loss))
+add_row("graph allocator @ 2.5", quantize_blockwise(w, hc, widths, block_size=64))
 
 print(f"{'method':<30} {'mean bits':>9}   {'proxy loss':>12}")
 for name, bits, loss in rows:

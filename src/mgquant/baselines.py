@@ -7,19 +7,19 @@ an uncorrelated factor the blockwise engine reproduces it exactly.
 ``gptq-uniform`` is the engine with a constant assignment. ``mlp-ptq``
 trains the allocator with the graph layers replaced by plain dense layers
 (node features pooled from the factor rows), then quantizes with the
-resulting assignment.
+resulting assignment. None of them reads calibration data: the caller
+takes the proxy loss of a result with :func:`mgquant.gptq.proxy_loss`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gptq import MAX_BITS, QuantResult, proxy_loss, quantize_blockwise, validate_widths
+from .gptq import MAX_BITS, QuantResult, quantize_blockwise, validate_widths
 from .pipeline import widths_for
 from .quant import quantize
 from .training import TrainConfig, train
@@ -48,9 +48,7 @@ class BaselineSpec:
         return float(self.bits) if self.target_bits is None else float(self.target_bits)
 
 
-def quantize_rtn_matrix(
-    w: np.ndarray, bits: int, calib: Iterable[np.ndarray] | None = None
-) -> QuantResult:
+def quantize_rtn_matrix(w: np.ndarray, bits: int) -> QuantResult:
     """Independent per-column quantization at a fixed width, no compensation."""
     w = np.asarray(w)
     if w.dtype not in (np.float32, np.float64):
@@ -62,7 +60,6 @@ def quantize_rtn_matrix(
     quantized = quantized.T.astype(w.dtype, order="C")
     codes = codes.T.astype(np.uint8, order="C")
     wall = time.perf_counter() - start
-    loss = proxy_loss(w, quantized, calib) if calib is not None else None
     return QuantResult(
         quantized=quantized,
         codes=codes,
@@ -70,7 +67,6 @@ def quantize_rtn_matrix(
         zeros=zeros,
         widths=widths,
         block_errors=np.zeros(0, dtype=np.float64),
-        proxy_loss=loss,
         wall_time=wall,
     )
 
@@ -79,14 +75,13 @@ def run_baseline(
     spec: BaselineSpec,
     w: np.ndarray,
     hc: np.ndarray,
-    calib: Iterable[np.ndarray] | None = None,
     cfg: TrainConfig | None = None,
 ) -> QuantResult:
     """Run one reference method on a single layer."""
     w = np.asarray(w)
     d_col = w.shape[1]
     if spec.method == "rtn":
-        return quantize_rtn_matrix(w, spec.bits, calib=calib)
+        return quantize_rtn_matrix(w, spec.bits)
 
     cfg = cfg if cfg is not None else TrainConfig()
     if spec.method == "gptq-uniform":
@@ -97,8 +92,4 @@ def run_baseline(
         train_cfg = dataclasses.replace(cfg, target_bits=spec.budget)
         params, _ = train([(w, hc)], train_cfg, arch="mlp")
         widths = widths_for(w, np.asarray(hc, dtype=np.float64), params, arch="mlp")
-    return quantize_blockwise(
-        w, hc, widths,
-        block_size=min(cfg.block_size, d_col),
-        calib=calib,
-    )
+    return quantize_blockwise(w, hc, widths, block_size=min(cfg.block_size, d_col))

@@ -171,13 +171,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_layer(args, result: QuantResult, timings: AllocatorTimings, t_max: int,
-                 seed: int, config_echo: dict, **stdout) -> int:
-    """Write a quantized layer, its report and its JSON line (``quantize``, ``baseline``)."""
+def _write_layer(args, w: np.ndarray, result: QuantResult, timings: AllocatorTimings,
+                 t_max: int, seed: int, config_echo: dict, **stdout) -> int:
+    """Take the proxy loss (untimed) and write the layer, report and JSON line of a command."""
+    loss = proxy_loss(w, result.quantized, _CalibFiles(args.calib)) if args.calib else None
     if args.out:
         write_tensor_file(args.out, result_to_sections(result))
     name = Path(args.weights).stem
-    entry = layer_entry(name, result, *result.quantized.shape, t_max)
+    entry = layer_entry(name, result, loss, t_max)
     if args.report:
         row = {"name": name, "allocator_time": timings.allocator_time,
                "engine_time": timings.engine_time, "wall_time": timings.total}
@@ -199,29 +200,25 @@ def cmd_quantize(args) -> int:
         params = params_from_sections(sections)
     except ValueError as exc:
         raise ValueError(f"{args.params}: {exc}") from None
-    calib = _CalibFiles(args.calib) if args.calib else None
-    result, timings = quantize_with_allocator(
-        w, hc, params, block_size=args.block, dtype=dtype, calib=calib
-    )
+    result, timings = quantize_with_allocator(w, hc, params, block_size=args.block, dtype=dtype)
     echo = {"command": "quantize", "block_size": args.block, "precision": args.precision,
             "params": Path(args.params).name}
-    return _write_layer(args, result, timings, params.t_max, 0, echo)
+    return _write_layer(args, w, result, timings, params.t_max, 0, echo)
 
 
 def cmd_baseline(args) -> int:
     cfg = load_run_config(args.config) if args.config else TrainConfig()
     w = _load_weights(args.weights)
     hc = _load_hessian(args.hessian)
-    calib = _CalibFiles(args.calib) if args.calib else None
     spec = BaselineSpec(method=args.method, bits=args.bits, target_bits=args.target_bits)
     start = time.perf_counter()
-    result = run_baseline(spec, w, hc, calib=calib, cfg=cfg)
-    # Time outside the engine: choosing the widths (mlp-ptq's training) and the proxy loss.
+    result = run_baseline(spec, w, hc, cfg=cfg)
+    # Time outside the engine: choosing the widths (mlp-ptq's training).
     outside = time.perf_counter() - start - result.wall_time
     timings = AllocatorTimings(allocator_time=outside, engine_time=result.wall_time)
     echo = {"command": "baseline", "method": spec.method, "bits": spec.bits,
             "target_bits": spec.target_bits, "block_size": cfg.block_size}
-    return _write_layer(args, result, timings, cfg.t_max, cfg.seed, echo, method=spec.method)
+    return _write_layer(args, w, result, timings, cfg.t_max, cfg.seed, echo, method=spec.method)
 
 
 def cmd_eval(args) -> int:

@@ -64,6 +64,8 @@ SUB_BLOCK = 16  # columns per rank-1 sub-block inside a compensation block
 class QuantResult:
     """Everything produced by one blockwise quantization run.
 
+    It holds no proxy loss; take it with ``proxy_loss(w, result.quantized, calib)``.
+
     Attributes:
         quantized: dequantized weight matrix, same shape/dtype as the input;
             column j equals ``scales[j] * (codes[:, j] - zeros[j])`` cast
@@ -75,7 +77,6 @@ class QuantResult:
         scales, zeros: the grid of each column (float64, length d_col).
         widths: the bit assignment actually applied (copy).
         block_errors: per block, the sum of squared compensation entries.
-        proxy_loss: layer output distortion if calibration data was supplied.
         wall_time: seconds spent in the engine (excluded from determinism).
         residuals: compensated value of each column at the moment it was
             quantized (kept only when requested; the training loop feeds
@@ -88,7 +89,6 @@ class QuantResult:
     zeros: np.ndarray
     widths: np.ndarray
     block_errors: np.ndarray
-    proxy_loss: float | None
     wall_time: float
     residuals: np.ndarray | None = None
 
@@ -105,12 +105,11 @@ def validate_widths(widths: np.ndarray, d_col: int, t_max: int | None = None) ->
     w = np.asarray(widths)
     if w.shape != (d_col,):
         raise ShapeMismatchError(f"widths must have shape ({d_col},), got {w.shape}")
+    # NaN, Inf or a float past int64 is no width; it would cast to an arbitrary int64.
     if not np.issubdtype(w.dtype, np.integer):
-        if not np.all(w == np.round(w)):
+        if not np.all((np.abs(w) < 2.0**63) & (w == np.round(w))):
             raise ValueError("widths must be integers")
-        w = w.astype(np.int64)
-    else:
-        w = w.astype(np.int64)
+    w = w.astype(np.int64)
     if w.min() < 1:
         raise ValueError(f"widths must be >= 1, got min {w.min()}")
     if t_max is not None and w.max() > t_max:
@@ -123,10 +122,11 @@ def quantize_blockwise(
     hc: np.ndarray,
     widths: np.ndarray,
     block_size: int = 128,
-    calib: Iterable[np.ndarray] | None = None,
     keep_residuals: bool = False,
 ) -> QuantResult:
     """Quantize ``w`` column-blockwise at per-column widths with compensation.
+
+    The engine reads no calibration data (see :func:`proxy_loss`).
 
     Args:
         w: weight matrix (d_row x d_col), float32 or float64; work happens
@@ -135,7 +135,6 @@ def quantize_blockwise(
             (d_col x d_col) with strictly positive diagonal.
         widths: per-column bit widths, each in 1..8.
         block_size: columns per compensation block (1..d_col).
-        calib: optional calibration batches for the proxy loss, read once.
         keep_residuals: record the compensated column values seen by the
             quantizer (returned as a transposed view, shape d_row x d_col).
     """
@@ -196,7 +195,6 @@ def quantize_blockwise(
             work[e:] -= hc[b:e, e:].T @ errs
 
     wall = time.perf_counter() - start
-    loss = proxy_loss(w, work.T, calib) if calib is not None else None
     return QuantResult(
         quantized=work.T,
         codes=codes.T,
@@ -204,7 +202,6 @@ def quantize_blockwise(
         zeros=zeros,
         widths=widths.copy(),
         block_errors=np.asarray(block_errors, dtype=np.float64),
-        proxy_loss=loss,
         wall_time=wall,
         residuals=None if residuals is None else residuals.T,
     )

@@ -8,12 +8,12 @@ u8 ``codes``, per-column ``scales``/``zeros`` grids and u8 ``widths``, which
 :func:`result_to_sections` takes as they are from the
 :class:`~mgquant.gptq.QuantResult` arrays. :func:`widths_for` is the one
 inference path of the allocator, for the graph and the MLP ablation alike.
+Nothing here reads calibration data: the CLI takes each proxy loss.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +74,6 @@ def quantize_with_allocator(
     params: AllocatorParams,
     block_size: int = 128,
     dtype=np.float32,
-    calib: Iterable[np.ndarray] | None = None,
 ) -> tuple[QuantResult, AllocatorTimings]:
     """Allocate widths with the trained graph allocator, then quantize.
 
@@ -88,11 +87,7 @@ def quantize_with_allocator(
     widths = widths_for(w, hc_t, params)
     allocator_time = time.perf_counter() - start
 
-    result = quantize_blockwise(
-        w, hc_t, widths,
-        block_size=min(block_size, w.shape[1]),
-        calib=calib,
-    )
+    result = quantize_blockwise(w, hc_t, widths, block_size=min(block_size, w.shape[1]))
     return result, AllocatorTimings(allocator_time=allocator_time, engine_time=result.wall_time)
 
 

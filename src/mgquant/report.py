@@ -32,12 +32,14 @@ __all__ = ["SCHEMA", "layer_entry", "build_report", "dump_report", "write_report
 SCHEMA = "mgquant-report-v1"
 
 
-def layer_entry(name: str, result: QuantResult, rows: int, cols: int, t_max: int) -> dict:
+def layer_entry(name: str, result: QuantResult, proxy_loss: float | None, t_max: int) -> dict:
+    """One ``layers`` row; ``proxy_loss`` is None when no calibration was given."""
+    rows, cols = result.quantized.shape
     return {
         "name": name,
         "rows": int(rows),
         "cols": int(cols),
-        "proxy_loss": None if result.proxy_loss is None else float(result.proxy_loss),
+        "proxy_loss": None if proxy_loss is None else float(proxy_loss),
         "mean_bits": round(result.mean_bits, 3),
         "bit_histogram": result.bit_histogram(t_max),
         "block_error_sum": float(np.sum(result.block_errors)),

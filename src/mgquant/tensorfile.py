@@ -51,17 +51,12 @@ class TensorFileError(Exception):
 
 def _coerce(name: str, array: np.ndarray) -> np.ndarray:
     arr = np.asarray(array, order="C")  # keeps 0-d arrays 0-d
-    if arr.dtype == np.float32:
-        arr = arr.astype("<f4", copy=False)
-    elif arr.dtype == np.float64:
-        arr = arr.astype("<f8", copy=False)
-    elif arr.dtype == np.uint8:
-        arr = arr.astype("u1", copy=False)
-    else:
+    stored = arr.dtype.newbyteorder("<")  # either byte order stores little-endian
+    if stored not in _DTYPE_TO_CODE:
         raise ValueError(
             f"section {name!r}: unsupported dtype {arr.dtype} (float32/float64/uint8)"
         )
-    return arr
+    return arr.astype(stored, copy=False)
 
 
 def write_atomic(path: str | Path, *parts) -> None:

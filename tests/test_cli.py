@@ -14,6 +14,7 @@ import mgquant
 from mgquant.allocator import init_allocator_params
 from mgquant.calibration import CHUNK_ROWS, GramAccumulator, build_hessian_cholesky
 from mgquant.cli import build_parser, main
+from mgquant.gptq import gram_break_even
 from mgquant.pipeline import params_to_sections
 from mgquant.tensorfile import read_tensor_file, write_tensor_file
 
@@ -455,6 +456,42 @@ class TestQuantizeCli:
         for name in runs:
             assert payloads[name]["mean_bits"] == reports[name]["layers"][0]["mean_bits"]
             assert payloads[name]["proxy_loss"] == reports[name]["layers"][0]["proxy_loss"]
+
+
+class TestOneLossPerCommand:
+    """`quantize` and `baseline` print exactly the proxy loss that `eval` prints
+    for the file each wrote, in row order (m <= m*) and through the Gram."""
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("rows", [40, 4000])
+    def test_quantize_and_baseline_match_eval(self, tmp_path, capsys, rows, precision):
+        d_row, d_col = 64, 48
+        assert (rows > gram_break_even(d_row, d_col)) == (rows == 4000)
+        rng = np.random.default_rng(rows)
+        dtype = np.float32 if precision == "f32" else np.float64
+        files = {n: str(tmp_path / f"{n}.mgqt") for n in ("w", "c0", "c1", "g", "h", "p")}
+        write_tensor_file(files["w"], {"weights": (0.01 * rng.standard_normal((d_row, d_col)))
+                                       .astype(dtype)})
+        x = 0.05 * rng.standard_normal((rows, d_col))
+        write_tensor_file(files["c0"], {"a": x[:7], "b": x[7:rows // 2]})
+        write_tensor_file(files["c1"], {"a": x[rows // 2:]})
+        calib = ["--calib", files["c0"], files["c1"]]
+        assert main(["gram", *calib, "--out", files["g"]]) == 0
+        assert main(["hessian", "--gram", files["g"], "--out", files["h"]]) == 0
+        write_tensor_file(files["p"], params_to_sections(init_allocator_params(8, 8, 4, rng)))
+        layer = ["--weights", files["w"], "--hessian", files["h"], *calib]
+        runs = {
+            "quantize": ["quantize", *layer, "--params", files["p"], "--block", "16",
+                         "--precision", precision],
+            "baseline": ["baseline", "--method", "gptq-uniform", *layer],
+        }
+        for name, argv in runs.items():
+            out = str(tmp_path / f"{name}_q.mgqt")
+            capsys.readouterr()
+            assert main([*argv, "--out", out]) == 0
+            printed = last_json_line(capsys)["proxy_loss"]
+            assert main(["eval", "--orig", files["w"], "--quant", out, *calib]) == 0
+            assert printed > 0 and printed == last_json_line(capsys)["proxy_loss"], name
 
 
 class TestLowerFactorRejected:

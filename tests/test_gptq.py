@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 from mgquant.calibration import GramAccumulator, build_hessian_cholesky
 from mgquant.baselines import quantize_rtn_matrix
 from mgquant.cli import main
-from mgquant.gptq import SUB_BLOCK, gram_break_even, proxy_loss, quantize_blockwise
+from mgquant.gptq import (
+    SUB_BLOCK,
+    gram_break_even,
+    proxy_loss,
+    quantize_blockwise,
+    validate_widths,
+)
 from mgquant.linalg import ShapeMismatchError
 from mgquant.pipeline import result_to_sections
 from mgquant.tensorfile import write_tensor_file
@@ -216,9 +223,10 @@ class TestEngineOracle:
         # (on the engine's own grids) and plain RTN
         w, hc, calib = correlated_layer(11, d_row=2, d_col=4, rows=16)
         widths = np.full(4, 2)
-        res = quantize_blockwise(w, hc, widths, block_size=4, calib=calib)
-        rtn = quantize_rtn_matrix(w, 2, calib=calib)
-        assert res.proxy_loss <= rtn.proxy_loss
+        res = quantize_blockwise(w, hc, widths, block_size=4)
+        rtn = quantize_rtn_matrix(w, 2)
+        res_loss = proxy_loss(w, res.quantized, calib)
+        assert res_loss <= proxy_loss(w, rtn.quantized, calib)
 
         # proxy loss decomposes over weight rows; per row enumerate every
         # combination of one level per column
@@ -239,19 +247,64 @@ class TestEngineOracle:
                             best = min(best, float(np.sum((d @ x.T) ** 2)))
             best_total += best
         oracle = best_total / m
-        assert res.proxy_loss >= oracle - 1e-12
+        assert res_loss >= oracle - 1e-12
 
     def test_compensation_helps_statistically(self):
         wins = 0
         for seed in range(30):
             w, hc, calib = correlated_layer(100 + seed)
-            g = quantize_blockwise(w, hc, np.full(64, 2), block_size=16, calib=calib)
-            r = quantize_rtn_matrix(w, 2, calib=calib)
-            wins += g.proxy_loss <= r.proxy_loss
+            g = quantize_blockwise(w, hc, np.full(64, 2), block_size=16)
+            r = quantize_rtn_matrix(w, 2)
+            wins += proxy_loss(w, g.quantized, calib) <= proxy_loss(w, r.quantized, calib)
         assert wins >= 29
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_engine_invariants(data):
+    # for any shape, widths 1..8, block size and work dtype: codes fit their
+    # widths, every column lies on its grid, widths come back as given, w is
+    # left alone, and a diagonal factor gives RTN bit for bit
+    d_row = data.draw(st.integers(1, 24), label="d_row")
+    d_col = data.draw(st.integers(1, 40), label="d_col")
+    widths = np.array(data.draw(st.lists(st.integers(1, 8), min_size=d_col, max_size=d_col),
+                                label="widths"))
+    block_size = data.draw(st.integers(1, d_col), label="block_size")
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    scale = data.draw(st.sampled_from([1e-3, 0.05, 1.0, 1e3]), label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    w = (scale * rng.standard_normal((d_row, d_col))).astype(dtype)
+    hc = np.triu(0.3 * rng.standard_normal((d_col, d_col)))
+    np.fill_diagonal(hc, rng.uniform(0.5, 2.0, d_col))
+    before = w.copy()
+
+    res = quantize_blockwise(w, hc, widths, block_size=block_size)
+    assert np.array_equal(w, before)
+    assert np.array_equal(res.widths, widths)
+    assert res.codes.dtype == np.uint8 and (res.codes < (1 << widths)).all()
+    on_grid = (res.scales * (res.codes - res.zeros)).astype(dtype)
+    assert res.quantized.dtype == dtype and np.array_equal(res.quantized, on_grid)
+
+    bits = int(widths[0])
+    diag = quantize_blockwise(w, np.diag(np.diag(hc)), np.full(d_col, bits),
+                              block_size=block_size)
+    rtn = quantize_rtn_matrix(w, bits)
+    assert np.array_equal(diag.quantized, rtn.quantized)
+    assert np.array_equal(diag.codes, rtn.codes)
+    assert np.array_equal(w, before)
+
+
 class TestValidation:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e300, 2.5])
+    def test_non_integer_widths_rejected_without_warnings(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^widths must be integers$"):
+                validate_widths(np.array([2.0, bad, 3.0]), 3)
+            with pytest.raises(ValueError, match="^widths must be integers$"):
+                quantize_blockwise(np.ones((2, 3)), np.eye(3), np.array([2.0, bad, 3.0]))
+            assert validate_widths(np.array([2.0, 1.0, 8.0]), 3).tolist() == [2, 1, 8]
+
     def test_width_bounds(self):
         w = np.ones((2, 3))
         hc = np.eye(3)

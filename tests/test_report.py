@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mgquant.gptq import quantize_blockwise
+from mgquant.gptq import proxy_loss, quantize_blockwise
 from mgquant.report import SCHEMA, build_report, dump_report, layer_entry, write_report
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
@@ -17,11 +17,12 @@ def golden_result():
         [3.0, -1.0, -3.0, -1.5],
     ])
     hc = np.eye(4)
-    return quantize_blockwise(w, hc, np.array([2, 1, 2, 3]), block_size=2, calib=[np.eye(4)])
+    return w, quantize_blockwise(w, hc, np.array([2, 1, 2, 3]), block_size=2)
 
 
 def golden_report():
-    entry = layer_entry("layer0", golden_result(), 4, 4, t_max=4)
+    w, res = golden_result()
+    entry = layer_entry("layer0", res, proxy_loss(w, res.quantized, [np.eye(4)]), t_max=4)
     return build_report(
         seed=0,
         config_echo={"command": "golden", "block_size": 2},
@@ -48,8 +49,8 @@ def test_valid_json_with_expected_schema():
 
 
 def test_histogram_counts_and_rounding():
-    res = golden_result()
-    entry = layer_entry("x", res, 4, 4, t_max=4)
+    _, res = golden_result()
+    entry = layer_entry("x", res, None, t_max=4)
     assert entry["bit_histogram"] == [1, 2, 1, 0]
     assert entry["mean_bits"] == round(float(np.mean([2, 1, 2, 3])), 3)
 

@@ -123,6 +123,25 @@ def test_unsupported_dtype_on_write(tmp_path):
         write_tensor_file(tmp_path / "x.mgqt", {"x": np.zeros(3, np.int32)})
 
 
+@pytest.mark.parametrize("dtype", ["i4", ">i4", "f2", "?", ">c8"])
+def test_other_dtypes_rejected_in_either_byte_order(tmp_path, dtype):
+    arr = np.zeros(3, dtype)
+    with pytest.raises(ValueError, match=rf"section 'x': unsupported dtype {arr.dtype} \("):
+        write_tensor_file(tmp_path / "x.mgqt", {"x": arr})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("dtype", [">f4", ">f8"])
+def test_big_endian_floats_write_the_bytes_of_their_little_endian_copy(tmp_path, dtype):
+    x = np.random.default_rng(4).standard_normal((3, 5)).astype(dtype)
+    write_tensor_file(tmp_path / "a.mgqt", {"x": x, "z": np.zeros(3, dtype)})
+    write_tensor_file(tmp_path / "b.mgqt", {"x": x.astype(x.dtype.newbyteorder("<")),
+                                            "z": np.zeros(3, dtype[1:])})
+    assert (tmp_path / "a.mgqt").read_bytes() == (tmp_path / "b.mgqt").read_bytes()
+    back = read_tensor_file(tmp_path / "a.mgqt")["x"]
+    assert back.dtype == np.dtype("<" + dtype[1:]) and np.array_equal(back, x)
+
+
 def test_empty_sections_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_tensor_file(tmp_path / "x.mgqt", {})
