@@ -8,7 +8,7 @@ an uncorrelated factor the blockwise engine reproduces it exactly.
 trains the allocator with the graph layers replaced by plain dense layers
 (node features pooled from the factor rows), then quantizes with the
 resulting assignment. None of them reads calibration data: the caller
-takes the proxy loss of a result with :func:`mgquant.gptq.proxy_loss`.
+takes the proxy loss of a result with :func:`mgquant.calibration.proxy_loss`.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cli import METHODS
 from .gptq import MAX_BITS, QuantResult, quantize_blockwise, validate_widths
 from .pipeline import widths_for
 from .quant import quantize
 from .training import TrainConfig, train
 
 __all__ = ["BaselineSpec", "run_baseline", "quantize_rtn_matrix"]
-
-METHODS = ("rtn", "gptq-uniform", "mlp-ptq")
 
 
 @dataclass(frozen=True)

@@ -8,36 +8,52 @@ directory), ``quantize`` (allocate widths + blockwise quantize), ``baseline``
 stdout carries exactly one JSON line per successful command; diagnostics go
 to stderr. Exit codes: 0 success, 2 usage/validation, 3 malformed data
 file, 4 numeric failure (e.g. a Gram that is not positive definite).
+Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections.abc import Iterator
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .baselines import METHODS, BaselineSpec, run_baseline
-from .calibration import GramAccumulator, build_hessian_cholesky
-from .config import load_run_config
-from .gptq import QuantResult, proxy_loss
+from .calibration import GramAccumulator, build_hessian_cholesky, proxy_loss
 from .linalg import NotPositiveDefiniteError
-from .pipeline import (
-    AllocatorTimings,
-    params_from_sections,
-    params_to_sections,
-    quantize_with_allocator,
-    result_to_sections,
-)
-from .report import build_report, layer_entry, write_report
 from .tensorfile import TensorFileError, read_tensor_file, write_atomic, write_tensor_file
-from .training import TrainConfig, format_training_log, train
 
-__all__ = ["main"]
+if TYPE_CHECKING:
+    from .gptq import QuantResult
+    from .pipeline import AllocatorTimings
+
+__all__ = ["main", "console_main"]
+
+#: The ``baseline --method`` choices, which :class:`mgquant.baselines.BaselineSpec`
+#: also checks; defined here so building the parser loads no quantizer.
+METHODS = ("rtn", "gptq-uniform", "mlp-ptq")
+
+
+# bench/tracing.py wraps these three names on this module, so each stays a
+# module-level function that loads its module on the first call.
+def quantize_with_allocator(*args, **kwargs):
+    from . import pipeline
+    return pipeline.quantize_with_allocator(*args, **kwargs)
+
+
+def result_to_sections(result: QuantResult) -> dict[str, np.ndarray]:
+    from . import pipeline
+    return pipeline.result_to_sections(result)
+
+
+def train(*args, **kwargs):
+    from . import training
+    return training.train(*args, **kwargs)
 
 
 def _emit(payload: dict) -> None:
@@ -66,7 +82,8 @@ def _load_hessian(path: str) -> np.ndarray:
         raise ValueError(f"{path}: 'hessian_cholesky' must be square, got {hc.shape}")
     # A lower factor or the full inverse would pass the engine's diagonal
     # check and silently skip compensation, which reads only the upper part.
-    if np.tril(hc, -1).any():
+    # Checked 128 rows at a time: a whole np.tril would copy the factor.
+    if any(np.tril(hc[r : r + 128, : r + 128], r - 1).any() for r in range(0, len(hc), 128)):
         raise ValueError(f"{path}: 'hessian_cholesky' has non-zero entries below the diagonal")
     return hc
 
@@ -152,6 +169,10 @@ def _paired_layers(weights_dir: str, hessians_dir: str) -> list[tuple[str, Path,
 
 
 def cmd_train(args) -> int:
+    from .config import load_run_config
+    from .pipeline import params_to_sections
+    from .training import TrainConfig, format_training_log
+
     cfg = load_run_config(args.config) if args.config else TrainConfig()
     pairs = _paired_layers(args.weights, args.hessians)
     # Training runs in float64: convert each file as it loads, so no stored
@@ -174,6 +195,8 @@ def cmd_train(args) -> int:
 def _write_layer(args, w: np.ndarray, result: QuantResult, timings: AllocatorTimings,
                  t_max: int, seed: int, config_echo: dict, **stdout) -> int:
     """Take the proxy loss (untimed) and write the layer, report and JSON line of a command."""
+    from .report import build_report, layer_entry, write_report
+
     loss = proxy_loss(w, result.quantized, _CalibFiles(args.calib)) if args.calib else None
     if args.out:
         write_tensor_file(args.out, result_to_sections(result))
@@ -190,6 +213,8 @@ def _write_layer(args, w: np.ndarray, result: QuantResult, timings: AllocatorTim
 
 
 def cmd_quantize(args) -> int:
+    from .pipeline import params_from_sections
+
     # The engine works in the chosen precision: convert each file as it
     # loads, so no stored array stays alive beside its converted copy.
     dtype = np.float32 if args.precision == "f32" else np.float64
@@ -207,6 +232,11 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from .baselines import BaselineSpec, run_baseline
+    from .config import load_run_config
+    from .pipeline import AllocatorTimings
+    from .training import TrainConfig
+
     cfg = load_run_config(args.config) if args.config else TrainConfig()
     w = _load_weights(args.weights)
     hc = _load_hessian(args.hessian)
@@ -240,6 +270,7 @@ def cmd_eval(args) -> int:
         "quant": args.quant,
     }
     if args.report:
+        from .report import write_report
         write_report(args.report, {"schema": "mgquant-eval-v1", "metrics": payload})
     _emit(payload)
     return 0
@@ -320,5 +351,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def console_main() -> None:
+    """Run :func:`main` as a process: flush its output, then skip interpreter
+    teardown (every file a command writes is closed by then). An exception
+    that escapes :func:`main`, argparse's ``SystemExit`` among them, exits
+    the normal way."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -39,20 +39,17 @@ code must fit in a byte.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import GramAccumulator
+from .calibration import proxy_loss  # noqa: F401  (bench/tracing.py wraps this name)
 from .linalg import ShapeMismatchError
 from .quant import quantize
 
 __all__ = [
     "QuantResult",
     "quantize_blockwise",
-    "gram_break_even",
-    "proxy_loss",
     "validate_widths",
 ]
 
@@ -126,7 +123,7 @@ def quantize_blockwise(
 ) -> QuantResult:
     """Quantize ``w`` column-blockwise at per-column widths with compensation.
 
-    The engine reads no calibration data (see :func:`proxy_loss`).
+    The engine reads no calibration data (see :func:`mgquant.calibration.proxy_loss`).
 
     Args:
         w: weight matrix (d_row x d_col), float32 or float64; work happens
@@ -205,75 +202,3 @@ def quantize_blockwise(
         wall_time=wall,
         residuals=None if residuals is None else residuals.T,
     )
-
-
-def gram_break_even(d_row: int, d_col: int) -> float:
-    """Rows m* past which the proxy loss is cheaper through the Gram.
-
-    The row order costs ``2 d_row d_col m`` flops; folding the Gram costs
-    ``m d_col^2`` and the final ``(D G) . D`` another ``2 d_row d_col^2``.
-    They break even at ``m* = 2 d_row d_col / (2 d_row - d_col)``; with
-    ``d_col >= 2 d_row`` the Gram order never wins.
-    """
-    if d_col >= 2 * d_row:
-        return float("inf")
-    return 2 * d_row * d_col / (2 * d_row - d_col)
-
-
-def proxy_loss(w: np.ndarray, q: np.ndarray, calib: Iterable[np.ndarray]) -> float:
-    """Layer output distortion ``||(w - q) @ X^T||_F^2 / m`` over all calibration rows.
-
-    ``calib`` is read once, batch by batch: a list of 2-D batches or any
-    stream of them. Every batch must have ``w``'s column count, the batches
-    at least one row between them, and every entry must be finite. Up to
-    :func:`gram_break_even` rows the batches are held and the loss is summed
-    batch by batch in row order. Past it, the held batches and every later
-    one are folded into a :class:`GramAccumulator` G = 2 X^T X, the fold
-    ``mgquant gram`` uses, and the loss is ``sum((D G) . D) / (2 m)`` with
-    D = w - q. That side depends only on the concatenated rows, not on how
-    they are split into batches. Ties go to the row order.
-    """
-    w = np.asarray(w)
-    q = np.asarray(q)
-    if w.shape != q.shape:
-        raise ShapeMismatchError(f"weight shapes differ: {w.shape} vs {q.shape}")
-    d_row, d_col = w.shape
-    m_star = gram_break_even(d_row, d_col)
-    held: list[np.ndarray] = []
-    acc: GramAccumulator | None = None
-    m = 0
-    for batch in calib:
-        batch = np.asarray(batch)
-        if batch.ndim != 2 or batch.shape[1] != d_col:
-            raise ShapeMismatchError(
-                f"calibration batch of shape {batch.shape} does not match d_col {d_col}"
-            )
-        m += batch.shape[0]
-        if acc is not None:
-            acc.accumulate(batch)
-        else:
-            held.append(batch)
-            if m > m_star:
-                acc = GramAccumulator(d_col)
-                while held:
-                    acc.accumulate(held.pop(0))
-        del batch  # keep no folded batch alive while the next one is read
-    if m == 0:
-        raise ValueError("calibration batches have no rows")
-    # Float64 D without float64 copies of w and q; every product below is
-    # taken in place, with the bits of the out-of-place form.
-    diff = np.subtract(w, q, dtype=np.float64)
-    if acc is not None:
-        prod = diff @ acc.gram
-        prod *= diff
-        # The sum of d^T G d over rows d of D is >= 0; rounding may not keep it so.
-        return max(float(np.sum(prod)) / (2 * m), 0.0)
-    total = 0.0
-    while held:
-        batch = np.asarray(held.pop(0), dtype=np.float64)
-        if not np.isfinite(batch).all():  # the Gram order checks in accumulate
-            raise ValueError("calibration batch contains NaN/Inf")
-        proj = diff @ batch.T
-        del batch  # the float64 rows are not read again
-        total += float(np.sum(np.square(proj, out=proj)))
-    return total / m

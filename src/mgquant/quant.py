@@ -35,8 +35,9 @@ LIMIT = np.finfo(np.float64).max / 4
 #: is a multiple of TINY, so the grid then reproduces each value exactly.
 TINY = math.ulp(0.0)
 
-#: Columns :func:`error_table` quantizes at once.
-CHUNK_COLS = 256
+#: Elements :func:`error_table` quantizes at once (512 KiB of float64), so
+#: each temporary stays cache-sized: 256 columns of 256 rows, 32 of 2,048.
+CHUNK_ELEMENTS = 1 << 16
 
 
 def _exact_zero(vmin, scale):
@@ -230,9 +231,10 @@ def error_table(weights: np.ndarray, hc_diag: np.ndarray, t_max: int) -> np.ndar
     emit if column j were quantized at t bits right now. The training loop
     calls this once per layer pass, on the engine's residuals.
 
-    Columns are taken :data:`CHUNK_COLS` at a time, so the temporaries are a
-    few chunks in size whatever the layer's width. Each entry is a sum over
-    one column alone, so the table's bits do not depend on the chunk size.
+    Columns are taken :data:`CHUNK_ELEMENTS` entries' worth at a time, so
+    the temporaries are a few chunks in size whatever the layer's shape.
+    Each entry is a sum over one column alone, so the table's bits do not
+    depend on the chunk size.
     A column-major ``weights`` (the engine's residuals view) is read in
     place; any other layout is copied one chunk at a time.
     """
@@ -246,11 +248,12 @@ def error_table(weights: np.ndarray, hc_diag: np.ndarray, t_max: int) -> np.ndar
     if not (hc_diag > 0).all():
         raise ValueError("hc_diag entries must be positive")
     out = np.empty((d_col, t_max), dtype=np.float64)
-    for c in range(0, d_col, CHUNK_COLS):
-        cols = np.ascontiguousarray(w[:, c : c + CHUNK_COLS].T)
+    step = max(1, CHUNK_ELEMENTS // max(1, w.shape[0]))
+    for c in range(0, d_col, step):
+        cols = np.ascontiguousarray(w[:, c : c + step].T)
         for t in range(1, t_max + 1):
             diff = quantize(cols, t)[0]
             diff -= cols
-            out[c : c + CHUNK_COLS, t - 1] = np.sum(np.square(diff, out=diff), axis=-1)
+            out[c : c + step, t - 1] = np.sum(np.square(diff, out=diff), axis=-1)
     out /= (hc_diag**2)[:, None]
     return out

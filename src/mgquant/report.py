@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gptq import QuantResult
 from .tensorfile import write_atomic
+
+if TYPE_CHECKING:
+    from .gptq import QuantResult
 
 __all__ = ["SCHEMA", "layer_entry", "build_report", "dump_report", "write_report"]
 

@@ -15,7 +15,8 @@ from helpers import gradient_check_config
 from mgquant.allocator import gumbel_softmax, init_allocator_params, sample_gumbel
 from mgquant.baselines import BaselineSpec, quantize_rtn_matrix, run_baseline
 from mgquant.cli import main
-from mgquant.gptq import proxy_loss, quantize_blockwise
+from mgquant.calibration import proxy_loss
+from mgquant.gptq import quantize_blockwise
 from mgquant.linalg import cholesky, spd_inverse
 from mgquant.pipeline import quantize_with_allocator, widths_for
 from mgquant.report import build_report, layer_entry, write_report

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mgquant.baselines import BaselineSpec, quantize_rtn_matrix, run_baseline
-from mgquant.gptq import proxy_loss
+from mgquant.calibration import proxy_loss
 from mgquant.synth import make_layer
 from mgquant.training import TrainConfig
 

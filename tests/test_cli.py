@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import re
@@ -12,9 +13,8 @@ import pytest
 
 import mgquant
 from mgquant.allocator import init_allocator_params
-from mgquant.calibration import CHUNK_ROWS, GramAccumulator, build_hessian_cholesky
+from mgquant.calibration import CHUNK_ROWS, GramAccumulator, build_hessian_cholesky, gram_break_even
 from mgquant.cli import build_parser, main
-from mgquant.gptq import gram_break_even
 from mgquant.pipeline import params_to_sections
 from mgquant.tensorfile import read_tensor_file, write_tensor_file
 
@@ -523,6 +523,22 @@ class TestLowerFactorRejected:
             assert len(err) == 1 and "below the diagonal" in err[0], name
             assert not (tmp_path / f"{name[0]}.mgqt").exists()
 
+    @pytest.mark.parametrize("entry", [(1, 0), (128, 127), (129, 128), (200, 3), (299, 298), None])
+    def test_one_entry_below_the_diagonal_exit_2(self, tmp_path, capsys, entry):
+        # the check reads 128 rows at a time: entries in each block and across an edge
+        hc = np.eye(300)
+        hc[0, 299] = 0.5
+        if entry:
+            hc[entry] = 1e-300
+        write_tensor_file(tmp_path / "h.mgqt", {"hessian_cholesky": hc})
+        write_tensor_file(tmp_path / "w.mgqt", {"weights": np.zeros((4, 300))})
+        rc = main(["quantize", "--weights", str(tmp_path / "w.mgqt"), "--hessian",
+                   str(tmp_path / "h.mgqt"), "--params", str(tmp_path / "missing.mgqt"),
+                   "--out", str(tmp_path / "q.mgqt")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert ("below the diagonal" in err) == (entry is not None), err
+
 
 class TestBlasThreadCount:
     def test_train_and_quantize_bytes_independent_of_threads(self, tmp_path):
@@ -730,14 +746,20 @@ class TestEvalCli:
 
 
 # Runs one CLI command through mgquant.cli.main in a fresh interpreter and
-# appends a JSON line with its exit code and how many scipy modules it loaded.
+# appends a JSON line with its exit code, how many scipy modules it loaded
+# and which mgquant modules it loaded.
 _PROBE = """
 import json, sys
 from mgquant.cli import main
 rc = main(sys.argv[1:])
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
-print(json.dumps({"rc": rc, "scipy_modules": len(loaded)}))
+package = sorted(m for m in sys.modules if m.split(".")[0] == "mgquant")
+print(json.dumps({"rc": rc, "scipy_modules": len(loaded), "mgquant_modules": package}))
 """
+
+# The modules of a command that only reads, folds and writes tensor files.
+LIGHT_MODULES = ["mgquant", "mgquant.calibration", "mgquant.cli", "mgquant.linalg",
+                 "mgquant.tensorfile"]
 
 
 class TestStartupImports:
@@ -783,6 +805,81 @@ class TestStartupImports:
             ["eval", "--orig", weights, "--quant", quant, "--calib", calib],
         ):
             assert self.probe(*argv)["scipy_modules"] == 0, argv[0]
+
+    def test_gram_hessian_and_eval_load_only_their_modules(self, tmp_path):
+        rng = np.random.default_rng(32)
+        weights, calib = tmp_path / "w.mgqt", tmp_path / "c.mgqt"
+        gram, factor, quant = tmp_path / "g.mgqt", tmp_path / "h.mgqt", tmp_path / "q.mgqt"
+        write_tensor_file(weights, {"weights": rng.standard_normal((24, 16))})
+        write_tensor_file(calib, {"x": rng.standard_normal((96, 16))})
+        write_tensor_file(quant, {"quantized": np.zeros((24, 16))})
+        for argv in (
+            ["gram", "--calib", calib, "--out", gram],
+            ["hessian", "--gram", gram, "--damp", "0.01", "--out", factor],
+            ["eval", "--orig", weights, "--quant", quant, "--calib", calib],
+        ):
+            assert self.probe(*argv)["mgquant_modules"] == LIGHT_MODULES, argv[0]
+
+    def test_package_import_loads_no_submodule(self):
+        code = ("import json, sys, mgquant; "
+                "print(json.dumps(sorted(m for m in sys.modules if m.startswith('mgquant'))))")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["mgquant"]
+
+    def test_package_exports_resolve_to_their_modules(self):
+        for name in mgquant.__all__:
+            obj = getattr(mgquant, name)
+            assert obj.__module__.startswith("mgquant."), name
+            assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+        assert set(mgquant.__all__) <= set(dir(mgquant))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mgquant.no_such_name
+
+
+class TestProcessExit:
+    """`python -m mgquant` exits right after flushing; its streams stay whole."""
+
+    def run(self, *argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+        env = src_env()
+        env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as by default
+        return subprocess.run([sys.executable, "-m", "mgquant", *map(str, argv)],
+                              env=env, stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, timeout=300)
+
+    def test_success_prints_one_json_line_to_a_pipe_and_to_a_file(self, tmp_path):
+        calib, gram = tmp_path / "c.mgqt", tmp_path / "g.mgqt"
+        write_tensor_file(calib, {"x": np.random.default_rng(33).standard_normal((40, 6))})
+        piped = self.run("gram", "--calib", calib, "--out", gram)
+        assert piped.returncode == 0 and piped.stderr == ""
+        sink = tmp_path / "stdout.txt"
+        with open(sink, "w") as fh:
+            filed = self.run("gram", "--calib", calib, "--out", gram, stdout=fh)
+        assert filed.returncode == 0 and filed.stderr == ""
+        for text in (piped.stdout, sink.read_text()):
+            assert text.endswith("\n") and text.count("\n") == 1
+            assert json.loads(text) == {"out": str(gram), "d_col": 6, "samples": 40}
+        assert read_tensor_file(gram)["samples"].tolist() == [40.0]
+
+    def test_each_error_exit_prints_one_stderr_line(self, tmp_path):
+        calib, gram, bad = tmp_path / "c.mgqt", tmp_path / "g.mgqt", tmp_path / "bad.mgqt"
+        write_tensor_file(calib, {"x": np.eye(3)})
+        bad.write_bytes(b"JUNKJUNKJUNK")
+        indefinite = tmp_path / "indefinite.mgqt"
+        write_tensor_file(indefinite, {"gram": np.diag([1.0, -4.0]), "samples": np.array([2.0])})
+        assert self.run("gram", "--calib", calib, "--out", gram).returncode == 0
+        out = tmp_path / "h.mgqt"
+        for code, argv in (
+            (2, ["hessian", "--gram", gram, "--damp=nan", "--out", out]),
+            (3, ["gram", "--calib", bad, "--out", out]),
+            (4, ["hessian", "--gram", indefinite, "--damp", "0.0", "--out", out]),
+        ):
+            proc = self.run(*argv)
+            assert proc.returncode == code, (argv, proc.stderr)
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+            assert not out.exists()
 
 
 class TestReadmeCli:

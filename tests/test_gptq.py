@@ -11,16 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgquant.calibration import GramAccumulator, build_hessian_cholesky
-from mgquant.baselines import quantize_rtn_matrix
-from mgquant.cli import main
-from mgquant.gptq import (
-    SUB_BLOCK,
+from mgquant.calibration import (
+    GramAccumulator,
+    build_hessian_cholesky,
     gram_break_even,
     proxy_loss,
-    quantize_blockwise,
-    validate_widths,
 )
+from mgquant.baselines import quantize_rtn_matrix
+from mgquant.cli import main
+from mgquant.gptq import SUB_BLOCK, quantize_blockwise, validate_widths
 from mgquant.linalg import ShapeMismatchError
 from mgquant.pipeline import result_to_sections
 from mgquant.tensorfile import write_tensor_file

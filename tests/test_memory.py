@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from mgquant import quant
-from mgquant.gptq import proxy_loss, quantize_blockwise
+from mgquant.calibration import proxy_loss
+from mgquant.gptq import quantize_blockwise
 from mgquant.quant import error_table
 from mgquant.training import TrainConfig, train
 
@@ -51,11 +52,11 @@ def test_engine_quantizes_in_place(keep_residuals):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_error_table_holds_a_few_column_chunks(order):
-    # 0.76 M from the engine's column-major residuals, 1.01 M from a C-ordered
-    # matrix (CHUNK_COLS = M/4 here); the whole-matrix table took 3.0 and 4.0 M.
+    # 0.20 M from the engine's column-major residuals, 0.26 M from a C-ordered
+    # matrix (a chunk is M/16 here); the whole-matrix table took 3.0 and 4.0 M.
     w, hc, _ = layer(1)
     w = np.asarray(w, order=order)
-    chunk = D * min(quant.CHUNK_COLS, D) * 8 / M
+    chunk = min(quant.CHUNK_ELEMENTS, D * D) * 8 / M
     peak = heap_peak(lambda: error_table(w, np.diag(hc), 4))
     assert peak < 5 * chunk, peak
 

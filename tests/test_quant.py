@@ -217,10 +217,10 @@ class TestErrorTable:
         w[:, 7] = np.abs(w[:, 7])
         w = np.asarray(w, order=order)
         hd = np.abs(rng.standard_normal(10)) + 0.05
-        monkeypatch.setattr(quant, "CHUNK_COLS", 10)
+        monkeypatch.setattr(quant, "CHUNK_ELEMENTS", 24 * 10)
         whole = error_table(w, hd, 4)
         for chunk in (1, 3, 4):
-            monkeypatch.setattr(quant, "CHUNK_COLS", chunk)
+            monkeypatch.setattr(quant, "CHUNK_ELEMENTS", 24 * chunk)
             assert np.array_equal(error_table(w, hd, 4), whole)
 
     def test_error_table_validation(self):

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import numpy as np
 
-from mgquant.gptq import proxy_loss, quantize_blockwise
+from mgquant.calibration import proxy_loss
+from mgquant.gptq import quantize_blockwise
 from mgquant.report import SCHEMA, build_report, dump_report, layer_entry, write_report
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"

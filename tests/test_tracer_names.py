@@ -13,7 +13,7 @@ import pytest
 
 from mgquant import cli
 from mgquant.allocator import init_allocator_params
-from mgquant.gptq import gram_break_even
+from mgquant.calibration import gram_break_even
 from mgquant.pipeline import params_to_sections, quantize_with_allocator
 from mgquant.synth import make_layer
 from mgquant.tensorfile import write_tensor_file
