@@ -10,14 +10,16 @@ convolution:
     X1 = relu(adj @ X0 @ W0)
     X2 = relu(adj @ X1 @ W1)
 
-With no adjacency (``hc=None``) the layers are plain dense ones: the MLP
+The first layer reads only X0's unpadded columns F, ``min(d_row, d_gnn)``
+of them, which ``first_layer_input`` propagates once: ``A0 = adj @ F``.
+With no adjacency (``A0 = F``) the layers are plain dense ones: the MLP
 ablation. A classifier head maps X2 to per-node logits over widths
-1..t_max; class c means c+1 bits. ``gcn_forward`` and ``ffnn_logits`` are
-the only code for the layers and the head, for inference and training
-alike. Inference takes the argmax (ties resolve to the lower width);
-training replaces argmax with Gumbel-Softmax sampling, implemented here as
-a pure function of explicit noise so the training loop owns all
-randomness.
+1..t_max; class c means c+1 bits. ``first_layer_input``, ``gcn_forward``
+and ``ffnn_logits`` are the only code for the layers and the head, for
+inference and training alike. Inference takes the argmax (ties resolve to
+the lower width); training replaces argmax with Gumbel-Softmax sampling,
+implemented here as a pure function of explicit noise so the training loop
+owns all randomness.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "init_allocator_params",
     "preprocess",
     "hessian_node_features",
+    "first_layer_input",
     "gcn_forward",
     "ffnn_logits",
     "allocate",
@@ -165,31 +168,43 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
+def first_layer_input(adj: np.ndarray | None, x0: np.ndarray, rows: int) -> np.ndarray:
+    """``A0 = adj @ x0[:, :min(rows, d_gnn)]``, or that slice if ``adj`` is None.
+
+    ``x0`` pools a ``rows``-row matrix, so its later columns are padding.
+    """
+    x0 = np.asarray(x0)
+    f = x0[:, : min(rows, x0.shape[1])]
+    if adj is None:
+        return np.ascontiguousarray(f)
+    adj = np.asarray(adj).astype(x0.dtype, copy=False)
+    if adj.shape != (len(x0), len(x0)):
+        raise ShapeMismatchError(f"adjacency {adj.shape} does not match features {x0.shape}")
+    return adj @ f
+
+
 def gcn_forward(
-    hc: np.ndarray | None, x0: np.ndarray, params: AllocatorParams
+    hc: np.ndarray | None, a0: np.ndarray, params: AllocatorParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two graph-convolution layers over the factor-as-adjacency.
 
-    Returns ``(x1, x2)``, both layers' activations, in ``x0``'s dtype; the
-    factor and weights are cast to it. ``hc=None`` drops the propagation,
-    which is the MLP ablation.
+    ``a0`` (:func:`first_layer_input`) meets ``w0``'s first ``a0.shape[1]``
+    rows. Returns ``(x1, x2)``, both layers' activations, in ``a0``'s dtype,
+    the factor and weights cast to it. ``hc=None`` is the MLP ablation.
     """
-    x0 = np.asarray(x0)
-    if x0.ndim != 2 or x0.shape[1] != params.d_gnn:
+    a0 = np.asarray(a0)
+    if a0.ndim != 2 or a0.shape[1] > params.d_gnn:
         raise ShapeMismatchError(
-            f"features shape {x0.shape} does not match d_gnn {params.d_gnn}"
+            f"first-layer input shape {a0.shape} does not fit d_gnn {params.d_gnn}"
         )
-    dtype = x0.dtype
+    dtype = a0.dtype
     adj = None if hc is None else np.asarray(hc).astype(dtype, copy=False)
-    if adj is not None and adj.shape != (len(x0), len(x0)):
-        raise ShapeMismatchError(f"adjacency {adj.shape} does not match features {x0.shape}")
+    if adj is not None and adj.shape != (len(a0), len(a0)):
+        raise ShapeMismatchError(f"adjacency {adj.shape} does not match features {a0.shape}")
 
-    def layer(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        x = x @ w.astype(dtype, copy=False)
-        return _relu(x if adj is None else adj @ x)
-
-    x1 = layer(x0, params.w0)
-    return x1, layer(x1, params.w1)
+    x1 = _relu(a0 @ params.w0[: a0.shape[1]].astype(dtype, copy=False))
+    x2 = x1 @ params.w1.astype(dtype, copy=False)
+    return x1, _relu(x2 if adj is None else adj @ x2)
 
 
 def ffnn_logits(x2: np.ndarray, params: AllocatorParams) -> tuple[np.ndarray, np.ndarray]:

@@ -216,9 +216,10 @@ def cmd_quantize(args) -> int:
     from .pipeline import params_from_sections
 
     # The engine works in the chosen precision: convert each file as it
-    # loads, so no stored array stays alive beside its converted copy.
+    # loads. The proxy loss, as in `eval`, is against the stored weights.
     dtype = np.float32 if args.precision == "f32" else np.float64
-    w = _load_weights(args.weights).astype(dtype, copy=False)
+    stored = _load_weights(args.weights)
+    w = stored.astype(dtype, copy=False)
     hc = _load_hessian(args.hessian).astype(dtype, copy=False)
     sections = _read(args.params, "w0", "w1", "wc", "bc")
     try:
@@ -228,7 +229,7 @@ def cmd_quantize(args) -> int:
     result, timings = quantize_with_allocator(w, hc, params, block_size=args.block, dtype=dtype)
     echo = {"command": "quantize", "block_size": args.block, "precision": args.precision,
             "params": Path(args.params).name}
-    return _write_layer(args, w, result, timings, params.t_max, 0, echo)
+    return _write_layer(args, stored, result, timings, params.t_max, 0, echo)
 
 
 def cmd_baseline(args) -> int:

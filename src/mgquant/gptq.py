@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import proxy_loss  # noqa: F401  (bench/tracing.py wraps this name)
-from .linalg import ShapeMismatchError
+from .linalg import ShapeMismatchError, transposed_copy
 from .quant import quantize
 
 __all__ = [
@@ -159,7 +159,7 @@ def quantize_blockwise(
 
     # Row j of each (d_col, d_row) buffer is column j of the matrix. Once
     # column j is quantized, row j of ``work`` holds its quantized values.
-    work = np.array(w.T, order="C")
+    work = transposed_copy(w)
     codes = np.empty(work.shape, dtype=np.uint8)
     scales = np.empty(d_col, dtype=np.float64)
     zeros = np.empty(d_col, dtype=np.float64)

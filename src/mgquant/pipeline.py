@@ -21,6 +21,7 @@ import numpy as np
 from .allocator import (
     AllocatorParams,
     allocate,
+    first_layer_input,
     gcn_forward,
     hessian_node_features,
     preprocess,
@@ -59,12 +60,12 @@ def widths_for(
     propagate. Everything runs in the features' dtype.
     """
     if arch == "gcn":
-        x0, adj = preprocess(w, params.d_gnn), hc
+        x0, adj, rows = preprocess(w, params.d_gnn), hc, len(w)
     elif arch == "mlp":
-        x0, adj = hessian_node_features(hc, params.d_gnn), None
+        x0, adj, rows = hessian_node_features(hc, params.d_gnn), None, len(hc)
     else:
         raise ValueError(f"arch must be 'gcn' or 'mlp', got {arch!r}")
-    _, x2 = gcn_forward(adj, x0, params)
+    _, x2 = gcn_forward(adj, first_layer_input(adj, x0, rows), params)
     return allocate(x2, params)
 
 

@@ -29,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import transposed_copy
+
 __all__ = [
     "TensorFileError",
     "MAGIC",
@@ -50,7 +52,10 @@ class TensorFileError(Exception):
 
 
 def _coerce(name: str, array: np.ndarray) -> np.ndarray:
-    arr = np.asarray(array, order="C")  # keeps 0-d arrays 0-d
+    arr = np.asarray(array)
+    if arr.ndim == 2 and not arr.flags.c_contiguous:
+        arr = transposed_copy(arr.T)  # the engine's outputs are column-major
+    arr = np.asarray(arr, order="C")  # keeps 0-d arrays 0-d
     stored = arr.dtype.newbyteorder("<")  # either byte order stores little-endian
     if stored not in _DTYPE_TO_CODE:
         raise ValueError(

@@ -15,8 +15,9 @@ fed to the engine is the argmax of the same sample (straight-through), so
 compensation always sees realistic discrete widths while gradients flow
 through the soft distribution. The forward pass is the inference one, its
 activations kept; backprop through the softmax, classifier head and both
-graph layers is written out by hand. Gradients accumulate by plain
-summation across ``accum_steps`` layer passes before one AdamW step.
+graph layers is written out by hand, from each layer's first-layer input
+A0, propagated once. Gradients accumulate by plain summation across
+``accum_steps`` layer passes before one AdamW step.
 
 All randomness (parameter init, Gumbel noise) comes from the config seed,
 and everything runs in float64, so a training run is bit-reproducible.
@@ -33,6 +34,7 @@ import numpy as np
 from .allocator import (
     AllocatorParams,
     ffnn_logits,
+    first_layer_input,
     gcn_forward,
     gumbel_softmax,
     hessian_node_features,
@@ -198,7 +200,7 @@ class ForwardCache:
     double as the masks.
     """
 
-    x0: np.ndarray
+    x0: np.ndarray  # the first layer's propagated input A0
     x1: np.ndarray
     x2: np.ndarray
     head: np.ndarray  # input of the final affine map (x2 without a hidden layer)
@@ -207,17 +209,17 @@ class ForwardCache:
 
 
 def forward_cached(
-    x0: np.ndarray,
+    a0: np.ndarray,
     params: AllocatorParams,
     adj: np.ndarray | None = None,
 ) -> ForwardCache:
     """The inference forward pass in float64; ``adj=None`` runs the MLP variant."""
-    x0 = np.asarray(x0, dtype=np.float64)
+    a0 = np.asarray(a0, dtype=np.float64)
     if adj is not None:
         adj = np.asarray(adj, dtype=np.float64)
-    x1, x2 = gcn_forward(adj, x0, params)
+    x1, x2 = gcn_forward(adj, a0, params)
     head, logits = ffnn_logits(x2, params)
-    return ForwardCache(x0=x0, x1=x1, x2=x2, head=head, logits=logits, adj=adj)
+    return ForwardCache(x0=a0, x1=x1, x2=x2, head=head, logits=logits, adj=adj)
 
 
 def backward_from_cache(
@@ -233,7 +235,8 @@ def backward_from_cache(
 
     ``errs`` is constant; the chain runs loss -> P -> Gumbel-softmax ->
     logits -> head -> two (graph) layers, with the adjacency transposed on
-    the way back.
+    the way back through the second: ``w0``'s gradient is ``A0^T dA1``,
+    exactly zero on the rows past A0's width, which AdamW only decays.
     """
     P = np.asarray(P, dtype=np.float64)
     errs = np.asarray(errs, dtype=np.float64)
@@ -260,9 +263,8 @@ def backward_from_cache(
     grads["w1"] = cache.x1.T @ dA2
 
     dA1 = (dA2 @ params.w1.T) * (cache.x1 > 0)
-    if cache.adj is not None:
-        dA1 = cache.adj.T @ dA1
-    grads["w0"] = cache.x0.T @ dA1
+    grads["w0"] = np.zeros_like(params.w0)
+    np.matmul(cache.x0.T, dA1, out=grads["w0"][: cache.x0.shape[1]])
     return grads
 
 
@@ -359,10 +361,10 @@ def train(
                 f"layer {i}: weights {w.shape} incompatible with factor {hc.shape}"
             )
         if arch == "gcn":
-            x0, adj = preprocess(w, cfg.d_gnn), hc
+            x0, adj, rows = preprocess(w, cfg.d_gnn), hc, len(w)
         else:
-            x0, adj = hessian_node_features(hc, cfg.d_gnn), None
-        prepared.append((w, hc, adj, x0))
+            x0, adj, rows = hessian_node_features(hc, cfg.d_gnn), None, len(hc)
+        prepared.append((w, hc, adj, first_layer_input(adj, x0, rows)))
 
     rng = np.random.default_rng(cfg.seed)
     params = init_allocator_params(
@@ -377,8 +379,8 @@ def train(
 
     for epoch in range(cfg.epochs):
         tau = cfg.tau_at(epoch)
-        for li, (w, hc, adj, x0) in enumerate(prepared):
-            cache = forward_cached(x0, params, adj=adj)
+        for li, (w, hc, adj, a0) in enumerate(prepared):
+            cache = forward_cached(a0, params, adj=adj)
             noise = sample_gumbel(cache.logits.shape, rng)
             P = gumbel_softmax(cache.logits, tau, noise)
             hard = np.argmax(P, axis=1).astype(np.int64) + 1

@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from mgquant.allocator import gumbel_softmax, init_allocator_params, sample_gumbel
+from mgquant.allocator import (
+    first_layer_input,
+    gumbel_softmax,
+    init_allocator_params,
+    preprocess,
+    sample_gumbel,
+)
 from mgquant.training import backward_from_cache, forward_cached, soft_losses
 
 
@@ -13,13 +19,17 @@ def gradient_check_config(
     tau: float = 1.0,
     alpha: float = 1.0,
     step: float = 1e-5,
+    short_rows: bool = False,
 ) -> float:
     """Worst per-parameter relative error between analytic and central FD grads.
 
     Seeded configs with d_col <= 16, feature width <= 8. Biases are nudged
     off zero so no pre-activation sits exactly on a ReLU kink (where the
     analytic subgradient convention and a symmetric difference legitimately
-    disagree).
+    disagree). The first layer's input is random, or with ``short_rows``
+    (graph only) propagated from the pooled features of a weight matrix with
+    fewer rows than the feature width, so some rows of ``w0`` meet only
+    padding.
     """
     rng = np.random.default_rng(seed)
     d_col = int(rng.integers(4, 17))
@@ -36,6 +46,9 @@ def gradient_check_config(
     if arch == "gcn":
         adj = np.triu(rng.standard_normal((d_col, d_col)))
         np.fill_diagonal(adj, np.abs(np.diag(adj)) + 0.5)
+    if short_rows:
+        d_row = int(rng.integers(1, d_gnn))
+        x0 = first_layer_input(adj, preprocess(rng.standard_normal((d_row, d_col)), d_gnn), d_row)
     noise = sample_gumbel((d_col, t_max), rng)
     errs = np.abs(rng.standard_normal((d_col, t_max)))
     target = 2.5

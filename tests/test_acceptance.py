@@ -35,10 +35,13 @@ def test_criterion_01_gradient_correctness():
     worst = 0.0
     for seed in range(20):
         worst = max(worst, gradient_check_config(seed, step=1e-5))
+    # d_row < d_gnn: the first layer's input built from real features
+    for seed in range(5):
+        worst = max(worst, gradient_check_config(seed, step=1e-5, short_rows=True))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 60.0
     report_line(1, ok, f"analytic vs central FD worst rel err {worst:.2e} "
-                       f"over 20 seeded configs in {elapsed:.1f}s")
+                       f"over 25 seeded configs in {elapsed:.1f}s")
     assert worst < 1e-4
     assert elapsed < 60.0
 

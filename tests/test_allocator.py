@@ -5,6 +5,7 @@ from mgquant.allocator import (
     AllocatorParams,
     allocate,
     ffnn_logits,
+    first_layer_input,
     gcn_forward,
     gumbel_softmax,
     hessian_node_features,
@@ -13,6 +14,7 @@ from mgquant.allocator import (
     sample_gumbel,
 )
 from mgquant.linalg import ShapeMismatchError
+from mgquant.synth import make_layer
 
 
 def small_params(rng, d_gnn=4, hidden=4, t_max=4, ffnn_hidden=False):
@@ -97,7 +99,7 @@ class TestGcnForward:
         params = small_params(rng, d_gnn=3, hidden=5)
         hc = upper_factor(rng, 8)
         x0 = rng.standard_normal((8, 3))
-        out1, out = gcn_forward(hc, x0, params)
+        out1, out = gcn_forward(hc, first_layer_input(hc, x0, 8), params)
         x1 = np.maximum(hc @ (x0 @ params.w0), 0.0)
         x2 = np.maximum(hc @ (x1 @ params.w1), 0.0)
         assert np.max(np.abs(out1 - x1)) < 1e-10
@@ -121,7 +123,9 @@ class TestGcnForward:
         with pytest.raises(ShapeMismatchError):
             gcn_forward(np.eye(5), rng.standard_normal((6, 4)), params)
         with pytest.raises(ShapeMismatchError):
-            gcn_forward(np.eye(6), rng.standard_normal((6, 3)), params)
+            gcn_forward(np.eye(6), rng.standard_normal((6, 5)), params)
+        with pytest.raises(ShapeMismatchError):
+            first_layer_input(np.eye(5), rng.standard_normal((6, 4)), 6)
 
 
 class TestMlpForward:
@@ -155,6 +159,45 @@ class TestMlpForward:
         for j in range(6):
             expect = (hc[j, :3] + hc[j, 3:]) / 2.0
             assert np.allclose(x0[j], expect, atol=1e-15)
+
+
+class TestFirstLayerInput:
+    """The first layer propagated once, at the features' real width, gives
+    the logits of the padded two-product forward ``relu(adj @ (x0 @ w0))``."""
+
+    @pytest.mark.parametrize("arch", ["gcn", "mlp"])
+    @pytest.mark.parametrize("rows", [10, 16, 37])  # d_gnn 16: below, equal, ragged above
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_logits_match_padded_forward(self, arch, rows, dtype, rtol):
+        rng = np.random.default_rng(rows)
+        d_gnn = 16
+        d_row, d_col = (rows, 20) if arch == "gcn" else (24, rows)
+        w, hc, _ = make_layer(rng, d_row, d_col, 64, decades=1.0)
+        w, hc = w.astype(dtype), hc.astype(dtype)
+        params = init_allocator_params(d_gnn, 12, 4, rng, ffnn_hidden=True)
+        if arch == "gcn":
+            x0, adj = preprocess(w, d_gnn), hc
+        else:
+            x0, adj = hessian_node_features(hc, d_gnn), None
+
+        a0 = first_layer_input(adj, x0, rows)
+        assert a0.shape == (d_col, min(rows, d_gnn)) and a0.dtype == dtype
+        logits = ffnn_logits(gcn_forward(adj, a0, params)[1], params)[1]
+
+        def layer(x, wl):
+            x = x @ wl.astype(dtype)
+            return np.maximum(x if adj is None else adj @ x, 0)
+
+        padded = ffnn_logits(layer(layer(x0, params.w0), params.w1), params)[1]
+        assert logits.dtype == dtype
+        assert np.max(np.abs(logits - padded)) <= rtol * np.max(np.abs(padded))
+
+    def test_mlp_input_is_a_contiguous_copy_of_the_real_columns(self):
+        rng = np.random.default_rng(14)
+        x0 = rng.standard_normal((5, 8))
+        a0 = first_layer_input(None, x0, 3)
+        assert a0.flags.c_contiguous and not np.shares_memory(a0, x0)
+        assert np.array_equal(a0, x0[:, :3])
 
 
 class TestAllocate:

@@ -493,6 +493,26 @@ class TestOneLossPerCommand:
             assert main(["eval", "--orig", files["w"], "--quant", out, *calib]) == 0
             assert printed > 0 and printed == last_json_line(capsys)["proxy_loss"], name
 
+    def test_quantize_f32_on_float64_weights_matches_eval(self, tmp_path, capsys):
+        # the engine runs on the f32-rounded weights; the loss is taken
+        # against the stored float64 ones, as eval takes it
+        rng = np.random.default_rng(400)
+        files = {n: str(tmp_path / f"{n}.mgqt") for n in ("w", "c", "g", "h", "p", "q")}
+        write_tensor_file(files["w"], {"weights": 0.01 * rng.standard_normal((64, 48))})
+        write_tensor_file(files["c"], {"x": 0.05 * rng.standard_normal((400, 48))})
+        calib = ["--calib", files["c"]]
+        assert main(["gram", *calib, "--out", files["g"]]) == 0
+        assert main(["hessian", "--gram", files["g"], "--out", files["h"]]) == 0
+        write_tensor_file(files["p"], params_to_sections(init_allocator_params(8, 8, 4, rng)))
+        capsys.readouterr()
+        assert main(["quantize", "--weights", files["w"], "--hessian", files["h"], *calib,
+                     "--params", files["p"], "--block", "16", "--precision", "f32",
+                     "--out", files["q"]]) == 0
+        printed = last_json_line(capsys)["proxy_loss"]
+        assert read_tensor_file(files["q"])["quantized"].dtype == np.float32
+        assert main(["eval", "--orig", files["w"], "--quant", files["q"], *calib]) == 0
+        assert printed > 0 and printed == last_json_line(capsys)["proxy_loss"]
+
 
 class TestLowerFactorRejected:
     def test_transposed_factor_exit_2(self, tmp_path, capsys):

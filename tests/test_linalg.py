@@ -11,6 +11,7 @@ from mgquant.linalg import (
     cholesky_of_inverse,
     spd_inverse,
     symmetry_gap,
+    transposed_copy,
 )
 
 
@@ -218,3 +219,23 @@ class TestRecursionBoundaries:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             cholesky_of_inverse(a)
         assert exc.value.pivot == 0
+
+
+class TestTransposedCopy:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 70), (70, 1), (64, 64), (130, 97), (200, 3)])
+    @pytest.mark.parametrize("view", ["plain", "reversed", "fortran", "strided"])
+    def test_bytes_equal_numpy_copy(self, dtype, shape, view):
+        rng = np.random.default_rng(sum(shape))
+        a = (100 * rng.standard_normal(shape)).astype(dtype)
+        if view == "reversed":
+            a = a[::-1, ::-1]
+        elif view == "fortran":
+            a = np.asfortranarray(a)
+        elif view == "strided":
+            a = np.repeat(a, 2, axis=1)[:, ::2]
+        out = transposed_copy(a)
+        assert out.flags.c_contiguous and out.dtype == a.dtype
+        assert out.shape == a.T.shape
+        assert out.tobytes() == np.ascontiguousarray(a.T).tobytes()
+        assert not np.shares_memory(out, a)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import gradient_check_config
+from mgquant import training
 from mgquant.allocator import (
     ffnn_logits,
+    first_layer_input,
     gcn_forward,
     gumbel_softmax,
     hessian_node_features,
@@ -281,6 +283,34 @@ class TestTrain:
         assert abs(hard - 2.5) <= 0.25
         assert np.mean([r.l_quant for r in final]) < np.mean([r.l_quant for r in ep0])
 
+    def test_first_layer_input_built_once_per_layer(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return first_layer_input(*args)
+
+        monkeypatch.setattr(training, "first_layer_input", counting)
+        rng = np.random.default_rng(15)
+        layers = [make_layer(rng, 12, 16, 48)[:2] for _ in range(2)]
+        cfg = TrainConfig(epochs=3, accum_steps=2, d_gnn=8, hidden=8, block_size=8)
+        _, records = train(layers, cfg)
+        assert len(records) == 6 and calls == [12, 12]
+
+    def test_padded_rows_of_w0_only_decay(self):
+        # d_row 5 < d_gnn 8: rows 5..7 of w0 meet only feature padding, so
+        # their gradient is exactly zero and each AdamW step only decays them
+        rng = np.random.default_rng(16)
+        layers = [make_layer(rng, 5, 12, 48)[:2] for _ in range(3)]
+        cfg = TrainConfig(epochs=4, lr=0.01, accum_steps=2, d_gnn=8, hidden=6, seed=4,
+                          block_size=4)
+        params, _ = train(layers, cfg)
+        expect = init_allocator_params(8, 6, 4, np.random.default_rng(4)).w0
+        for _ in range(cfg.epochs * 2):  # 3 passes per epoch: steps after 2 and at the end
+            expect -= cfg.lr * cfg.weight_decay * expect
+        assert np.array_equal(params.w0[5:], expect[5:])
+        assert not np.array_equal(params.w0[:5], expect[:5])
+
     @pytest.mark.slow
     def test_monotone_budget_pressure(self, fixture_layers):
         # a heavier average-bit penalty never worsens the final budget gap
@@ -305,15 +335,16 @@ class TestSharedForward:
         w, hc, _ = make_layer(rng, 40, 24, 96, decades=1.0)
         params = init_allocator_params(16, 12, 4, rng, ffnn_hidden=ffnn_hidden)
         if arch == "gcn":
-            x0, adj = preprocess(w, 16), hc
+            x0, adj, rows = preprocess(w, 16), hc, len(w)
         else:
-            x0, adj = hessian_node_features(hc, 16), None
-        cache = forward_cached(x0, params, adj=adj)
+            x0, adj, rows = hessian_node_features(hc, 16), None, len(hc)
+        a0 = first_layer_input(adj, x0, rows)
+        cache = forward_cached(a0, params, adj=adj)
         assert cache.logits.dtype == np.float64
 
         widths = widths_for(w, hc, params, arch=arch)
         assert np.array_equal(widths, np.argmax(cache.logits, axis=1) + 1)
         assert len(np.unique(widths)) > 1
 
-        _, x2 = gcn_forward(adj, x0, params)
+        _, x2 = gcn_forward(adj, a0, params)
         assert cache.logits.tobytes() == ffnn_logits(x2, params)[1].tobytes()
