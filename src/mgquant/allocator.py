@@ -25,7 +25,7 @@ owns all randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,36 +48,29 @@ __all__ = [
 
 @dataclass
 class AllocatorParams:
-    """Trainable parameters: two graph layers plus the classifier head.
-
-    ``wf``/``bf`` are the optional hidden classifier layer; when absent the
-    head is a single affine map.
-    """
+    """Trainable parameters: two graph layers plus the affine classifier head."""
 
     w0: np.ndarray  # (d_gnn, hidden)
     w1: np.ndarray  # (hidden, hidden)
     wc: np.ndarray  # (hidden, t_max)
     bc: np.ndarray  # (t_max,)
-    wf: np.ndarray | None = None  # (hidden, hidden)
-    bf: np.ndarray | None = None  # (hidden,)
 
     def __post_init__(self):
-        d_gnn, hidden = self.w0.shape
+        for name, arr in self.as_dict().items():
+            ndim = 1 if name == "bc" else 2
+            if arr.ndim != ndim:
+                raise ShapeMismatchError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"parameter {name} contains NaN/Inf")
+        hidden = self.hidden
         if self.w1.shape != (hidden, hidden):
             raise ShapeMismatchError(f"w1 must be ({hidden}, {hidden}), got {self.w1.shape}")
         if self.wc.shape[0] != hidden:
             raise ShapeMismatchError(f"wc must have {hidden} rows, got {self.wc.shape}")
         if self.bc.shape != (self.wc.shape[1],):
             raise ShapeMismatchError(f"bc must match wc columns, got {self.bc.shape}")
-        if (self.wf is None) != (self.bf is None):
-            raise ValueError("wf and bf must be provided together")
-        if self.wf is not None and self.wf.shape != (hidden, hidden):
-            raise ShapeMismatchError(f"wf must be ({hidden}, {hidden}), got {self.wf.shape}")
         if self.t_max < 2:
             raise ValueError(f"t_max must be >= 2, got {self.t_max}")
-        for name, arr in self.as_dict().items():
-            if not np.isfinite(arr).all():
-                raise ValueError(f"parameter {name} contains NaN/Inf")
 
     @property
     def d_gnn(self) -> int:
@@ -91,17 +84,9 @@ class AllocatorParams:
     def t_max(self) -> int:
         return self.wc.shape[1]
 
-    @property
-    def has_hidden_head(self) -> bool:
-        return self.wf is not None
-
     def as_dict(self) -> dict[str, np.ndarray]:
-        """Name -> array views, in a fixed order (shared with the optimizer)."""
-        out = {"w0": self.w0, "w1": self.w1, "wc": self.wc, "bc": self.bc}
-        if self.wf is not None:
-            out["wf"] = self.wf
-            out["bf"] = self.bf
-        return out
+        """Name -> array views, in field order (shared with the optimizer)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -115,7 +100,6 @@ def init_allocator_params(
     hidden: int,
     t_max: int,
     rng: np.random.Generator,
-    ffnn_hidden: bool = False,
 ) -> AllocatorParams:
     """Seeded init: uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases.
 
@@ -124,13 +108,9 @@ def init_allocator_params(
     """
     w0 = _xavier_uniform(rng, (d_gnn, hidden))
     w1 = _xavier_uniform(rng, (hidden, hidden))
-    wf = bf = None
-    if ffnn_hidden:
-        wf = _xavier_uniform(rng, (hidden, hidden))
-        bf = np.zeros(hidden, dtype=np.float64)
     wc = _xavier_uniform(rng, (hidden, t_max))
     bc = np.zeros(t_max, dtype=np.float64)
-    return AllocatorParams(w0=w0, w1=w1, wc=wc, bc=bc, wf=wf, bf=bf)
+    return AllocatorParams(w0=w0, w1=w1, wc=wc, bc=bc)
 
 
 def preprocess(w: np.ndarray, d_gnn: int) -> np.ndarray:
@@ -207,22 +187,15 @@ def gcn_forward(
     return x1, _relu(x2 if adj is None else adj @ x2)
 
 
-def ffnn_logits(x2: np.ndarray, params: AllocatorParams) -> tuple[np.ndarray, np.ndarray]:
-    """Classifier head: returns ``(head, logits)``, logits (d_col x t_max).
-
-    ``head`` is the input of the final affine map: ``x2`` itself, or the
-    optional hidden layer's activation.
-    """
+def ffnn_logits(x2: np.ndarray, params: AllocatorParams) -> np.ndarray:
+    """Classifier head: the logits ``x2 @ wc + bc`` (d_col x t_max)."""
     x2 = np.asarray(x2)
     if x2.ndim != 2 or x2.shape[1] != params.hidden:
         raise ShapeMismatchError(
             f"features shape {x2.shape} does not match hidden {params.hidden}"
         )
     dtype = x2.dtype
-    h = x2
-    if params.has_hidden_head:
-        h = _relu(x2 @ params.wf.astype(dtype, copy=False) + params.bf.astype(dtype, copy=False))
-    return h, h @ params.wc.astype(dtype, copy=False) + params.bc.astype(dtype, copy=False)
+    return x2 @ params.wc.astype(dtype, copy=False) + params.bc.astype(dtype, copy=False)
 
 
 def allocate(x2: np.ndarray, params: AllocatorParams) -> np.ndarray:
@@ -231,8 +204,7 @@ def allocate(x2: np.ndarray, params: AllocatorParams) -> np.ndarray:
     Softmax is order-preserving, so the argmax is taken on raw logits.
     Ties resolve to the lower width (numpy argmax returns the first max).
     """
-    _, logits = ffnn_logits(x2, params)
-    return np.argmax(logits, axis=1).astype(np.int64) + 1
+    return np.argmax(ffnn_logits(x2, params), axis=1).astype(np.int64) + 1
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -221,9 +221,8 @@ def cmd_quantize(args) -> int:
     stored = _load_weights(args.weights)
     w = stored.astype(dtype, copy=False)
     hc = _load_hessian(args.hessian).astype(dtype, copy=False)
-    sections = _read(args.params, "w0", "w1", "wc", "bc")
     try:
-        params = params_from_sections(sections)
+        params = params_from_sections(read_tensor_file(args.params))
     except ValueError as exc:
         raise ValueError(f"{args.params}: {exc}") from None
     result, timings = quantize_with_allocator(w, hc, params, block_size=args.block, dtype=dtype)

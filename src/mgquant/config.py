@@ -21,18 +21,16 @@ def _kind(hint) -> tuple[object, bool]:
 
 
 _FIELD_KINDS = {key: _kind(hint) for key, hint in typing.get_type_hints(TrainConfig).items()}
-_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
+_KIND_NAMES = {int: "an integer", float: "a number"}
 
 
 def _check_type(key: str, value):
     kind, optional = _FIELD_KINDS[key]
     if value is None and optional:
         return
-    if kind is bool or isinstance(value, bool):
-        ok = kind is bool and isinstance(value, bool)
-    else:
-        ok = isinstance(value, (int, float) if kind is float else kind)
-    if not ok:
+    # bool is an int subclass, but a JSON true or false is not a number
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    if isinstance(value, bool) or not ok:
         raise ValueError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 

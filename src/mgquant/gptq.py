@@ -94,7 +94,8 @@ class QuantResult:
         return float(np.mean(self.widths))
 
     def bit_histogram(self, t_max: int) -> list[int]:
-        counts = np.bincount(self.widths, minlength=t_max + 1)[1 : t_max + 1]
+        """Columns per width 1, 2, ...: ``t_max`` counts, or up to the widest width."""
+        counts = np.bincount(self.widths, minlength=t_max + 1)[1:]
         return [int(c) for c in counts]
 
 

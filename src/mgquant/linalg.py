@@ -37,7 +37,6 @@ __all__ = [
     "cholesky",
     "spd_inverse",
     "cholesky_of_inverse",
-    "symmetry_gap",
     "transposed_copy",
 ]
 
@@ -92,13 +91,6 @@ def transposed_copy(a: np.ndarray) -> np.ndarray:
     for s in range(0, a.shape[0], 64):
         out[:, s : s + 64] = a[s : s + 64].T
     return out
-
-
-def symmetry_gap(a: np.ndarray) -> float:
-    """Relative asymmetry ``max|A - A^T| / max|A|`` (0 for the zero matrix)."""
-    a = np.asarray(a)
-    scale = _max_abs(a)
-    return _max_abs(a - a.T) / scale if scale != 0.0 else 0.0
 
 
 def _check_square_symmetric(a: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Weight files carry a 2-D ``weights`` section; Gram files carry ``gram`` and
 ``samples``; hessian files carry ``hessian_cholesky`` (upper triangular);
-allocator parameter files carry ``w0/w1/wc/bc`` (optionally ``wf/bf``) and
-nothing else. Quantized outputs carry the dequantized ``quantized`` matrix,
-u8 ``codes``, per-column ``scales``/``zeros`` grids and u8 ``widths``, which
+allocator parameter files carry ``w0/w1/wc/bc`` and nothing else.
+Quantized outputs carry the dequantized ``quantized`` matrix, u8 ``codes``,
+per-column ``scales``/``zeros`` grids and u8 ``widths``, which
 :func:`result_to_sections` takes as they are from the
 :class:`~mgquant.gptq.QuantResult` arrays. :func:`widths_for` is the one
 inference path of the allocator, for the graph and the MLP ablation alike.
@@ -14,7 +14,7 @@ Nothing here reads calibration data: the CLI takes each proxy loss.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -99,12 +99,15 @@ def params_to_sections(params: AllocatorParams) -> dict[str, np.ndarray]:
 def params_from_sections(sections: dict[str, np.ndarray]) -> AllocatorParams:
     """Rebuild allocator parameters from the sections :func:`params_to_sections` writes.
 
-    Any other section is an error, so that an older file whose ``flags``
-    section changed the adjacency it was trained on does not load silently.
+    A missing or any other section is an error, so that an older file whose
+    ``flags`` or ``wf``/``bf`` sections changed the network it was trained
+    with does not load silently.
     """
-    unknown = sorted(set(sections) - {"w0", "w1", "wc", "bc", "wf", "bf"})
-    if unknown:
-        raise ValueError(f"unknown allocator parameter sections {unknown}")
+    names = [f.name for f in fields(AllocatorParams)]
+    missing = [name for name in names if name not in sections]
+    unknown = sorted(set(sections) - set(names))
+    if missing or unknown:
+        raise ValueError(f"allocator parameter sections: missing {missing}, unknown {unknown}")
     return AllocatorParams(**{k: np.asarray(v, dtype=np.float64) for k, v in sections.items()})
 
 

@@ -70,7 +70,6 @@ class TrainConfig:
     accum_steps: int = 4
     alpha: float = 1.0
     tau: float = 1.0
-    tau_anneal: bool = False
     target_bits: float = 2.5
     seed: int = 0
     weight_decay: float = 0.01
@@ -81,7 +80,6 @@ class TrainConfig:
     hidden: int | None = None
     t_max: int = 4
     block_size: int = 128
-    ffnn_hidden: bool = False
 
     @property
     def hidden_dim(self) -> int:
@@ -122,13 +120,6 @@ class TrainConfig:
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         return self
-
-    def tau_at(self, epoch: int) -> float:
-        """Fixed temperature, or a linear ramp down to 0.1 when annealing."""
-        if not self.tau_anneal or self.epochs <= 1:
-            return self.tau
-        frac = epoch / (self.epochs - 1)
-        return self.tau + (0.1 - self.tau) * frac
 
 
 @dataclass(frozen=True)
@@ -203,7 +194,6 @@ class ForwardCache:
     x0: np.ndarray  # the first layer's propagated input A0
     x1: np.ndarray
     x2: np.ndarray
-    head: np.ndarray  # input of the final affine map (x2 without a hidden layer)
     logits: np.ndarray
     adj: np.ndarray | None  # None for the MLP ablation
 
@@ -218,8 +208,7 @@ def forward_cached(
     if adj is not None:
         adj = np.asarray(adj, dtype=np.float64)
     x1, x2 = gcn_forward(adj, a0, params)
-    head, logits = ffnn_logits(x2, params)
-    return ForwardCache(x0=a0, x1=x1, x2=x2, head=head, logits=logits, adj=adj)
+    return ForwardCache(x0=a0, x1=x1, x2=x2, logits=ffnn_logits(x2, params), adj=adj)
 
 
 def backward_from_cache(
@@ -249,14 +238,8 @@ def backward_from_cache(
     inner = np.sum(dP * P, axis=1, keepdims=True)
     dZ = P * (dP - inner) / tau
 
-    grads: dict[str, np.ndarray] = {"wc": cache.head.T @ dZ, "bc": dZ.sum(axis=0)}
+    grads: dict[str, np.ndarray] = {"wc": cache.x2.T @ dZ, "bc": dZ.sum(axis=0)}
     dX2 = dZ @ params.wc.T
-    if params.has_hidden_head:
-        d_head = dX2 * (cache.head > 0)
-        grads["wf"] = cache.x2.T @ d_head
-        grads["bf"] = d_head.sum(axis=0)
-        dX2 = d_head @ params.wf.T
-
     dA2 = dX2 * (cache.x2 > 0)
     if cache.adj is not None:
         dA2 = cache.adj.T @ dA2
@@ -367,9 +350,7 @@ def train(
         prepared.append((w, hc, adj, first_layer_input(adj, x0, rows)))
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_allocator_params(
-        cfg.d_gnn, cfg.hidden_dim, cfg.t_max, rng, ffnn_hidden=cfg.ffnn_hidden
-    )
+    params = init_allocator_params(cfg.d_gnn, cfg.hidden_dim, cfg.t_max, rng)
     opt = AdamW.from_config(cfg)
     param_arrays = params.as_dict()
 
@@ -378,11 +359,10 @@ def train(
     records: list[TrainingLogRecord] = []
 
     for epoch in range(cfg.epochs):
-        tau = cfg.tau_at(epoch)
         for li, (w, hc, adj, a0) in enumerate(prepared):
             cache = forward_cached(a0, params, adj=adj)
             noise = sample_gumbel(cache.logits.shape, rng)
-            P = gumbel_softmax(cache.logits, tau, noise)
+            P = gumbel_softmax(cache.logits, cfg.tau, noise)
             hard = np.argmax(P, axis=1).astype(np.int64) + 1
 
             result = quantize_blockwise(
@@ -393,7 +373,7 @@ def train(
             errs = error_table(result.residuals, np.diag(hc), cfg.t_max)
             breakdown = soft_losses(P, errs, cfg.target_bits, cfg.alpha)
             grads = backward_from_cache(
-                cache, params, P, errs, cfg.target_bits, cfg.alpha, tau
+                cache, params, P, errs, cfg.target_bits, cfg.alpha, cfg.tau
             )
             for k in pending:
                 pending[k] += grads[k]

@@ -15,7 +15,6 @@ from mgquant.training import backward_from_cache, forward_cached, soft_losses
 def gradient_check_config(
     seed: int,
     arch: str = "gcn",
-    ffnn_hidden: bool = False,
     tau: float = 1.0,
     alpha: float = 1.0,
     step: float = 1e-5,
@@ -36,10 +35,8 @@ def gradient_check_config(
     d_gnn = int(rng.integers(2, 9))
     hidden = int(rng.integers(2, 9))
     t_max = 4
-    params = init_allocator_params(d_gnn, hidden, t_max, rng, ffnn_hidden=ffnn_hidden)
+    params = init_allocator_params(d_gnn, hidden, t_max, rng)
     params.bc += 0.05 * rng.standard_normal(t_max)
-    if ffnn_hidden:
-        params.bf += 0.05 + 0.05 * rng.random(hidden)
 
     x0 = rng.standard_normal((d_col, d_gnn))
     adj = None

@@ -17,8 +17,8 @@ from mgquant.linalg import ShapeMismatchError
 from mgquant.synth import make_layer
 
 
-def small_params(rng, d_gnn=4, hidden=4, t_max=4, ffnn_hidden=False):
-    return init_allocator_params(d_gnn, hidden, t_max, rng, ffnn_hidden=ffnn_hidden)
+def small_params(rng, d_gnn=4, hidden=4, t_max=4):
+    return init_allocator_params(d_gnn, hidden, t_max, rng)
 
 
 def upper_factor(rng, n):
@@ -174,7 +174,7 @@ class TestFirstLayerInput:
         d_row, d_col = (rows, 20) if arch == "gcn" else (24, rows)
         w, hc, _ = make_layer(rng, d_row, d_col, 64, decades=1.0)
         w, hc = w.astype(dtype), hc.astype(dtype)
-        params = init_allocator_params(d_gnn, 12, 4, rng, ffnn_hidden=True)
+        params = init_allocator_params(d_gnn, 12, 4, rng)
         if arch == "gcn":
             x0, adj = preprocess(w, d_gnn), hc
         else:
@@ -182,13 +182,13 @@ class TestFirstLayerInput:
 
         a0 = first_layer_input(adj, x0, rows)
         assert a0.shape == (d_col, min(rows, d_gnn)) and a0.dtype == dtype
-        logits = ffnn_logits(gcn_forward(adj, a0, params)[1], params)[1]
+        logits = ffnn_logits(gcn_forward(adj, a0, params)[1], params)
 
         def layer(x, wl):
             x = x @ wl.astype(dtype)
             return np.maximum(x if adj is None else adj @ x, 0)
 
-        padded = ffnn_logits(layer(layer(x0, params.w0), params.w1), params)[1]
+        padded = ffnn_logits(layer(layer(x0, params.w0), params.w1), params)
         assert logits.dtype == dtype
         assert np.max(np.abs(logits - padded)) <= rtol * np.max(np.abs(padded))
 
@@ -213,7 +213,7 @@ class TestAllocate:
         rng = np.random.default_rng(14)
         params = small_params(rng)
         x2 = np.abs(rng.standard_normal((12, 4)))
-        _, logits = ffnn_logits(x2, params)
+        logits = ffnn_logits(x2, params)
         assert np.array_equal(
             np.argmax(logits, axis=1), np.argmax(2.0 * logits + 1.0, axis=1)
         )
@@ -223,7 +223,7 @@ class TestAllocate:
         params = small_params(rng, d_gnn=4, hidden=4, t_max=4)
         x2 = np.abs(rng.standard_normal((32, 4)))
         widths = allocate(x2, params)
-        _, logits = ffnn_logits(x2, params)
+        logits = ffnn_logits(x2, params)
         for j in range(32):
             best, arg = -np.inf, 0
             for t in range(4):
@@ -237,18 +237,6 @@ class TestAllocate:
         )
         widths = allocate(np.ones((3, 2)), params)
         assert np.all(widths == 1)
-
-    def test_hidden_head_changes_logits(self):
-        rng = np.random.default_rng(16)
-        p2 = small_params(rng, ffnn_hidden=True)
-        x2 = np.abs(rng.standard_normal((5, 4)))
-        head, logits = ffnn_logits(x2, p2)
-        hidden = np.maximum(x2 @ p2.wf + p2.bf, 0.0)
-        assert np.allclose(head, hidden, atol=1e-14)
-        assert np.allclose(logits, hidden @ p2.wc + p2.bc, atol=1e-14)
-        # without the hidden layer the head input is x2 itself
-        head, _ = ffnn_logits(x2, small_params(rng))
-        assert head is x2
 
 
 class TestGumbelSoftmax:
@@ -313,7 +301,6 @@ class TestParams:
         assert np.max(np.abs(p.w0)) <= np.sqrt(6.0 / (8 + 6))
         assert np.max(np.abs(p.wc)) <= np.sqrt(6.0 / (6 + 4))
         assert p.d_gnn == 8 and p.hidden == 6 and p.t_max == 4
-        assert not p.has_hidden_head
 
     def test_init_seeded_deterministic(self):
         a = init_allocator_params(4, 4, 4, np.random.default_rng(1))

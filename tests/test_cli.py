@@ -221,7 +221,7 @@ class TestTrainCli:
     REMOVED_KEYS = {"damp_frac": 0.1, "precision": "f64", "weights_dir": "w",
                     "hessians_dir": "h", "calib_paths": ["c.mgqt"], "out_path": "p.mgqt",
                     "report_path": "r.json", "log_path": "t.log", "intra_block": False,
-                    "symmetrize_adjacency": True}
+                    "symmetrize_adjacency": True, "ffnn_hidden": False, "tau_anneal": True}
 
     @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
     def test_removed_key_exit_2(self, tmp_path, capsys, key):
@@ -364,13 +364,24 @@ class TestQuantizeCli:
         assert len(err) == 1 and "odd_params.mgqt" in err[0] and "'w1'" in err[0], err
 
     def test_old_params_flags_section(self, tmp_path, capsys):
-        # files from before the flags section was dropped are refused, flags 0 or not
+        # files from before the flags or the wf/bf sections were dropped are
+        # refused, flags 0 or not; so are sections of the wrong rank
         params = params_to_sections(init_allocator_params(8, 8, 4, np.random.default_rng(0)))
         assert self.quantize_with_params(tmp_path / "new", capsys, params)[0] == 0
-        flags = {**params, "flags": np.array([0], np.uint8)}
-        rc, out, err, q = self.quantize_with_params(tmp_path / "old", capsys, flags)
-        assert rc == 2 and out == "" and not q.exists()
-        assert len(err) == 1 and "odd_params.mgqt" in err[0] and "flags" in err[0], err
+        cases = [
+            ("flags", {"flags": np.array([0], np.uint8)}),
+            ("wf", {"wf": np.zeros((8, 8)), "bf": np.zeros(8)}),
+            ("wc", {"wc": params["wc"][:, 0]}),
+            ("w0", {"w0": params["w0"][0]}),
+            ("w0", {"w0": params["w0"][None]}),
+            ("bc", {"bc": params["bc"][:, None]}),
+        ]
+        for i, (section, change) in enumerate(cases):
+            rc, out, err, q = self.quantize_with_params(
+                tmp_path / f"old{i}", capsys, {**params, **change}
+            )
+            assert rc == 2 and out == "" and not q.exists()
+            assert len(err) == 1 and "odd_params.mgqt" in err[0] and section in err[0], err
 
     def test_representable_fixture_zero_proxy_and_identity_oracle(self, tmp_path, capsys):
         # allocator parameters pinned so every column gets 3 bits; weights
@@ -640,19 +651,25 @@ class TestBlasThreadCount:
 
 class TestBaselineCli:
     def test_rtn_and_uniform(self, tmp_path, capsys):
+        # widths past the config's t_max (4) are counted in the histogram too
         wdir, hdir, calibs, cfg = make_instance(tmp_path, seed=4)
         for method in ("rtn", "gptq-uniform"):
-            rep = tmp_path / f"{method}.json"
-            rc = main(["baseline", "--method", method, "--bits", "2",
-                       "--weights", str(wdir / "L0.mgqt"), "--hessian", str(hdir / "L0.mgqt"),
-                       "--calib", str(calibs[0]), "--config", str(cfg),
-                       "--out", str(tmp_path / f"{method}.mgqt"), "--report", str(rep)])
-            assert rc == 0
-            payload = last_json_line(capsys)
-            assert payload["method"] == method
-            assert payload["mean_bits"] == 2.0
-            report = json.loads(rep.read_text())
-            assert report["config"]["method"] == method
+            for bits in (2, 5, 8):
+                rep = tmp_path / f"{method}{bits}.json"
+                rc = main(["baseline", "--method", method, "--bits", str(bits),
+                           "--weights", str(wdir / "L0.mgqt"), "--hessian", str(hdir / "L0.mgqt"),
+                           "--calib", str(calibs[0]), "--config", str(cfg),
+                           "--out", str(tmp_path / f"{method}{bits}.mgqt"), "--report", str(rep)])
+                assert rc == 0
+                payload = last_json_line(capsys)
+                assert payload["method"] == method
+                assert payload["mean_bits"] == bits
+                report = json.loads(rep.read_text())
+                assert report["config"]["method"] == method
+                (layer,) = report["layers"]
+                hist = [0] * max(4, bits)
+                hist[bits - 1] = layer["cols"]
+                assert layer["bit_histogram"] == hist
 
     def test_overflowing_column_exit_2(self, tmp_path, capsys):
         weights, hessian = tmp_path / "w.mgqt", tmp_path / "h.mgqt"

@@ -5,16 +5,18 @@ import types
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mgquant.allocator import init_allocator_params
 from mgquant.config import load_run_config
+from mgquant.pipeline import params_from_sections, params_to_sections
 from mgquant.training import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Values of the wrong kind for each annotated field type; ``{}`` is wrong for all.
 WRONG_VALUES = {
-    bool: [1, "yes"],
     int: [True, 2.5, "3"],
     float: [False, "0.5"],
 }
@@ -69,8 +71,8 @@ class TestLoadRunConfig:
     def test_bad_types_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="epochs"):
             load_run_config(write(tmp_path, {"epochs": "fifty"}))
-        with pytest.raises(ValueError, match="tau_anneal"):
-            load_run_config(write(tmp_path, {"tau_anneal": "yes"}))
+        with pytest.raises(ValueError, match="config key 'tau' must be a number"):
+            load_run_config(write(tmp_path, {"tau": True}))
 
     @pytest.mark.parametrize("key,value", field_cases())
     def test_every_field_type_checked(self, tmp_path, key, value):
@@ -107,3 +109,17 @@ def readme_config_keys() -> set[str]:
 
 def test_readme_documents_exactly_the_config_keys():
     assert readme_config_keys() == {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+def test_readme_documents_exactly_the_params_sections():
+    row = next(line for line in README.read_text().splitlines()
+               if line.startswith("| allocator params "))
+    documented = {name for group in re.findall(r"`([^`]+)`", row) for name in group.split()}
+    written = params_to_sections(init_allocator_params(4, 4, 4, np.random.default_rng(0)))
+    assert documented == set(written)
+    params_from_sections(written)
+    for name in written:
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            params_from_sections({k: v for k, v in written.items() if k != name})
+    with pytest.raises(ValueError, match="'extra'"):
+        params_from_sections({**written, "extra": np.zeros(1)})

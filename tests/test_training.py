@@ -114,12 +114,8 @@ class TestBackward:
             assert np.max(np.abs(g)) < 1e-14
 
     @pytest.mark.parametrize("arch", ["gcn", "mlp"])
-    @pytest.mark.parametrize("ffnn_hidden", [False, True])
-    def test_matches_finite_differences(self, arch, ffnn_hidden):
-        worst = max(
-            gradient_check_config(seed, arch=arch, ffnn_hidden=ffnn_hidden)
-            for seed in range(3)
-        )
+    def test_matches_finite_differences(self, arch):
+        worst = max(gradient_check_config(seed, arch=arch) for seed in range(3))
         assert worst < 1e-4
 
     def test_nondefault_tau_alpha_gradients(self):
@@ -264,14 +260,6 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([(w, hc)], TrainConfig(), arch="cnn")
 
-    def test_tau_anneal_schedule(self):
-        cfg = TrainConfig(epochs=11, tau=1.0, tau_anneal=True)
-        assert cfg.tau_at(0) == 1.0
-        assert cfg.tau_at(10) == pytest.approx(0.1)
-        assert cfg.tau_at(5) == pytest.approx(0.55)
-        flat = TrainConfig(epochs=11, tau=0.7)
-        assert flat.tau_at(0) == flat.tau_at(10) == 0.7
-
     def test_regression_fixture_seed7(self, fixture_layers):
         # frozen end-to-end behavior at package defaults on the 8-layer fixture
         layers, _ = fixture_layers
@@ -329,11 +317,10 @@ class TestSharedForward:
     """Inference and training run one forward pass."""
 
     @pytest.mark.parametrize("arch", ["gcn", "mlp"])
-    @pytest.mark.parametrize("ffnn_hidden", [False, True])
-    def test_widths_and_logits_match_training_forward(self, arch, ffnn_hidden):
+    def test_widths_and_logits_match_training_forward(self, arch):
         rng = np.random.default_rng(21)
         w, hc, _ = make_layer(rng, 40, 24, 96, decades=1.0)
-        params = init_allocator_params(16, 12, 4, rng, ffnn_hidden=ffnn_hidden)
+        params = init_allocator_params(16, 12, 4, rng)
         if arch == "gcn":
             x0, adj, rows = preprocess(w, 16), hc, len(w)
         else:
@@ -347,4 +334,4 @@ class TestSharedForward:
         assert len(np.unique(widths)) > 1
 
         _, x2 = gcn_forward(adj, a0, params)
-        assert cache.logits.tobytes() == ffnn_logits(x2, params)[1].tobytes()
+        assert cache.logits.tobytes() == ffnn_logits(x2, params).tobytes()
