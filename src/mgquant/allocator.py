@@ -144,10 +144,6 @@ def hessian_node_features(hc: np.ndarray, d_gnn: int) -> np.ndarray:
     return preprocess(np.ascontiguousarray(hc.T), d_gnn)
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
-
-
 def first_layer_input(adj: np.ndarray | None, x0: np.ndarray, rows: int) -> np.ndarray:
     """``A0 = adj @ x0[:, :min(rows, d_gnn)]``, or that slice if ``adj`` is None.
 
@@ -182,9 +178,12 @@ def gcn_forward(
     if adj is not None and adj.shape != (len(a0), len(a0)):
         raise ShapeMismatchError(f"adjacency {adj.shape} does not match features {a0.shape}")
 
-    x1 = _relu(a0 @ params.w0[: a0.shape[1]].astype(dtype, copy=False))
+    x1 = a0 @ params.w0[: a0.shape[1]].astype(dtype, copy=False)
+    np.maximum(x1, 0, out=x1)
     x2 = x1 @ params.w1.astype(dtype, copy=False)
-    return x1, _relu(x2 if adj is None else adj @ x2)
+    if adj is not None:
+        x2 = adj @ x2
+    return x1, np.maximum(x2, 0, out=x2)
 
 
 def ffnn_logits(x2: np.ndarray, params: AllocatorParams) -> np.ndarray:

@@ -149,7 +149,7 @@ def cmd_hessian(args) -> int:
     return 0
 
 
-def _paired_layers(weights_dir: str, hessians_dir: str) -> list[tuple[str, Path, Path]]:
+def _paired_layers(weights_dir: str, hessians_dir: str) -> list[tuple[Path, Path]]:
     wdir, hdir = Path(weights_dir), Path(hessians_dir)
     if not wdir.is_dir():
         raise ValueError(f"{wdir}: not a directory")
@@ -165,7 +165,22 @@ def _paired_layers(weights_dir: str, hessians_dir: str) -> list[tuple[str, Path,
         )
     if not wfiles:
         raise ValueError(f"no .mgqt layer files found in {wdir}")
-    return [(stem, wfiles[stem], hfiles[stem]) for stem in sorted(wfiles)]
+    return [(wfiles[stem], hfiles[stem]) for stem in sorted(wfiles)]
+
+
+class _LayerFiles:
+    """``train``'s (weights, factor) pairs, each read from its files, as
+    stored, every time it is indexed."""
+
+    def __init__(self, pairs: list[tuple[Path, Path]]):
+        self.pairs = pairs
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        wp, hp = self.pairs[i]
+        return _load_weights(str(wp)), _load_hessian(str(hp))
 
 
 def cmd_train(args) -> int:
@@ -174,14 +189,7 @@ def cmd_train(args) -> int:
     from .training import TrainConfig, format_training_log
 
     cfg = load_run_config(args.config) if args.config else TrainConfig()
-    pairs = _paired_layers(args.weights, args.hessians)
-    # Training runs in float64: convert each file as it loads, so no stored
-    # array stays alive beside its float64 copy.
-    layers = [
-        (_load_weights(str(wp)).astype(np.float64, copy=False),
-         _load_hessian(str(hp)).astype(np.float64, copy=False))
-        for _, wp, hp in pairs
-    ]
+    layers = _LayerFiles(_paired_layers(args.weights, args.hessians))
     params, records = train(layers, cfg, arch="gcn")
     write_tensor_file(args.out, params_to_sections(params))
     log_path = args.log or (args.out + ".log")

@@ -15,9 +15,10 @@ fed to the engine is the argmax of the same sample (straight-through), so
 compensation always sees realistic discrete widths while gradients flow
 through the soft distribution. The forward pass is the inference one, its
 activations kept; backprop through the softmax, classifier head and both
-graph layers is written out by hand, from each layer's first-layer input
-A0, propagated once. Gradients accumulate by plain summation across
-``accum_steps`` layer passes before one AdamW step.
+graph layers is written out by hand, from the layer's first-layer input
+A0, propagated once per pass. Gradients accumulate by plain summation, in
+one buffer per parameter, across ``accum_steps`` layer passes before one
+AdamW step.
 
 All randomness (parameter init, Gumbel noise) comes from the config seed,
 and everything runs in float64, so a training run is bit-reproducible.
@@ -219,13 +220,16 @@ def backward_from_cache(
     target_bits: float,
     alpha: float,
     tau: float,
-) -> dict[str, np.ndarray]:
-    """Exact gradients of the surrogate loss w.r.t. every parameter.
+    into: dict[str, np.ndarray],
+) -> None:
+    """Add the exact gradients of the surrogate loss to ``into``, in place.
 
+    ``into`` maps every parameter name to an accumulator of its shape.
     ``errs`` is constant; the chain runs loss -> P -> Gumbel-softmax ->
     logits -> head -> two (graph) layers, with the adjacency transposed on
     the way back through the second: ``w0``'s gradient is ``A0^T dA1``,
-    exactly zero on the rows past A0's width, which AdamW only decays.
+    added to its first A0-width rows only; the rows past them get nothing,
+    and AdamW only decays them.
     """
     P = np.asarray(P, dtype=np.float64)
     errs = np.asarray(errs, dtype=np.float64)
@@ -238,24 +242,24 @@ def backward_from_cache(
     inner = np.sum(dP * P, axis=1, keepdims=True)
     dZ = P * (dP - inner) / tau
 
-    grads: dict[str, np.ndarray] = {"wc": cache.x2.T @ dZ, "bc": dZ.sum(axis=0)}
+    into["wc"] += cache.x2.T @ dZ
+    into["bc"] += dZ.sum(axis=0)
     dX2 = dZ @ params.wc.T
     dA2 = dX2 * (cache.x2 > 0)
     if cache.adj is not None:
         dA2 = cache.adj.T @ dA2
-    grads["w1"] = cache.x1.T @ dA2
+    into["w1"] += cache.x1.T @ dA2
 
     dA1 = (dA2 @ params.w1.T) * (cache.x1 > 0)
-    grads["w0"] = np.zeros_like(params.w0)
-    np.matmul(cache.x0.T, dA1, out=grads["w0"][: cache.x0.shape[1]])
-    return grads
+    into["w0"][: cache.x0.shape[1]] += cache.x0.T @ dA1
 
 
 class AdamW:
     """AdamW with decoupled weight decay applied before the moment update.
 
-    ``step`` mutates the parameter arrays in place. State (first/second
-    moments, step count) is keyed by parameter name and created lazily.
+    ``step`` updates the parameter arrays and moments in place and leaves
+    the gradients as they are. State (first/second moments, step count) is
+    keyed by parameter name and created lazily.
     """
 
     def __init__(
@@ -294,21 +298,60 @@ class AdamW:
             if name not in self._m:
                 self._m[name] = np.zeros_like(p)
                 self._v[name] = np.zeros_like(p)
-            if self.weight_decay:
-                p -= self.lr * self.weight_decay * p
             m = self._m[name]
             v = self._v[name]
+            # Two scratch arrays, each operation in the out-of-place formula's order
+            a, b = np.empty_like(p), np.empty_like(p)
+            if self.weight_decay:
+                p -= np.multiply(self.lr * self.weight_decay, p, out=a)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            denom = np.sqrt(v / bc2)
+            v += np.multiply(1.0 - self.beta2, np.square(g, out=a), out=a)
+            denom = np.sqrt(np.divide(v, bc2, out=a), out=a)
             denom += self.eps
-            p -= self.lr * (m / bc1) / denom
+            update = np.multiply(self.lr, np.divide(m, bc1, out=b), out=b)
+            p -= np.divide(update, denom, out=b)
 
 
-def _zero_like(params: AllocatorParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.as_dict().items()}
+def _layer(layers: Sequence, i: int, dtype: type | None = np.float64) -> tuple[np.ndarray, ...]:
+    """``layers[i]`` as arrays of ``dtype`` (None keeps theirs), shapes checked.
+    An array already of ``dtype`` is not copied."""
+    w, hc = layers[i]
+    w = np.asarray(w, dtype=dtype)
+    hc = np.asarray(hc, dtype=dtype)
+    if w.ndim != 2 or hc.shape != (w.shape[1], w.shape[1]):
+        raise ShapeMismatchError(
+            f"layer {i}: weights {w.shape} incompatible with factor {hc.shape}"
+        )
+    return w, hc
+
+
+def _layer_pass(
+    w: np.ndarray, hc: np.ndarray, params: AllocatorParams, cfg: TrainConfig, arch: str,
+    rng: np.random.Generator, into: dict[str, np.ndarray],
+) -> tuple[LossBreakdown, float]:
+    """One pass over one layer, its gradients added to ``into``.
+
+    Returns the surrogate losses and the hard mean bits. Everything the pass
+    builds from the layer is local, so it is freed on return.
+    """
+    if arch == "gcn":
+        adj, a0 = hc, first_layer_input(hc, preprocess(w, cfg.d_gnn), len(w))
+    else:
+        adj, a0 = None, first_layer_input(None, hessian_node_features(hc, cfg.d_gnn), len(hc))
+    cache = forward_cached(a0, params, adj=adj)
+    noise = sample_gumbel(cache.logits.shape, rng)
+    P = gumbel_softmax(cache.logits, cfg.tau, noise)
+    hard = np.argmax(P, axis=1).astype(np.int64) + 1
+
+    result = quantize_blockwise(w, hc, hard, block_size=min(cfg.block_size, w.shape[1]),
+                                keep_residuals=True)
+    errs = error_table(result.residuals, np.diag(hc), cfg.t_max)
+    del result  # the engine's buffers go before backward allocates
+    breakdown = soft_losses(P, errs, cfg.target_bits, cfg.alpha)
+    backward_from_cache(cache, params, P, errs, cfg.target_bits, cfg.alpha, cfg.tau, into)
+    return breakdown, float(np.mean(hard))
 
 
 def train(
@@ -324,59 +367,37 @@ def train(
     summed gradients every ``accum_steps`` passes (a partial window is
     flushed at the epoch boundary).
 
-    Weights and factors already in float64 are used as given, not copied;
-    at most one pass's engine result and activations are alive at a time.
+    ``layers`` needs ``len`` and ``[i]``. It is indexed once per layer
+    before the first epoch, to check every shape (even at ``epochs`` 0),
+    and then once per pass, and only the pass's layer is held: a sequence
+    that loads on access keeps one layer in memory. Weights and factors
+    already in float64 are used as given, not copied.
 
     Returns the trained parameters and one log record per (epoch, layer).
     """
     cfg.validate()
     if arch not in ("gcn", "mlp"):
         raise ValueError(f"arch must be 'gcn' or 'mlp', got {arch!r}")
-    if not layers:
+    n_layers = len(layers)
+    if not n_layers:
         raise ValueError("need at least one layer to train on")
-
-    prepared = []
-    for i, (w, hc) in enumerate(layers):
-        w = np.asarray(w, dtype=np.float64)
-        hc = np.asarray(hc, dtype=np.float64)
-        if w.ndim != 2 or hc.shape != (w.shape[1], w.shape[1]):
-            raise ShapeMismatchError(
-                f"layer {i}: weights {w.shape} incompatible with factor {hc.shape}"
-            )
-        if arch == "gcn":
-            x0, adj, rows = preprocess(w, cfg.d_gnn), hc, len(w)
-        else:
-            x0, adj, rows = hessian_node_features(hc, cfg.d_gnn), None, len(hc)
-        prepared.append((w, hc, adj, first_layer_input(adj, x0, rows)))
+    for i in range(n_layers):
+        _layer(layers, i, dtype=None)
 
     rng = np.random.default_rng(cfg.seed)
     params = init_allocator_params(cfg.d_gnn, cfg.hidden_dim, cfg.t_max, rng)
     opt = AdamW.from_config(cfg)
     param_arrays = params.as_dict()
 
-    pending = _zero_like(params)
+    pending = {k: np.zeros_like(v) for k, v in param_arrays.items()}
     pending_count = 0
     records: list[TrainingLogRecord] = []
 
     for epoch in range(cfg.epochs):
-        for li, (w, hc, adj, a0) in enumerate(prepared):
-            cache = forward_cached(a0, params, adj=adj)
-            noise = sample_gumbel(cache.logits.shape, rng)
-            P = gumbel_softmax(cache.logits, cfg.tau, noise)
-            hard = np.argmax(P, axis=1).astype(np.int64) + 1
-
-            result = quantize_blockwise(
-                w, hc, hard,
-                block_size=min(cfg.block_size, w.shape[1]),
-                keep_residuals=True,
+        for li in range(n_layers):
+            breakdown, hard_mean_bits = _layer_pass(
+                *_layer(layers, li), params, cfg, arch, rng, pending
             )
-            errs = error_table(result.residuals, np.diag(hc), cfg.t_max)
-            breakdown = soft_losses(P, errs, cfg.target_bits, cfg.alpha)
-            grads = backward_from_cache(
-                cache, params, P, errs, cfg.target_bits, cfg.alpha, cfg.tau
-            )
-            for k in pending:
-                pending[k] += grads[k]
             pending_count += 1
             records.append(
                 TrainingLogRecord(
@@ -385,21 +406,14 @@ def train(
                     l_quant=breakdown.l_quant,
                     l_bit=breakdown.l_bit,
                     total=breakdown.total,
-                    hard_mean_bits=float(np.mean(hard)),
+                    hard_mean_bits=hard_mean_bits,
                     soft_mean_bits=breakdown.mean_bits_soft,
                 )
             )
-            if pending_count == cfg.accum_steps:
+            if pending_count == cfg.accum_steps or li == n_layers - 1:
                 opt.step(param_arrays, pending)
-                pending = _zero_like(params)
+                for g in pending.values():
+                    g.fill(0.0)
                 pending_count = 0
-            # Free this pass's engine buffers and activations before the
-            # next pass allocates its own. The smaller temporaries stay, so
-            # the allocator keeps reusing their pages.
-            del result, cache
-        if pending_count:
-            opt.step(param_arrays, pending)
-            pending = _zero_like(params)
-            pending_count = 0
 
     return params, records

@@ -57,7 +57,8 @@ def gradient_check_config(
 
     cache = forward_cached(x0, params, adj=adj)
     P = gumbel_softmax(cache.logits, tau, noise)
-    grads = backward_from_cache(cache, params, P, errs, target, alpha, tau)
+    grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
+    backward_from_cache(cache, params, P, errs, target, alpha, tau, grads)
 
     worst = 0.0
     for name, arr in params.as_dict().items():

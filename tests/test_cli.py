@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import mgquant
+from mgquant import training
 from mgquant.allocator import init_allocator_params
 from mgquant.calibration import CHUNK_ROWS, GramAccumulator, build_hessian_cholesky, gram_break_even
 from mgquant.cli import build_parser, main
@@ -277,6 +278,38 @@ class TestTrainCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0]
         assert not out.exists() and not (tmp_path / "p.mgqt.log").exists()
+
+    @pytest.mark.parametrize("epochs", [2, 0])
+    @pytest.mark.parametrize("defect", ["1-D weights", "factor below the diagonal"])
+    def test_malformed_last_pair_exit_2_before_any_pass(self, tmp_path, capsys, monkeypatch,
+                                                        defect, epochs):
+        # train reads a pair when it reaches it, so every pair is checked up front
+        wdir, hdir, _, _ = make_instance(tmp_path, seed=9, n_layers=3)
+        if defect == "1-D weights":
+            bad, message = wdir / "L2.mgqt", "'weights' must be 2-D"
+            write_tensor_file(bad, {"weights": np.zeros(16, np.float32)})
+        else:
+            bad, message = hdir / "L2.mgqt", "non-zero entries below the diagonal"
+            hc = read_tensor_file(bad)["hessian_cholesky"]
+            hc[3, 1] = 0.5
+            write_tensor_file(bad, {"hessian_cholesky": hc})
+        cfg = tmp_path / "early.json"
+        cfg.write_text(json.dumps({"epochs": epochs, "d_gnn": 8, "hidden": 8, "block_size": 8}))
+        passes = []
+        forward = training.forward_cached
+        monkeypatch.setattr(training, "forward_cached",
+                            lambda *a, **k: passes.append(1) or forward(*a, **k))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        rc = main(["train", "--weights", str(wdir), "--hessians", str(hdir),
+                   "--config", str(cfg), "--out", str(tmp_path / "p.mgqt")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and str(bad) in err[0] and message in err[0], err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert passes == []
 
     def test_unpaired_files_exit_2(self, tmp_path, capsys):
         wdir, hdir, _, cfg = make_instance(tmp_path, seed=3)

@@ -23,7 +23,11 @@ WRONG_VALUES = {
 
 
 def field_cases():
-    """(key, wrong value) for every TrainConfig field, plus None where not optional."""
+    """(key, wrong value) for every TrainConfig field, plus None where not optional.
+
+    Each id names the key and the value, ``{}`` by its type, so adding or
+    removing a field renames no other case.
+    """
     cases = []
     for key, hint in typing.get_type_hints(TrainConfig).items():
         optional = isinstance(hint, types.UnionType) and type(None) in typing.get_args(hint)
@@ -32,7 +36,7 @@ def field_cases():
         else:
             cases.append((key, None))
         cases += [(key, v) for v in [{}] + WRONG_VALUES[hint]]
-    return cases
+    return [pytest.param(key, v, id=f"{key}-{'dict' if v == {} else v}") for key, v in cases]
 
 
 def write(tmp_path, payload):

@@ -70,6 +70,37 @@ def test_training_holds_one_pass_at_a_time():
     assert peak < 3.75, peak
 
 
+class BuiltOnAccess:
+    """``n`` layers, each built when indexed; ``reads`` counts the accesses."""
+
+    def __init__(self, n):
+        self.n = n
+        self.reads = 0
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        self.reads += 1
+        return layer(10 + i)[:2]
+
+
+def test_training_peak_does_not_grow_with_the_number_of_layers():
+    # Every layer is built inside the call, so the peak counts one layer's
+    # weights and factor (2 M) beside its pass. Holding all four took it
+    # 6 M higher than with one.
+    cfg = TrainConfig(epochs=1, accum_steps=2, d_gnn=64, hidden=64)
+    peaks = {}
+    for n in (1, 4):
+        layers = BuiltOnAccess(n)
+        peaks[n] = heap_peak(lambda: train(layers, cfg))
+        # one shape check per layer before the first epoch, then one read per pass
+        assert layers.reads == n + cfg.epochs * n
+    assert abs(peaks[4] - peaks[1]) < 0.25, peaks
+
+
 def test_proxy_loss_keeps_no_float64_copies_of_its_inputs():
     # Row order over two float32 batches of 512 rows: D (M), one batch's
     # float64 copy (M/2) and its projection, squared in place (M/2): 2.5 M.

@@ -95,7 +95,8 @@ class TestBackward:
         noise = sample_gumbel((6, 4), rng)
         P = gumbel_softmax(cache.logits, 1.0, noise)
         errs = np.abs(rng.standard_normal((6, 4)))
-        grads = backward_from_cache(cache, params, P, errs, 2.5, 1.0, 1.0)
+        grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
+        backward_from_cache(cache, params, P, errs, 2.5, 1.0, 1.0, grads)
         assert np.all(grads["w1"] == 0.0)
         assert np.all(grads["w0"] == 0.0)
 
@@ -109,7 +110,8 @@ class TestBackward:
         noise = sample_gumbel((5, 4), rng)
         P = gumbel_softmax(cache.logits, 1.0, noise)
         errs = np.repeat(np.abs(rng.standard_normal((5, 1))), 4, axis=1)
-        grads = backward_from_cache(cache, params, P, errs, 2.5, 0.0, 1.0)
+        grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
+        backward_from_cache(cache, params, P, errs, 2.5, 0.0, 1.0, grads)
         for g in grads.values():
             assert np.max(np.abs(g)) < 1e-14
 
@@ -120,6 +122,23 @@ class TestBackward:
 
     def test_nondefault_tau_alpha_gradients(self):
         assert gradient_check_config(6, tau=0.7, alpha=2.0) < 1e-4
+
+    def test_adds_into_the_accumulator(self):
+        # A0 is 3 wide and w0 has 6 rows: the rows past 3 are left as they were
+        rng = np.random.default_rng(5)
+        params = init_allocator_params(6, 5, 4, rng)
+        adj = np.triu(rng.standard_normal((7, 7)))
+        cache = forward_cached(rng.standard_normal((7, 3)), params, adj=adj)
+        P = gumbel_softmax(cache.logits, 1.0, sample_gumbel((7, 4), rng))
+        errs = np.abs(rng.standard_normal((7, 4)))
+        fresh = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
+        backward_from_cache(cache, params, P, errs, 2.5, 1.0, 1.0, fresh)
+        start = {k: rng.standard_normal(v.shape) for k, v in params.as_dict().items()}
+        acc = {k: v.copy() for k, v in start.items()}
+        backward_from_cache(cache, params, P, errs, 2.5, 1.0, 1.0, acc)
+        for k in acc:
+            assert np.array_equal(acc[k], start[k] + fresh[k]), k
+        assert np.all(fresh["w0"][3:] == 0.0) and np.array_equal(acc["w0"][3:], start["w0"][3:])
 
 
 class TestAdamW:
@@ -179,6 +198,31 @@ class TestAdamW:
         opt = AdamW()
         with pytest.raises(Exception):
             opt.step({"a": np.ones(3)}, {"a": np.ones(4)})
+
+    @pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+    def test_in_place_step_matches_the_out_of_place_formula(self, weight_decay):
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(9)
+        shapes = {"w": (6, 5), "b": (5,)}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        ref = {k: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
+        opt = AdamW(lr=lr, betas=(b1, b2), eps=eps, weight_decay=weight_decay)
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            kept = {k: g.copy() for k, g in grads.items()}
+            opt.step(params, grads)
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for k, (p, m, v) in ref.items():
+                g = kept[k]
+                if weight_decay:
+                    p = p - lr * weight_decay * p
+                m = m * b1 + (1.0 - b1) * g
+                v = v * b2 + (1.0 - b2) * np.square(g)
+                p = p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+                ref[k] = (p, m, v)
+                assert np.array_equal(params[k], p), (t, k)
+                assert np.array_equal(opt._m[k], m) and np.array_equal(opt._v[k], v), (t, k)
+                assert np.array_equal(grads[k], g), (t, k)
 
 
 def sign_layer(rng, d_col=16, d_row=16):
@@ -283,7 +327,8 @@ class TestTrain:
         layers = [make_layer(rng, 12, 16, 48)[:2] for _ in range(2)]
         cfg = TrainConfig(epochs=3, accum_steps=2, d_gnn=8, hidden=8, block_size=8)
         _, records = train(layers, cfg)
-        assert len(records) == 6 and calls == [12, 12]
+        # once in each layer's pass, never for the up-front shape check
+        assert len(records) == 6 and calls == [12] * 6
 
     def test_padded_rows_of_w0_only_decay(self):
         # d_row 5 < d_gnn 8: rows 5..7 of w0 meet only feature padding, so
