@@ -12,9 +12,9 @@ Every name in ``__all__`` is loaded from its module on first access, so
 import importlib
 
 _EXPORTS = {
-    "allocator": ("AllocatorParams", "allocate", "first_layer_input", "gcn_forward",
-                  "gumbel_softmax", "hessian_node_features", "init_allocator_params",
-                  "preprocess", "sample_gumbel"),
+    "allocator": ("AllocatorParams", "allocate", "gcn_forward", "gumbel_softmax",
+                  "hessian_node_features", "init_allocator_params", "preprocess",
+                  "sample_gumbel"),
     "baselines": ("BaselineSpec", "run_baseline"),
     "calibration": ("GramAccumulator", "build_hessian_cholesky", "proxy_loss"),
     "gptq": ("QuantResult", "quantize_blockwise"),

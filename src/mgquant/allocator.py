@@ -1,25 +1,24 @@
 """Graph perceptual module and bit-width allocator.
 
-Each weight column is a graph node. Node features are built by transposing
-the weight matrix, zero-padding the row dimension up to a multiple of the
-feature width, and chunk-averaging (``preprocess``). The upper-triangular
+Each weight column is a graph node. Its features (``preprocess``) are the
+column itself when it has at most ``d_gnn`` entries, and otherwise the
+column zero-padded up to a multiple of ``d_gnn`` and chunk-averaged: the
+features F are ``(d_col, min(d_row, d_gnn))``. The upper-triangular
 Hessian-Cholesky factor is used as the weighted adjacency exactly as given
 (no symmetrization or degree normalization), through a 2-layer graph
 convolution:
 
-    X1 = relu(adj @ X0 @ W0)
+    X1 = relu(A0 @ W0[:width])      A0 = adj @ F
     X2 = relu(adj @ X1 @ W1)
 
-The first layer reads only X0's unpadded columns F, ``min(d_row, d_gnn)``
-of them, which ``first_layer_input`` propagates once: ``A0 = adj @ F``.
-With no adjacency (``A0 = F``) the layers are plain dense ones: the MLP
-ablation. A classifier head maps X2 to per-node logits over widths
-1..t_max; class c means c+1 bits. ``first_layer_input``, ``gcn_forward``
-and ``ffnn_logits`` are the only code for the layers and the head, for
-inference and training alike. Inference takes the argmax (ties resolve to
-the lower width); training replaces argmax with Gumbel-Softmax sampling,
-implemented here as a pure function of explicit noise so the training loop
-owns all randomness.
+The caller propagates the features once into A0; with no adjacency
+(``A0 = F``) the layers are plain dense ones: the MLP ablation. A
+classifier head maps X2 to per-node logits over widths 1..t_max; class c
+means c+1 bits. ``gcn_forward`` and ``ffnn_logits`` are the only code for
+the layers and the head, for inference and training alike. Inference takes
+the argmax (ties resolve to the lower width); training replaces argmax with
+Gumbel-Softmax sampling, implemented here as a pure function of explicit
+noise so the training loop owns all randomness.
 """
 
 from __future__ import annotations
@@ -29,14 +28,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import ShapeMismatchError
+from .gptq import MAX_BITS
+from .linalg import ShapeMismatchError, transposed_copy
 
 __all__ = [
     "AllocatorParams",
     "init_allocator_params",
     "preprocess",
     "hessian_node_features",
-    "first_layer_input",
     "gcn_forward",
     "ffnn_logits",
     "allocate",
@@ -69,8 +68,8 @@ class AllocatorParams:
             raise ShapeMismatchError(f"wc must have {hidden} rows, got {self.wc.shape}")
         if self.bc.shape != (self.wc.shape[1],):
             raise ShapeMismatchError(f"bc must match wc columns, got {self.bc.shape}")
-        if self.t_max < 2:
-            raise ValueError(f"t_max must be >= 2, got {self.t_max}")
+        if not 2 <= self.t_max <= MAX_BITS:
+            raise ValueError(f"t_max must be in [2, {MAX_BITS}], got {self.t_max}")
 
     @property
     def d_gnn(self) -> int:
@@ -114,12 +113,13 @@ def init_allocator_params(
 
 
 def preprocess(w: np.ndarray, d_gnn: int) -> np.ndarray:
-    """Node features from a weight matrix.
+    """Node features from a weight matrix: ``(d_col, min(d_row, d_gnn))``.
 
-    Transpose to (d_col, d_row), zero-pad the row axis up to k*d_gnn with
-    k = ceil(d_row / d_gnn), view each node's row as k chunks of d_gnn and
-    average them. Returns (d_col, d_gnn) in the input dtype. Exactly linear
-    in ``w``.
+    With ``d_row <= d_gnn`` each node's features are its column: a new
+    row-major copy of ``w.T``. Otherwise transpose to (d_col, d_row),
+    zero-pad the row axis up to k*d_gnn with k = ceil(d_row / d_gnn), view
+    each node's row as k chunks of d_gnn and average them. In the input
+    dtype; exactly linear in ``w``.
     """
     w = np.asarray(w)
     if w.ndim != 2:
@@ -127,7 +127,9 @@ def preprocess(w: np.ndarray, d_gnn: int) -> np.ndarray:
     if d_gnn < 1:
         raise ValueError(f"d_gnn must be >= 1, got {d_gnn}")
     d_row, d_col = w.shape
-    k = max(1, -(-d_row // d_gnn))
+    if d_row <= d_gnn:
+        return transposed_copy(w)
+    k = -(-d_row // d_gnn)
     wt = w.T
     pad = k * d_gnn - d_row
     if pad:
@@ -144,29 +146,15 @@ def hessian_node_features(hc: np.ndarray, d_gnn: int) -> np.ndarray:
     return preprocess(np.ascontiguousarray(hc.T), d_gnn)
 
 
-def first_layer_input(adj: np.ndarray | None, x0: np.ndarray, rows: int) -> np.ndarray:
-    """``A0 = adj @ x0[:, :min(rows, d_gnn)]``, or that slice if ``adj`` is None.
-
-    ``x0`` pools a ``rows``-row matrix, so its later columns are padding.
-    """
-    x0 = np.asarray(x0)
-    f = x0[:, : min(rows, x0.shape[1])]
-    if adj is None:
-        return np.ascontiguousarray(f)
-    adj = np.asarray(adj).astype(x0.dtype, copy=False)
-    if adj.shape != (len(x0), len(x0)):
-        raise ShapeMismatchError(f"adjacency {adj.shape} does not match features {x0.shape}")
-    return adj @ f
-
-
 def gcn_forward(
     hc: np.ndarray | None, a0: np.ndarray, params: AllocatorParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two graph-convolution layers over the factor-as-adjacency.
 
-    ``a0`` (:func:`first_layer_input`) meets ``w0``'s first ``a0.shape[1]``
-    rows. Returns ``(x1, x2)``, both layers' activations, in ``a0``'s dtype,
-    the factor and weights cast to it. ``hc=None`` is the MLP ablation.
+    ``a0`` is the first layer's propagated input ``hc @ F`` (``F`` for the
+    MLP ablation, ``hc=None``) and meets ``w0``'s first ``a0.shape[1]``
+    rows. Returns ``(x1, x2)``, both layers' activations, in ``a0``'s
+    dtype, the factor and weights cast to it.
     """
     a0 = np.asarray(a0)
     if a0.ndim != 2 or a0.shape[1] > params.d_gnn:

@@ -73,6 +73,10 @@ def _load_weights(path: str) -> np.ndarray:
     w = _read(path, "weights")["weights"]
     if w.ndim != 2:
         raise ValueError(f"{path}: 'weights' must be 2-D, got shape {w.shape}")
+    if not w.size:
+        raise ValueError(
+            f"{path}: weights must have at least one row and one column, got shape {w.shape}"
+        )
     return w
 
 
@@ -229,6 +233,9 @@ def cmd_quantize(args) -> int:
     stored = _load_weights(args.weights)
     w = stored.astype(dtype, copy=False)
     hc = _load_hessian(args.hessian).astype(dtype, copy=False)
+    if len(hc) != w.shape[1]:
+        raise ValueError(f"{args.hessian}: factor {hc.shape} does not match "
+                         f"the {w.shape[1]} columns of {args.weights}")
     try:
         params = params_from_sections(read_tensor_file(args.params))
     except ValueError as exc:
@@ -267,13 +274,10 @@ def cmd_eval(args) -> int:
             f"shape mismatch: {args.orig} has {w.shape}, {args.quant} has {q.shape}"
         )
     loss = proxy_loss(w, q, _CalibFiles(args.calib))
-    max_abs = 0.0
-    if w.size:
-        diff = np.subtract(w, q, dtype=np.float64)
-        max_abs = float(np.max(np.abs(diff, out=diff)))
+    diff = np.subtract(w, q, dtype=np.float64)
     payload = {
         "proxy_loss": loss,
-        "max_abs_error": max_abs,
+        "max_abs_error": float(np.max(np.abs(diff, out=diff))),
         "orig": args.orig,
         "quant": args.quant,
     }

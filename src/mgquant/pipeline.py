@@ -21,7 +21,6 @@ import numpy as np
 from .allocator import (
     AllocatorParams,
     allocate,
-    first_layer_input,
     gcn_forward,
     hessian_node_features,
     preprocess,
@@ -55,17 +54,19 @@ def widths_for(
 ) -> np.ndarray:
     """Hard per-column widths: node features, the forward pass, argmax.
 
-    ``arch="gcn"`` pools features from ``w`` and propagates over ``hc``; the
-    ``"mlp"`` ablation pools them from the rows of ``hc`` and does not
-    propagate. Everything runs in the features' dtype.
+    ``arch="gcn"`` takes the features F from ``w`` (:func:`preprocess`,
+    ``min(d_row, d_gnn)`` columns) and propagates them once, ``A0 = hc @ F``;
+    the ``"mlp"`` ablation pools F from the rows of ``hc`` and takes
+    ``A0 = F``. Everything runs in the features' dtype.
     """
     if arch == "gcn":
-        x0, adj, rows = preprocess(w, params.d_gnn), hc, len(w)
+        f = preprocess(w, params.d_gnn)
+        adj, a0 = hc, hc.astype(f.dtype, copy=False) @ f
     elif arch == "mlp":
-        x0, adj, rows = hessian_node_features(hc, params.d_gnn), None, len(hc)
+        adj, a0 = None, hessian_node_features(hc, params.d_gnn)
     else:
         raise ValueError(f"arch must be 'gcn' or 'mlp', got {arch!r}")
-    _, x2 = gcn_forward(adj, first_layer_input(adj, x0, rows), params)
+    _, x2 = gcn_forward(adj, a0, params)
     return allocate(x2, params)
 
 

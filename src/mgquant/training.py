@@ -35,7 +35,6 @@ import numpy as np
 from .allocator import (
     AllocatorParams,
     ffnn_logits,
-    first_layer_input,
     gcn_forward,
     gumbel_softmax,
     hessian_node_features,
@@ -43,7 +42,7 @@ from .allocator import (
     preprocess,
     sample_gumbel,
 )
-from .gptq import quantize_blockwise
+from .gptq import MAX_BITS, quantize_blockwise
 from .linalg import ShapeMismatchError
 from .quant import error_table
 
@@ -101,9 +100,8 @@ class TrainConfig:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if not 2 <= self.t_max <= 8:
-            # stored codes are one byte per value
-            raise ValueError(f"t_max must be in [2, 8], got {self.t_max}")
+        if not 2 <= self.t_max <= MAX_BITS:
+            raise ValueError(f"t_max must be in [2, {MAX_BITS}], got {self.t_max}")
         if not 1 <= self.target_bits <= self.t_max:
             raise ValueError(
                 f"target_bits must be in [1, {self.t_max}], got {self.target_bits}"
@@ -324,6 +322,10 @@ def _layer(layers: Sequence, i: int, dtype: type | None = np.float64) -> tuple[n
         raise ShapeMismatchError(
             f"layer {i}: weights {w.shape} incompatible with factor {hc.shape}"
         )
+    if not w.size:
+        raise ValueError(
+            f"layer {i}: weights must have at least one row and one column, got shape {w.shape}"
+        )
     return w, hc
 
 
@@ -337,9 +339,9 @@ def _layer_pass(
     builds from the layer is local, so it is freed on return.
     """
     if arch == "gcn":
-        adj, a0 = hc, first_layer_input(hc, preprocess(w, cfg.d_gnn), len(w))
+        adj, a0 = hc, hc @ preprocess(w, cfg.d_gnn)
     else:
-        adj, a0 = None, first_layer_input(None, hessian_node_features(hc, cfg.d_gnn), len(hc))
+        adj, a0 = None, hessian_node_features(hc, cfg.d_gnn)
     cache = forward_cached(a0, params, adj=adj)
     noise = sample_gumbel(cache.logits.shape, rng)
     P = gumbel_softmax(cache.logits, cfg.tau, noise)

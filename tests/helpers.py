@@ -3,7 +3,6 @@
 import numpy as np
 
 from mgquant.allocator import (
-    first_layer_input,
     gumbel_softmax,
     init_allocator_params,
     preprocess,
@@ -26,9 +25,8 @@ def gradient_check_config(
     off zero so no pre-activation sits exactly on a ReLU kink (where the
     analytic subgradient convention and a symmetric difference legitimately
     disagree). The first layer's input is random, or with ``short_rows``
-    (graph only) propagated from the pooled features of a weight matrix with
-    fewer rows than the feature width, so some rows of ``w0`` meet only
-    padding.
+    (graph only) propagated from the features of a weight matrix with fewer
+    rows than the feature width, so some rows of ``w0`` meet no feature.
     """
     rng = np.random.default_rng(seed)
     d_col = int(rng.integers(4, 17))
@@ -45,7 +43,7 @@ def gradient_check_config(
         np.fill_diagonal(adj, np.abs(np.diag(adj)) + 0.5)
     if short_rows:
         d_row = int(rng.integers(1, d_gnn))
-        x0 = first_layer_input(adj, preprocess(rng.standard_normal((d_row, d_col)), d_gnn), d_row)
+        x0 = adj @ preprocess(rng.standard_normal((d_row, d_col)), d_gnn)
     noise = sample_gumbel((d_col, t_max), rng)
     errs = np.abs(rng.standard_normal((d_col, t_max)))
     target = 2.5

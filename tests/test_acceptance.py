@@ -259,11 +259,16 @@ def test_criterion_09_allocator_efficiency(tmp_path):
     rng = np.random.default_rng(0)
     w, hc, _ = make_layer(rng, 1024, 1024, 2048, weight_scale=0.02, calib_scale=0.1)
     params = init_allocator_params(512, 512, 4, np.random.default_rng(1))
-    # one warm-up, then the measured run
+    # one warm-up, then five measured runs; the run with the median ratio is
+    # judged and reported, so one slow run does not decide the criterion
     quantize_with_allocator(w, hc, params, block_size=128, dtype=np.float32)
-    result, timings = quantize_with_allocator(
-        w, hc, params, block_size=128, dtype=np.float32
-    )
+    runs = []
+    for _ in range(5):
+        result, timings = quantize_with_allocator(
+            w, hc, params, block_size=128, dtype=np.float32
+        )
+        runs.append((timings.allocator_time / timings.engine_time, timings))
+    ratio, timings = sorted(runs, key=lambda run: run[0])[2]
     entry = layer_entry("layer1024", result, None, t_max=4)
     report = build_report(
         seed=0,
@@ -281,10 +286,10 @@ def test_criterion_09_allocator_efficiency(tmp_path):
     path = tmp_path / "efficiency_report.json"
     write_report(path, report)
     stored = json.loads(path.read_text())["timing"]["layers"][0]
-    ratio = timings.allocator_time / timings.engine_time
     ok = ratio < 0.5 and "allocator_time" in stored and "engine_time" in stored
     report_line(9, ok, f"allocator inference adds {100 * ratio:.1f}% over the "
-                       f"engine on a 1024x1024 layer (bound 50%); both timings reported")
+                       f"engine on a 1024x1024 layer (median of 5 runs, bound 50%); "
+                       f"both timings reported")
     assert ratio < 0.5
     assert "allocator_time" in stored and "engine_time" in stored
 

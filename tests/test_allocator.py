@@ -5,7 +5,6 @@ from mgquant.allocator import (
     AllocatorParams,
     allocate,
     ffnn_logits,
-    first_layer_input,
     gcn_forward,
     gumbel_softmax,
     hessian_node_features,
@@ -47,12 +46,14 @@ class TestPreprocess:
             expect = (np.array([w[0, j], w[1, j]]) + np.array([w[2, j], 0.0])) / 2.0
             assert np.array_equal(x[j], expect)
 
-    def test_padding_beyond_rows(self):
-        # d_row < width: single chunk padded with zeros
-        w = np.arange(6.0).reshape(2, 3)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_short_rows_give_a_transposed_copy(self, dtype):
+        # d_row < width: the real columns only, no zero padding
+        w = np.arange(6.0, dtype=dtype).reshape(2, 3)
         x = preprocess(w, 4)
-        assert x.shape == (3, 4)
-        assert np.array_equal(x[1], [1.0, 4.0, 0.0, 0.0])
+        assert x.shape == (3, 2) and x.dtype == dtype
+        assert np.array_equal(x, w.T)
+        assert x.flags.c_contiguous and not np.shares_memory(x, w)
 
     def test_linearity_exact(self):
         rng = np.random.default_rng(2)
@@ -99,7 +100,7 @@ class TestGcnForward:
         params = small_params(rng, d_gnn=3, hidden=5)
         hc = upper_factor(rng, 8)
         x0 = rng.standard_normal((8, 3))
-        out1, out = gcn_forward(hc, first_layer_input(hc, x0, 8), params)
+        out1, out = gcn_forward(hc, hc @ x0, params)
         x1 = np.maximum(hc @ (x0 @ params.w0), 0.0)
         x2 = np.maximum(hc @ (x1 @ params.w1), 0.0)
         assert np.max(np.abs(out1 - x1)) < 1e-10
@@ -124,8 +125,6 @@ class TestGcnForward:
             gcn_forward(np.eye(5), rng.standard_normal((6, 4)), params)
         with pytest.raises(ShapeMismatchError):
             gcn_forward(np.eye(6), rng.standard_normal((6, 5)), params)
-        with pytest.raises(ShapeMismatchError):
-            first_layer_input(np.eye(5), rng.standard_normal((6, 4)), 6)
 
 
 class TestMlpForward:
@@ -162,8 +161,9 @@ class TestMlpForward:
 
 
 class TestFirstLayerInput:
-    """The first layer propagated once, at the features' real width, gives
-    the logits of the padded two-product forward ``relu(adj @ (x0 @ w0))``."""
+    """The first layer's input at the features' real width, ``A0 = hc @ F``
+    (``F`` for the MLP ablation), gives the logits of the two-product forward
+    ``relu(adj @ (x0 @ w0))`` over features zero-padded to ``d_gnn``."""
 
     @pytest.mark.parametrize("arch", ["gcn", "mlp"])
     @pytest.mark.parametrize("rows", [10, 16, 37])  # d_gnn 16: below, equal, ragged above
@@ -176,11 +176,10 @@ class TestFirstLayerInput:
         w, hc = w.astype(dtype), hc.astype(dtype)
         params = init_allocator_params(d_gnn, 12, 4, rng)
         if arch == "gcn":
-            x0, adj = preprocess(w, d_gnn), hc
+            f, adj = preprocess(w, d_gnn), hc
         else:
-            x0, adj = hessian_node_features(hc, d_gnn), None
-
-        a0 = first_layer_input(adj, x0, rows)
+            f, adj = hessian_node_features(hc, d_gnn), None
+        a0 = f if adj is None else adj @ f
         assert a0.shape == (d_col, min(rows, d_gnn)) and a0.dtype == dtype
         logits = ffnn_logits(gcn_forward(adj, a0, params)[1], params)
 
@@ -188,16 +187,17 @@ class TestFirstLayerInput:
             x = x @ wl.astype(dtype)
             return np.maximum(x if adj is None else adj @ x, 0)
 
+        x0 = np.pad(f, ((0, 0), (0, d_gnn - f.shape[1])))
         padded = ffnn_logits(layer(layer(x0, params.w0), params.w1), params)
         assert logits.dtype == dtype
         assert np.max(np.abs(logits - padded)) <= rtol * np.max(np.abs(padded))
 
     def test_mlp_input_is_a_contiguous_copy_of_the_real_columns(self):
         rng = np.random.default_rng(14)
-        x0 = rng.standard_normal((5, 8))
-        a0 = first_layer_input(None, x0, 3)
-        assert a0.flags.c_contiguous and not np.shares_memory(a0, x0)
-        assert np.array_equal(a0, x0[:, :3])
+        hc = upper_factor(rng, 5)
+        a0 = hessian_node_features(hc, 8)
+        assert a0.flags.c_contiguous and not np.shares_memory(a0, hc)
+        assert np.array_equal(a0, hc)
 
 
 class TestAllocate:
@@ -317,6 +317,11 @@ class TestParams:
             AllocatorParams(
                 w0=np.zeros((3, 3)), w1=np.zeros((3, 3)),
                 wc=np.zeros((3, 1)), bc=np.zeros(1),
+            )
+        with pytest.raises(ValueError, match="t_max"):  # codes are one byte each
+            AllocatorParams(
+                w0=np.zeros((3, 3)), w1=np.zeros((3, 3)),
+                wc=np.zeros((3, 9)), bc=np.zeros(9),
             )
         with pytest.raises(ValueError, match="NaN"):
             AllocatorParams(

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from mgquant.calibration import CHUNK_ROWS, GramAccumulator, build_hessian_cholesky
+from mgquant.calibration import (
+    CHUNK_ROWS,
+    GramAccumulator,
+    build_hessian_cholesky,
+    gram_break_even,
+    proxy_loss,
+)
 from mgquant.linalg import NotPositiveDefiniteError
 
 
@@ -93,9 +99,36 @@ class TestAccumulate:
         assert rel < 1e-9
 
     def test_float32_batches_accumulate_in_f64(self):
-        acc = GramAccumulator(d_col=2)
-        acc.accumulate(np.eye(2, dtype=np.float32))
-        assert acc.gram.dtype == np.float64
+        # float32 rows are upcast exactly, so they give the float64 rows' bytes:
+        # in one batch, at every cut of the full-chunk split test, and in a
+        # stream that alternates the two dtypes
+        rng = np.random.default_rng(8)
+        m = 2 * CHUNK_ROWS + 37
+        x32 = rng.standard_normal((m, 5)).astype(np.float32)
+        x64 = x32.astype(np.float64)
+        ref = GramAccumulator(d_col=5).accumulate(x64).gram
+        one = GramAccumulator(d_col=5).accumulate(x32).gram
+        assert one.dtype == np.float64 and one.tobytes() == ref.tobytes()
+        for cuts in ([CHUNK_ROWS - 1], [CHUNK_ROWS], [CHUNK_ROWS + 1],
+                     [CHUNK_ROWS - 1, CHUNK_ROWS + 1, 2 * CHUNK_ROWS], list(range(37, m, 37))):
+            for mixed in (False, True):
+                acc = GramAccumulator(d_col=5)
+                for i, (a, b) in enumerate(zip([0] + cuts, cuts + [m])):
+                    acc.accumulate((x64 if mixed and i % 2 else x32)[a:b])
+                assert acc.gram.tobytes() == ref.tobytes(), (cuts, mixed)
+
+    @pytest.mark.parametrize("rows", [8, 2 * CHUNK_ROWS + 37])
+    def test_proxy_loss_float32_rows_match_float64(self, rows):
+        # (6, 5) weights break even at 60/7 rows: 8 sums in row order, the
+        # longer stream folds the Gram
+        rng = np.random.default_rng(9)
+        w = rng.standard_normal((6, 5))
+        q = np.round(w)
+        x32 = rng.standard_normal((rows, 5)).astype(np.float32)
+        assert 8 < gram_break_even(6, 5) < 9
+        halves = [x32[: rows // 2], x32[rows // 2:]]
+        loss = proxy_loss(w, q, [h.astype(np.float64) for h in halves])
+        assert proxy_loss(w, q, halves) == loss > 0
 
 
 class TestBuildHessianCholesky:

@@ -398,7 +398,8 @@ class TestQuantizeCli:
 
     def test_old_params_flags_section(self, tmp_path, capsys):
         # files from before the flags or the wf/bf sections were dropped are
-        # refused, flags 0 or not; so are sections of the wrong rank
+        # refused, flags 0 or not; so are sections of the wrong rank, and a
+        # head over more widths than a one-byte code holds
         params = params_to_sections(init_allocator_params(8, 8, 4, np.random.default_rng(0)))
         assert self.quantize_with_params(tmp_path / "new", capsys, params)[0] == 0
         cases = [
@@ -408,6 +409,7 @@ class TestQuantizeCli:
             ("w0", {"w0": params["w0"][0]}),
             ("w0", {"w0": params["w0"][None]}),
             ("bc", {"bc": params["bc"][:, None]}),
+            ("t_max", {"wc": np.zeros((8, 9)), "bc": np.zeros(9)}),
         ]
         for i, (section, change) in enumerate(cases):
             rc, out, err, q = self.quantize_with_params(
@@ -452,6 +454,21 @@ class TestQuantizeCli:
         for j in range(d_col):
             oracle = quantize(w[:, j], 3)[0]
             assert np.array_equal(sections["quantized"][:, j], oracle)
+
+    def test_factor_size_mismatch_exit_2_names_both_files(self, tmp_path, capsys):
+        weights, factor, params, out = (
+            tmp_path / n for n in ("w.mgqt", "h.mgqt", "p.mgqt", "q.mgqt")
+        )
+        write_tensor_file(weights, {"weights": np.ones((24, 12), np.float32)})
+        write_tensor_file(factor, {"hessian_cholesky": np.eye(16)})
+        write_tensor_file(params, params_to_sections(
+            init_allocator_params(8, 8, 4, np.random.default_rng(0))))
+        rc = main(["quantize", "--weights", str(weights), "--hessian", str(factor),
+                   "--params", str(params), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and str(weights) in err[0] and str(factor) in err[0], err
 
     def test_report_has_both_timings(self, tmp_path, capsys):
         wdir, hdir, calibs, params = self.make_trained(tmp_path, capsys)
@@ -556,6 +573,50 @@ class TestOneLossPerCommand:
         assert read_tensor_file(files["q"])["quantized"].dtype == np.float32
         assert main(["eval", "--orig", files["w"], "--quant", files["q"], *calib]) == 0
         assert printed > 0 and printed == last_json_line(capsys)["proxy_loss"]
+
+
+class TestEmptyWeights:
+    @pytest.mark.parametrize("shape", [(0, 8), (4, 0)], ids=["0x8", "4x0"])
+    @pytest.mark.parametrize("command", ["quantize", "baseline", "eval", "train"])
+    def test_zero_dimension_exit_2_names_file(self, tmp_path, capsys, monkeypatch,
+                                              command, shape):
+        # refused as the file loads: no pass, no output, one line naming it
+        wdir, hdir = tmp_path / "weights", tmp_path / "hessians"
+        wdir.mkdir()
+        hdir.mkdir()
+        weights, factor = wdir / "L0.mgqt", hdir / "L0.mgqt"
+        write_tensor_file(weights, {"weights": np.zeros(shape, np.float32)})
+        write_tensor_file(factor, {"hessian_cholesky": np.eye(shape[1])})
+        calib, params, quant = tmp_path / "c.mgqt", tmp_path / "p.mgqt", tmp_path / "q.mgqt"
+        write_tensor_file(calib, {"x": np.ones((4, shape[1]))})
+        write_tensor_file(params, params_to_sections(
+            init_allocator_params(8, 8, 4, np.random.default_rng(0))))
+        write_tensor_file(quant, {"quantized": np.zeros(shape)})
+        out, rep = tmp_path / "out.mgqt", tmp_path / "r.json"
+        layer = ["--weights", str(weights), "--hessian", str(factor), "--calib", str(calib),
+                 "--out", str(out), "--report", str(rep)]
+        argv = {
+            "quantize": ["quantize", "--params", str(params), *layer],
+            "baseline": ["baseline", "--method", "rtn", *layer],
+            "eval": ["eval", "--orig", str(weights), "--quant", str(quant),
+                     "--calib", str(calib), "--report", str(rep)],
+            "train": ["train", "--weights", str(wdir), "--hessians", str(hdir),
+                      "--out", str(out)],
+        }[command]
+        passes = []
+        forward = training.forward_cached
+        monkeypatch.setattr(training, "forward_cached",
+                            lambda *a, **k: passes.append(1) or forward(*a, **k))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and str(weights) in err[0], err
+        assert "at least one row and one column" in err[0], err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert passes == []
 
 
 class TestLowerFactorRejected:

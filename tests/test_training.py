@@ -5,7 +5,6 @@ from helpers import gradient_check_config
 from mgquant import training
 from mgquant.allocator import (
     ffnn_logits,
-    first_layer_input,
     gcn_forward,
     gumbel_softmax,
     hessian_node_features,
@@ -304,6 +303,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([(w, hc)], TrainConfig(), arch="cnn")
 
+    @pytest.mark.parametrize("shape", [(0, 8), (4, 0)], ids=["0x8", "4x0"])
+    def test_empty_weights_rejected_before_any_pass(self, monkeypatch, shape):
+        passes = []
+        monkeypatch.setattr(training, "forward_cached", lambda *a, **k: passes.append(1))
+        hc = np.eye(shape[1])
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            train([(np.eye(8), np.eye(8)), (np.zeros(shape), hc)], TrainConfig(d_gnn=8))
+        assert passes == []
+
     def test_regression_fixture_seed7(self, fixture_layers):
         # frozen end-to-end behavior at package defaults on the 8-layer fixture
         layers, _ = fixture_layers
@@ -315,14 +323,14 @@ class TestTrain:
         assert abs(hard - 2.5) <= 0.25
         assert np.mean([r.l_quant for r in final]) < np.mean([r.l_quant for r in ep0])
 
-    def test_first_layer_input_built_once_per_layer(self, monkeypatch):
+    def test_features_built_once_per_pass(self, monkeypatch):
         calls = []
 
-        def counting(*args):
-            calls.append(args[2])
-            return first_layer_input(*args)
+        def counting(w, d_gnn):
+            calls.append(len(w))
+            return preprocess(w, d_gnn)
 
-        monkeypatch.setattr(training, "first_layer_input", counting)
+        monkeypatch.setattr(training, "preprocess", counting)
         rng = np.random.default_rng(15)
         layers = [make_layer(rng, 12, 16, 48)[:2] for _ in range(2)]
         cfg = TrainConfig(epochs=3, accum_steps=2, d_gnn=8, hidden=8, block_size=8)
@@ -331,7 +339,7 @@ class TestTrain:
         assert len(records) == 6 and calls == [12] * 6
 
     def test_padded_rows_of_w0_only_decay(self):
-        # d_row 5 < d_gnn 8: rows 5..7 of w0 meet only feature padding, so
+        # d_row 5 < d_gnn 8: rows 5..7 of w0 meet no feature column, so
         # their gradient is exactly zero and each AdamW step only decays them
         rng = np.random.default_rng(16)
         layers = [make_layer(rng, 5, 12, 48)[:2] for _ in range(3)]
@@ -367,10 +375,9 @@ class TestSharedForward:
         w, hc, _ = make_layer(rng, 40, 24, 96, decades=1.0)
         params = init_allocator_params(16, 12, 4, rng)
         if arch == "gcn":
-            x0, adj, rows = preprocess(w, 16), hc, len(w)
+            adj, a0 = hc, hc @ preprocess(w, 16)
         else:
-            x0, adj, rows = hessian_node_features(hc, 16), None, len(hc)
-        a0 = first_layer_input(adj, x0, rows)
+            adj, a0 = None, hessian_node_features(hc, 16)
         cache = forward_cached(a0, params, adj=adj)
         assert cache.logits.dtype == np.float64
 
