@@ -19,7 +19,7 @@ d_col = w.shape[1]
 col_scale = np.abs(w).mean(axis=0)
 
 cfg = TrainConfig(
-    epochs=200, lr=5e-3, accum_steps=4, d_gnn=32, hidden=32,
+    epochs=200, lr=5e-3, accum_steps=4, d_gnn=32,
     target_bits=2.5, seed=1, block_size=64,
 )
 params, records = train([(w, hc)], cfg)

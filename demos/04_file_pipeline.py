@@ -57,7 +57,7 @@ with tempfile.TemporaryDirectory(prefix="mgquant_demo_") as tmp:
 
     cfg = root / "cfg.json"
     cfg.write_text(json.dumps({
-        "epochs": 40, "lr": 0.01, "accum_steps": 2, "d_gnn": 16, "hidden": 16,
+        "epochs": 40, "lr": 0.01, "accum_steps": 2, "d_gnn": 16,
         "block_size": 32, "seed": 0, "target_bits": 2.5,
     }))
 

@@ -19,7 +19,7 @@ from mgquant.synth import salience_instance
 
 w, hc, calib = salience_instance(seed=5)
 cfg = TrainConfig(
-    epochs=200, lr=5e-3, accum_steps=4, d_gnn=32, hidden=32,
+    epochs=200, lr=5e-3, accum_steps=4, d_gnn=32,
     target_bits=2.5, seed=2, block_size=64,
 )
 

@@ -143,7 +143,7 @@ def hessian_node_features(hc: np.ndarray, d_gnn: int) -> np.ndarray:
     hc = np.asarray(hc)
     if hc.ndim != 2 or hc.shape[0] != hc.shape[1]:
         raise ShapeMismatchError(f"hessian factor must be square, got {hc.shape}")
-    return preprocess(np.ascontiguousarray(hc.T), d_gnn)
+    return preprocess(hc.T, d_gnn)
 
 
 def gcn_forward(

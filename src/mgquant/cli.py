@@ -61,11 +61,14 @@ def _emit(payload: dict) -> None:
 
 
 def _read(path: str, *names: str) -> dict[str, np.ndarray]:
-    """The sections of a tensor file that must hold every section in ``names``."""
+    """The sections of a tensor file that must hold every section in ``names``, as floats."""
     sections = read_tensor_file(path)
     for name in names:
         if name not in sections:
             raise ValueError(f"{path}: missing {name!r} section")
+        if sections[name].dtype.kind != "f":
+            raise ValueError(f"{path}: {name!r} must be float32 or float64, "
+                             f"got {sections[name].dtype}")
     return sections
 
 
@@ -84,8 +87,11 @@ def _load_hessian(path: str) -> np.ndarray:
     hc = _read(path, "hessian_cholesky")["hessian_cholesky"]
     if hc.ndim != 2 or hc.shape[0] != hc.shape[1]:
         raise ValueError(f"{path}: 'hessian_cholesky' must be square, got {hc.shape}")
-    # A lower factor or the full inverse would pass the engine's diagonal
-    # check and silently skip compensation, which reads only the upper part.
+    bad = np.flatnonzero(~(np.diagonal(hc) > 0))
+    if bad.size:
+        raise ValueError(f"{path}: 'hessian_cholesky' diagonal must be positive (entry {bad[0]})")
+    # A lower factor or the full inverse would pass the diagonal check above
+    # and silently skip compensation, which reads only the upper part.
     # Checked 128 rows at a time: a whole np.tril would copy the factor.
     if any(np.tril(hc[r : r + 128, : r + 128], r - 1).any() for r in range(0, len(hc), 128)):
         raise ValueError(f"{path}: 'hessian_cholesky' has non-zero entries below the diagonal")
@@ -188,9 +194,8 @@ class _LayerFiles:
 
 
 def cmd_train(args) -> int:
-    from .config import load_run_config
     from .pipeline import params_to_sections
-    from .training import TrainConfig, format_training_log
+    from .training import TrainConfig, format_training_log, load_run_config
 
     cfg = load_run_config(args.config) if args.config else TrainConfig()
     layers = _LayerFiles(_paired_layers(args.weights, args.hessians))
@@ -248,9 +253,8 @@ def cmd_quantize(args) -> int:
 
 def cmd_baseline(args) -> int:
     from .baselines import BaselineSpec, run_baseline
-    from .config import load_run_config
     from .pipeline import AllocatorTimings
-    from .training import TrainConfig
+    from .training import TrainConfig, load_run_config
 
     cfg = load_run_config(args.config) if args.config else TrainConfig()
     w = _load_weights(args.weights)

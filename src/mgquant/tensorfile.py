@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -65,11 +64,12 @@ def _coerce(name: str, array: np.ndarray) -> np.ndarray:
 
 
 def write_atomic(path: str | Path, *parts) -> None:
-    """Write ``parts`` (bytes-like, in order) to a temp file beside ``path``
-    and rename it into place."""
+    """Write ``parts`` (bytes-like, in order) to a temp file beside ``path``, of
+    mode 0o666 less the umask as ``open`` would make it, and rename it into place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:

@@ -18,7 +18,7 @@ activations kept; backprop through the softmax, classifier head and both
 graph layers is written out by hand, from the layer's first-layer input
 A0, propagated once per pass. Gradients accumulate by plain summation, in
 one buffer per parameter, across ``accum_steps`` layer passes before one
-AdamW step.
+AdamW step, at AdamW's default betas, eps and weight decay.
 
 All randomness (parameter init, Gumbel noise) comes from the config seed,
 and everything runs in float64, so a training run is bit-reproducible.
@@ -26,9 +26,11 @@ and everything runs in float64, so a training run is bit-reproducible.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -48,6 +50,7 @@ from .quant import error_table
 
 __all__ = [
     "TrainConfig",
+    "load_run_config",
     "LossBreakdown",
     "TrainingLogRecord",
     "ForwardCache",
@@ -63,7 +66,7 @@ __all__ = [
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for allocator training (and the shapes it needs)."""
+    """Allocator training hyperparameters and shapes; both graph layers are ``d_gnn`` wide."""
 
     epochs: int = 50
     lr: float = 1e-3
@@ -72,21 +75,12 @@ class TrainConfig:
     tau: float = 1.0
     target_bits: float = 2.5
     seed: int = 0
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     d_gnn: int = 512
-    hidden: int | None = None
     t_max: int = 4
     block_size: int = 128
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.d_gnn if self.hidden is None else self.hidden
-
     def validate(self) -> "TrainConfig":
-        for name in ("lr", "alpha", "tau", "weight_decay", "eps"):
+        for name in ("lr", "alpha", "tau"):
             v = getattr(self, name)  # json.loads accepts NaN and Infinity
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -103,22 +97,35 @@ class TrainConfig:
         if not 2 <= self.t_max <= MAX_BITS:
             raise ValueError(f"t_max must be in [2, {MAX_BITS}], got {self.t_max}")
         if not 1 <= self.target_bits <= self.t_max:
-            raise ValueError(
-                f"target_bits must be in [1, {self.t_max}], got {self.target_bits}"
-            )
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        for name in ("beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0 <= v < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {v}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.d_gnn < 1 or self.hidden_dim < 1:
-            raise ValueError("d_gnn and hidden must be >= 1")
+            raise ValueError(f"target_bits must be in [1, {self.t_max}], got {self.target_bits}")
+        if self.d_gnn < 1:
+            raise ValueError(f"d_gnn must be >= 1, got {self.d_gnn}")
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         return self
+
+
+def load_run_config(path: str | Path) -> TrainConfig:
+    """Load and validate a JSON training config; unknown keys are an error."""
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    kinds = get_type_hints(TrainConfig)
+    unknown = sorted(set(raw) - set(kinds))
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key, value in raw.items():
+        kind = kinds[key]
+        # bool is an int subclass, but a JSON true or false is not a number
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            what = "a number" if kind is float else "an integer"
+            raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+        raw[key] = kind(value)
+    return TrainConfig(**raw).validate()
 
 
 @dataclass(frozen=True)
@@ -275,13 +282,6 @@ class AdamW:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
-    @classmethod
-    def from_config(cls, cfg: TrainConfig) -> "AdamW":
-        return cls(
-            lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.eps,
-            weight_decay=cfg.weight_decay,
-        )
-
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
@@ -387,8 +387,8 @@ def train(
         _layer(layers, i, dtype=None)
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_allocator_params(cfg.d_gnn, cfg.hidden_dim, cfg.t_max, rng)
-    opt = AdamW.from_config(cfg)
+    params = init_allocator_params(cfg.d_gnn, cfg.d_gnn, cfg.t_max, rng)
+    opt = AdamW(lr=cfg.lr)
     param_arrays = params.as_dict()
 
     pending = {k: np.zeros_like(v) for k, v in param_arrays.items()}

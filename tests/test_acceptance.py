@@ -47,14 +47,13 @@ def test_criterion_01_gradient_correctness():
 
 
 @pytest.mark.slow
-def test_criterion_02_bit_budget(fixture_layers):
-    layers, _ = fixture_layers
+def test_criterion_02_bit_budget(fixture_records):
     start = time.perf_counter()
     hits = 0
     means = []
     for seed in range(10):
         cfg = TrainConfig(target_bits=2.5, alpha=1.0, seed=seed)
-        _, records = train(layers, cfg)
+        records = fixture_records(cfg, fresh=True)  # trained and timed here, then stored
         final = [r for r in records if r.epoch == cfg.epochs - 1]
         hard = float(np.mean([r.hard_mean_bits for r in final]))
         means.append(hard)
@@ -76,7 +75,7 @@ def test_criterion_03_mixed_precision_advantage():
         w, hc, calib = salience_instance(seed)
         d_col = w.shape[1]
         cfg = TrainConfig(
-            epochs=200, lr=5e-3, accum_steps=4, d_gnn=32, hidden=32,
+            epochs=200, lr=5e-3, accum_steps=4, d_gnn=32,
             target_bits=2.5, seed=1000 + seed, block_size=64,
         )
         params, _ = train([(w, hc)], cfg)
@@ -192,7 +191,7 @@ def _small_cli_instance(tmp_path, seed=0):
         assert main(["hessian", "--gram", str(gram), "--out", str(hdir / f"L{i}.mgqt")]) == 0
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "epochs": 3, "lr": 0.01, "accum_steps": 2, "d_gnn": 8, "hidden": 8,
+        "epochs": 3, "lr": 0.01, "accum_steps": 2, "d_gnn": 8,
         "block_size": 8, "seed": 11, "target_bits": 2.5,
     }))
     return wdir, hdir, calib_path, cfg
@@ -302,7 +301,7 @@ def test_criterion_10_ablation_harness(tmp_path, fixture_layers):
     write_tensor_file(tmp_path / "c.mgqt", {"batch0": calibs[0][0]})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
-        "epochs": 150, "lr": 5e-3, "accum_steps": 4, "d_gnn": 64, "hidden": 64,
+        "epochs": 150, "lr": 5e-3, "accum_steps": 4, "d_gnn": 64,
         "block_size": 128, "seed": 3, "target_bits": 2.5,
     }))
     rep = tmp_path / "mlp_report.json"
@@ -315,7 +314,7 @@ def test_criterion_10_ablation_harness(tmp_path, fixture_layers):
 
     # GCN counterpart at the same budget and configuration
     cfg = TrainConfig(
-        epochs=150, lr=5e-3, accum_steps=4, d_gnn=64, hidden=64,
+        epochs=150, lr=5e-3, accum_steps=4, d_gnn=64,
         target_bits=2.5, seed=3, block_size=128,
     )
     params, _ = train([(w, hc)], cfg)

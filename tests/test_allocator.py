@@ -159,6 +159,17 @@ class TestMlpForward:
             expect = (hc[j, :3] + hc[j, 3:]) / 2.0
             assert np.allclose(x0[j], expect, atol=1e-15)
 
+    # one copy (n <= d_gnn); pooled with padding; pooled, no padding, k >= 8
+    @pytest.mark.parametrize("n, d_gnn", [(5, 8), (256, 512), (100, 7), (300, 64),
+                                          (512, 64), (1030, 64)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_hessian_node_features_bytes_match_the_double_copy(self, n, d_gnn, dtype):
+        hc = upper_factor(np.random.default_rng(n), n).astype(dtype)
+        got = hessian_node_features(hc, d_gnn)
+        expect = preprocess(np.ascontiguousarray(hc.T), d_gnn)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
 
 class TestFirstLayerInput:
     """The first layer's input at the features' real width, ``A0 = hc @ F``

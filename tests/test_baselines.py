@@ -79,7 +79,7 @@ class TestMlpPtq:
         layers, calibs = fixture_layers
         w, hc = layers[0]
         cfg = TrainConfig(
-            epochs=150, lr=5e-3, accum_steps=4, d_gnn=64, hidden=64,
+            epochs=150, lr=5e-3, accum_steps=4, d_gnn=64,
             target_bits=2.5, seed=3, block_size=128,
         )
         res = run_baseline(

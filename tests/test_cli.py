@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -41,7 +42,7 @@ def make_instance(tmp_path, seed=0, d_row=24, d_col=16, rows=96, n_layers=2):
                      "--out", str(hdir / f"L{i}.mgqt")]) == 0
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "epochs": 2, "lr": 0.01, "accum_steps": 2, "d_gnn": 8, "hidden": 8,
+        "epochs": 2, "lr": 0.01, "accum_steps": 2, "d_gnn": 8,
         "block_size": 8, "seed": 5, "target_bits": 2.5,
     }))
     return wdir, hdir, calib_paths, cfg
@@ -222,13 +223,15 @@ class TestTrainCli:
     REMOVED_KEYS = {"damp_frac": 0.1, "precision": "f64", "weights_dir": "w",
                     "hessians_dir": "h", "calib_paths": ["c.mgqt"], "out_path": "p.mgqt",
                     "report_path": "r.json", "log_path": "t.log", "intra_block": False,
-                    "symmetrize_adjacency": True, "ffnn_hidden": False, "tau_anneal": True}
+                    "symmetrize_adjacency": True, "ffnn_hidden": False, "tau_anneal": True,
+                    "hidden": 8, "weight_decay": 0.01, "beta1": 0.9, "beta2": 0.999,
+                    "eps": 1e-8}
 
     @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
     def test_removed_key_exit_2(self, tmp_path, capsys, key):
         wdir, hdir, _, _ = make_instance(tmp_path, n_layers=1)
         cfg = tmp_path / "old.json"
-        cfg.write_text(json.dumps({"epochs": 1, "d_gnn": 8, "hidden": 8,
+        cfg.write_text(json.dumps({"epochs": 1, "d_gnn": 8,
                                    key: self.REMOVED_KEYS[key]}))
         before = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
@@ -255,7 +258,7 @@ class TestTrainCli:
     def test_epochs_zero_writes_initialized_params(self, tmp_path, capsys):
         wdir, hdir, calibs, _ = make_instance(tmp_path, seed=2)
         cfg = tmp_path / "cfg0.json"
-        cfg.write_text(json.dumps({"epochs": 0, "d_gnn": 8, "hidden": 8, "block_size": 8}))
+        cfg.write_text(json.dumps({"epochs": 0, "d_gnn": 8, "block_size": 8}))
         out = tmp_path / "p.mgqt"
         assert main(["train", "--weights", str(wdir), "--hessians", str(hdir),
                      "--config", str(cfg), "--out", str(out)]) == 0
@@ -265,12 +268,12 @@ class TestTrainCli:
         assert log.strip() == "epoch\tlayer\tl_quant\tl_bit\ttotal\thard_mean_bits\tsoft_mean_bits"
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
-    @pytest.mark.parametrize("key", ["lr", "alpha", "tau", "weight_decay", "eps"])
+    @pytest.mark.parametrize("key", ["lr", "alpha", "tau"])
     def test_nonfinite_hyperparameter_exit_2(self, tmp_path, capsys, key, value):
         # json.dumps writes the NaN/Infinity tokens json.loads accepts
         wdir, hdir, _, _ = make_instance(tmp_path, n_layers=1)
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"epochs": 1, "d_gnn": 8, "hidden": 8, key: value}))
+        cfg.write_text(json.dumps({"epochs": 1, "d_gnn": 8, key: value}))
         out = tmp_path / "p.mgqt"
         rc = main(["train", "--weights", str(wdir), "--hessians", str(hdir),
                    "--config", str(cfg), "--out", str(out)])
@@ -294,7 +297,7 @@ class TestTrainCli:
             hc[3, 1] = 0.5
             write_tensor_file(bad, {"hessian_cholesky": hc})
         cfg = tmp_path / "early.json"
-        cfg.write_text(json.dumps({"epochs": epochs, "d_gnn": 8, "hidden": 8, "block_size": 8}))
+        cfg.write_text(json.dumps({"epochs": epochs, "d_gnn": 8, "block_size": 8}))
         passes = []
         forward = training.forward_cached
         monkeypatch.setattr(training, "forward_cached",
@@ -665,6 +668,91 @@ class TestLowerFactorRejected:
         assert ("below the diagonal" in err) == (entry is not None), err
 
 
+def refused(capsys, tmp_path, argv) -> str:
+    """Run ``argv``, check it exits 2 with one stderr line, no stdout and no
+    file written under ``tmp_path``, and return that line."""
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1, err
+    assert sorted(tmp_path.rglob("*")) == before
+    return err[0]
+
+
+class TestFactorDiagonal:
+    @pytest.mark.parametrize("value", [0.0, -0.5], ids=["zero", "negative"])
+    @pytest.mark.parametrize("command", ["quantize", "baseline", "train"])
+    def test_non_positive_entry_exit_2_names_file(self, tmp_path, capsys, command, value):
+        wdir, hdir, calibs, cfg = make_instance(tmp_path, seed=10, n_layers=1)
+        factor = hdir / "L0.mgqt"
+        hc = read_tensor_file(factor)["hessian_cholesky"]
+        hc[2, 2] = value
+        write_tensor_file(factor, {"hessian_cholesky": hc})
+        params = tmp_path / "p.mgqt"
+        write_tensor_file(params, params_to_sections(
+            init_allocator_params(8, 8, 4, np.random.default_rng(0))))
+        layer = ["--weights", wdir / "L0.mgqt", "--hessian", factor, "--calib", calibs[0],
+                 "--out", tmp_path / "out.mgqt", "--report", tmp_path / "r.json"]
+        argv = {
+            "quantize": ["quantize", "--params", params, *layer],
+            "baseline": ["baseline", "--method", "gptq-uniform", "--config", cfg, *layer],
+            "train": ["train", "--weights", wdir, "--hessians", hdir, "--config", cfg,
+                      "--out", tmp_path / "out.mgqt"],
+        }[command]
+        err = refused(capsys, tmp_path, argv)
+        assert f"{factor}: 'hessian_cholesky' diagonal must be positive (entry 2)" in err, err
+
+
+class TestFloatSections:
+    @pytest.mark.parametrize("command", ["quantize", "baseline", "eval", "eval-quantized",
+                                         "train"])
+    def test_u8_section_exit_2_names_file_and_dtype(self, tmp_path, capsys, command):
+        wdir, hdir, calibs, cfg = make_instance(tmp_path, seed=11, n_layers=1)
+        weights, factor = wdir / "L0.mgqt", hdir / "L0.mgqt"
+        w = read_tensor_file(weights)["weights"]
+        quant = tmp_path / "q.mgqt"
+        write_tensor_file(quant, {"quantized": w})
+        bad, name = (quant, "quantized") if command == "eval-quantized" else (weights, "weights")
+        write_tensor_file(bad, {name: np.arange(w.size, dtype=np.uint8).reshape(w.shape)})
+        params = tmp_path / "p.mgqt"
+        write_tensor_file(params, params_to_sections(
+            init_allocator_params(8, 8, 4, np.random.default_rng(0))))
+        layer = ["--weights", weights, "--hessian", factor, "--calib", calibs[0],
+                 "--out", tmp_path / "out.mgqt", "--report", tmp_path / "r.json"]
+        argv = {
+            "quantize": ["quantize", "--params", params, *layer],
+            "baseline": ["baseline", "--method", "rtn", *layer],
+            "eval": ["eval", "--orig", weights, "--quant", quant, "--calib", calibs[0],
+                     "--report", tmp_path / "r.json"],
+            "train": ["train", "--weights", wdir, "--hessians", hdir, "--config", cfg,
+                      "--out", tmp_path / "out.mgqt"],
+        }[command.split("-")[0]]
+        err = refused(capsys, tmp_path, argv)
+        assert f"{bad}: '{name}' must be float32 or float64, got uint8" in err, err
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_written_files_take_the_umask(self, tmp_path, capsys, umask, mode):
+        wdir, hdir, calibs, cfg = make_instance(tmp_path, seed=12, n_layers=1)
+        params, quant, report = (tmp_path / n for n in ("p.mgqt", "q.mgqt", "r.json"))
+        previous = os.umask(umask)
+        try:
+            assert main(["train", "--weights", str(wdir), "--hessians", str(hdir),
+                         "--config", str(cfg), "--out", str(params)]) == 0
+            assert main(["quantize", "--weights", str(wdir / "L0.mgqt"),
+                         "--hessian", str(hdir / "L0.mgqt"), "--params", str(params),
+                         "--out", str(quant), "--report", str(report)]) == 0
+        finally:
+            os.umask(previous)
+        for path in (params, Path(f"{params}.log"), quant, report):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path
+
+
 class TestBlasThreadCount:
     def test_train_and_quantize_bytes_independent_of_threads(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -679,7 +767,7 @@ class TestBlasThreadCount:
         write_tensor_file(hdir / "L0.mgqt", {"hessian_cholesky": hc})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "epochs": 2, "d_gnn": 8, "hidden": 8, "block_size": 64, "seed": 3,
+            "epochs": 2, "d_gnn": 8, "block_size": 64, "seed": 3,
             "target_bits": 2.5,
         }))
         outputs = []
@@ -915,7 +1003,7 @@ class TestStartupImports:
         x = 0.05 * rng.standard_normal((96, 16))
         write_tensor_file(calib, {"x": x})
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 1, "d_gnn": 8, "hidden": 8, "block_size": 8}))
+        cfg.write_text(json.dumps({"epochs": 1, "d_gnn": 8, "block_size": 8}))
         params, quant = tmp_path / "p.mgqt", tmp_path / "q.mgqt"
 
         assert self.probe("gram", "--calib", calib, "--out", gram)["scipy_modules"] == 0

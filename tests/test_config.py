@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import re
-import types
 import typing
 from pathlib import Path
 
@@ -9,9 +8,8 @@ import numpy as np
 import pytest
 
 from mgquant.allocator import init_allocator_params
-from mgquant.config import load_run_config
 from mgquant.pipeline import params_from_sections, params_to_sections
-from mgquant.training import TrainConfig
+from mgquant.training import TrainConfig, load_run_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,19 +21,14 @@ WRONG_VALUES = {
 
 
 def field_cases():
-    """(key, wrong value) for every TrainConfig field, plus None where not optional.
+    """(key, wrong value) for every TrainConfig field, None among them.
 
     Each id names the key and the value, ``{}`` by its type, so adding or
     removing a field renames no other case.
     """
     cases = []
     for key, hint in typing.get_type_hints(TrainConfig).items():
-        optional = isinstance(hint, types.UnionType) and type(None) in typing.get_args(hint)
-        if optional:
-            (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
-        else:
-            cases.append((key, None))
-        cases += [(key, v) for v in [{}] + WRONG_VALUES[hint]]
+        cases += [(key, v) for v in [None, {}] + WRONG_VALUES[hint]]
     return [pytest.param(key, v, id=f"{key}-{'dict' if v == {} else v}") for key, v in cases]
 
 
@@ -55,17 +48,15 @@ class TestLoadRunConfig:
         assert cfg.alpha == 1.0
         assert cfg.t_max == 4
         assert cfg.d_gnn == 512
-        assert cfg.hidden_dim == 512
         assert cfg.block_size == 128
 
     def test_overrides(self, tmp_path):
         cfg = load_run_config(
-            write(tmp_path, {"epochs": 3, "d_gnn": 16, "hidden": 8, "target_bits": 2.0,
-                             "seed": 9, "alpha": 2})
+            write(tmp_path, {"epochs": 3, "d_gnn": 16, "target_bits": 2.0, "seed": 9, "alpha": 2})
         )
         assert type(cfg.alpha) is float and cfg.alpha == 2.0  # JSON int cast for a float field
         assert cfg.epochs == 3
-        assert cfg.hidden_dim == 8
+        assert cfg.d_gnn == 16
         assert cfg.seed == 9
 
     def test_unknown_keys_rejected(self, tmp_path):

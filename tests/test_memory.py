@@ -65,7 +65,7 @@ def test_training_holds_one_pass_at_a_time():
     # One pass's engine (3.13 M) plus the node features and activations: 3.4 M.
     # With the previous pass's result and activations still held it was 6.7 M.
     (w0, hc0, _), (w1, hc1, _) = layer(2), layer(3)
-    cfg = TrainConfig(epochs=1, accum_steps=2, d_gnn=64, hidden=64)
+    cfg = TrainConfig(epochs=1, accum_steps=2, d_gnn=64)
     peak = heap_peak(lambda: train([(w0, hc0), (w1, hc1)], cfg))
     assert peak < 3.75, peak
 
@@ -91,7 +91,7 @@ def test_training_peak_does_not_grow_with_the_number_of_layers():
     # Every layer is built inside the call, so the peak counts one layer's
     # weights and factor (2 M) beside its pass. Holding all four took it
     # 6 M higher than with one.
-    cfg = TrainConfig(epochs=1, accum_steps=2, d_gnn=64, hidden=64)
+    cfg = TrainConfig(epochs=1, accum_steps=2, d_gnn=64)
     peaks = {}
     for n in (1, 4):
         layers = BuiltOnAccess(n)

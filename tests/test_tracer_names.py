@@ -48,7 +48,7 @@ def test_allocator_and_training_names_stay_on_their_call_paths():
     tracer = load_tracing().Tracer()
     with tracer.installed():
         quantize_with_allocator(w, hc, init_allocator_params(8, 8, 4, rng), block_size=8)
-        cfg = TrainConfig(epochs=2, accum_steps=2, d_gnn=8, hidden=8, block_size=8)
+        cfg = TrainConfig(epochs=2, accum_steps=2, d_gnn=8, block_size=8)
         train([(w, hc), (w, hc)], cfg)
     counts = {}
     for span in tracer.spans:

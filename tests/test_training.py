@@ -239,7 +239,7 @@ class TestTrain:
         w, hc = sign_layer(rng)
         cfg = TrainConfig(
             epochs=300, lr=0.05, accum_steps=1, target_bits=1.0,
-            d_gnn=8, hidden=8, seed=0, block_size=16,
+            d_gnn=8, seed=0, block_size=16,
         )
         params, records = train([(w, hc)], cfg)
         # +-c columns are exact at 1 bit; coarser grids reproduce them to 1 ulp,
@@ -252,7 +252,7 @@ class TestTrain:
         w, hc = sign_layer(rng)
         cfg = TrainConfig(
             epochs=300, lr=0.05, accum_steps=1, target_bits=4.0,
-            d_gnn=8, hidden=8, seed=0, block_size=16,
+            d_gnn=8, seed=0, block_size=16,
         )
         params, records = train([(w, hc)], cfg)
         assert records[-1].soft_mean_bits >= 3.9
@@ -262,7 +262,7 @@ class TestTrain:
         rng = np.random.default_rng(11)
         w, hc = sign_layer(rng, d_col=8, d_row=8)
         w = w + 0.01 * rng.standard_normal(w.shape)
-        cfg = TrainConfig(epochs=5, d_gnn=4, hidden=4, seed=3, block_size=8)
+        cfg = TrainConfig(epochs=5, d_gnn=4, seed=3, block_size=8)
         p1, r1 = train([(w, hc)], cfg)
         p2, r2 = train([(w, hc)], cfg)
         assert r1 == r2
@@ -272,7 +272,7 @@ class TestTrain:
     def test_epochs_zero_returns_initialized_params(self):
         rng = np.random.default_rng(12)
         w, hc = sign_layer(rng, d_col=8, d_row=8)
-        cfg = TrainConfig(epochs=0, d_gnn=4, hidden=4, seed=5, block_size=8)
+        cfg = TrainConfig(epochs=0, d_gnn=4, seed=5, block_size=8)
         params, records = train([(w, hc)], cfg)
         assert records == []
         ref = init_allocator_params(4, 4, 4, np.random.default_rng(5))
@@ -281,7 +281,7 @@ class TestTrain:
     def test_log_format_round_trips(self):
         rng = np.random.default_rng(13)
         w, hc = sign_layer(rng, d_col=8, d_row=8)
-        cfg = TrainConfig(epochs=2, d_gnn=4, hidden=4, seed=1, block_size=8)
+        cfg = TrainConfig(epochs=2, d_gnn=4, seed=1, block_size=8)
         _, records = train([(w, hc)], cfg)
         text = format_training_log(records)
         lines = text.strip().split("\n")
@@ -312,11 +312,10 @@ class TestTrain:
             train([(np.eye(8), np.eye(8)), (np.zeros(shape), hc)], TrainConfig(d_gnn=8))
         assert passes == []
 
-    def test_regression_fixture_seed7(self, fixture_layers):
+    def test_regression_fixture_seed7(self, fixture_records):
         # frozen end-to-end behavior at package defaults on the 8-layer fixture
-        layers, _ = fixture_layers
         cfg = TrainConfig(target_bits=2.5, seed=7)
-        _, records = train(layers, cfg)
+        records = fixture_records(cfg)  # criterion 02's seed 7, if it has run
         ep0 = [r for r in records if r.epoch == 0]
         final = [r for r in records if r.epoch == cfg.epochs - 1]
         hard = float(np.mean([r.hard_mean_bits for r in final]))
@@ -333,7 +332,7 @@ class TestTrain:
         monkeypatch.setattr(training, "preprocess", counting)
         rng = np.random.default_rng(15)
         layers = [make_layer(rng, 12, 16, 48)[:2] for _ in range(2)]
-        cfg = TrainConfig(epochs=3, accum_steps=2, d_gnn=8, hidden=8, block_size=8)
+        cfg = TrainConfig(epochs=3, accum_steps=2, d_gnn=8, block_size=8)
         _, records = train(layers, cfg)
         # once in each layer's pass, never for the up-front shape check
         assert len(records) == 6 and calls == [12] * 6
@@ -343,23 +342,21 @@ class TestTrain:
         # their gradient is exactly zero and each AdamW step only decays them
         rng = np.random.default_rng(16)
         layers = [make_layer(rng, 5, 12, 48)[:2] for _ in range(3)]
-        cfg = TrainConfig(epochs=4, lr=0.01, accum_steps=2, d_gnn=8, hidden=6, seed=4,
-                          block_size=4)
+        cfg = TrainConfig(epochs=4, lr=0.01, accum_steps=2, d_gnn=8, seed=4, block_size=4)
         params, _ = train(layers, cfg)
-        expect = init_allocator_params(8, 6, 4, np.random.default_rng(4)).w0
+        expect = init_allocator_params(8, 8, 4, np.random.default_rng(4)).w0
         for _ in range(cfg.epochs * 2):  # 3 passes per epoch: steps after 2 and at the end
-            expect -= cfg.lr * cfg.weight_decay * expect
+            expect -= cfg.lr * AdamW().weight_decay * expect
         assert np.array_equal(params.w0[5:], expect[5:])
         assert not np.array_equal(params.w0[:5], expect[:5])
 
     @pytest.mark.slow
-    def test_monotone_budget_pressure(self, fixture_layers):
+    def test_monotone_budget_pressure(self, fixture_records):
         # a heavier average-bit penalty never worsens the final budget gap
-        layers, _ = fixture_layers
         gaps = []
         for alpha in (0.1, 1.0, 10.0):
             cfg = TrainConfig(target_bits=2.5, seed=0, alpha=alpha)
-            _, records = train(layers, cfg)
+            records = fixture_records(cfg)  # alpha 1.0 is criterion 02's seed 0
             final = [r for r in records if r.epoch == cfg.epochs - 1]
             gaps.append(abs(float(np.mean([r.soft_mean_bits for r in final])) - 2.5))
         assert gaps[1] <= gaps[0] + 1e-12
