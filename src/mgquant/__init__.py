@@ -19,7 +19,7 @@ _EXPORTS = {
     "calibration": ("GramAccumulator", "build_hessian_cholesky", "proxy_loss"),
     "gptq": ("QuantResult", "quantize_blockwise"),
     "linalg": ("NotPositiveDefiniteError", "ShapeMismatchError", "cholesky", "spd_inverse"),
-    "pipeline": ("AllocatorTimings", "quantize_with_allocator", "widths_for"),
+    "pipeline": ("quantize_with_allocator", "widths_for"),
     "quant": ("error_table", "quantize"),
     "tensorfile": ("TensorFileError", "read_tensor_file", "write_tensor_file"),
     "training": ("AdamW", "LossBreakdown", "TrainConfig", "TrainingLogRecord", "soft_losses",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cli import METHODS
-from .gptq import MAX_BITS, QuantResult, quantize_blockwise, validate_widths
+from .gptq import QuantResult, quantize_blockwise, validate_widths
 from .pipeline import widths_for
 from .quant import quantize
 from .training import TrainConfig, train
@@ -53,7 +53,7 @@ def quantize_rtn_matrix(w: np.ndarray, bits: int) -> QuantResult:
     if w.dtype not in (np.float32, np.float64):
         w = w.astype(np.float64)
     d_col = w.shape[1]
-    widths = validate_widths(np.full(d_col, bits), d_col, MAX_BITS)
+    widths = validate_widths(np.full(d_col, bits), d_col)
     start = time.perf_counter()
     quantized, codes, scales, zeros = quantize(w.T, bits)
     quantized = quantized.T.astype(w.dtype, order="C")
@@ -78,17 +78,16 @@ def run_baseline(
 ) -> QuantResult:
     """Run one reference method on a single layer."""
     w = np.asarray(w)
-    d_col = w.shape[1]
     if spec.method == "rtn":
         return quantize_rtn_matrix(w, spec.bits)
 
     cfg = cfg if cfg is not None else TrainConfig()
     if spec.method == "gptq-uniform":
-        widths = np.full(d_col, spec.bits, dtype=np.int64)
+        widths = np.full(w.shape[1], spec.bits, dtype=np.int64)
     else:
         # mlp-ptq: train the dense-ablation allocator on this layer and take
         # its hard assignment.
         train_cfg = dataclasses.replace(cfg, target_bits=spec.budget)
         params, _ = train([(w, hc)], train_cfg, arch="mlp")
         widths = widths_for(w, np.asarray(hc, dtype=np.float64), params, arch="mlp")
-    return quantize_blockwise(w, hc, widths, block_size=min(cfg.block_size, d_col))
+    return quantize_blockwise(w, hc, widths, block_size=cfg.block_size)

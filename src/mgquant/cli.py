@@ -30,7 +30,6 @@ from .tensorfile import TensorFileError, read_tensor_file, write_atomic, write_t
 
 if TYPE_CHECKING:
     from .gptq import QuantResult
-    from .pipeline import AllocatorTimings
 
 __all__ = ["main", "console_main"]
 
@@ -103,24 +102,29 @@ class _CalibFiles:
 
     Iterating reads the files in order and yields their sections one at a
     time; each section leaves its file's dict as it is yielded, so no more
-    than one file is held. Every section must be 2-D with the column count
-    of the first. ``total_rows`` counts the rows yielded by the last pass.
+    than one file is held. Every section must be 2-D float, with ``d_col``
+    columns if given, else with the column count of the first.
+    ``total_rows`` counts the rows yielded by the last pass.
     """
 
-    def __init__(self, paths: list[str]):
+    def __init__(self, paths: list[str], d_col: int | None = None):
         self.paths = paths
+        self.d_col = d_col
         self.total_rows = 0
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        d_col = None
+        d_col = self.d_col
         self.total_rows = 0
         for path in self.paths:
             sections = read_tensor_file(path)
             while sections:
                 name = next(iter(sections))
-                shape = sections[name].shape
+                shape, dtype = sections[name].shape, sections[name].dtype
                 if len(shape) != 2:
                     raise ValueError(f"{path}: section {name!r} must be 2-D, got {shape}")
+                if dtype.kind != "f":
+                    raise ValueError(f"{path}: section {name!r} must be float32 or float64, "
+                                     f"got {dtype}")
                 if d_col is None:
                     d_col = shape[1]
                 elif shape[1] != d_col:
@@ -153,7 +157,14 @@ def cmd_hessian(args) -> int:
     samples = sections.pop("samples")
     if samples.size != 1 or not (samples.flat[0] > 0 and float(samples.flat[0]).is_integer()):
         raise ValueError(f"{args.gram}: 'samples' must hold one positive whole number")
-    hc = build_hessian_cholesky(sections.pop("gram"), damp_frac=args.damp)
+    try:
+        hc = build_hessian_cholesky(sections.pop("gram"), damp_frac=args.damp)
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(exc.pivot, f"{args.gram}: {exc}") from None
+    except ValueError as exc:
+        if not 0 <= args.damp < np.inf:  # a bad --damp, refused before the Gram is read
+            raise
+        raise ValueError(f"{args.gram}: {exc}") from None
     write_tensor_file(args.out, {"hessian_cholesky": hc})
     _emit({"out": args.out, "d_col": hc.shape[0], "damp": args.damp})
     return 0
@@ -209,20 +220,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_layer(args, w: np.ndarray, result: QuantResult, timings: AllocatorTimings,
+def _write_layer(args, w: np.ndarray, result: QuantResult, allocator_time: float,
                  t_max: int, seed: int, config_echo: dict, **stdout) -> int:
     """Take the proxy loss (untimed) and write the layer, report and JSON line of a command."""
     from .report import build_report, layer_entry, write_report
 
-    loss = proxy_loss(w, result.quantized, _CalibFiles(args.calib)) if args.calib else None
+    calib = _CalibFiles(args.calib, w.shape[1])
+    loss = proxy_loss(w, result.quantized, calib) if args.calib else None
     if args.out:
         write_tensor_file(args.out, result_to_sections(result))
     name = Path(args.weights).stem
     entry = layer_entry(name, result, loss, t_max)
     if args.report:
-        row = {"name": name, "allocator_time": timings.allocator_time,
-               "engine_time": timings.engine_time, "wall_time": timings.total}
-        timing = {"layers": [row], "total_wall_time": timings.total}
+        total = allocator_time + result.wall_time
+        row = {"name": name, "allocator_time": allocator_time,
+               "engine_time": result.wall_time, "wall_time": total}
+        timing = {"layers": [row], "total_wall_time": total}
         write_report(args.report, build_report(seed, config_echo, [entry], timing))
     _emit({**stdout, "out": args.out, "report": args.report,
            "mean_bits": entry["mean_bits"], "proxy_loss": entry["proxy_loss"]})
@@ -245,15 +258,14 @@ def cmd_quantize(args) -> int:
         params = params_from_sections(read_tensor_file(args.params))
     except ValueError as exc:
         raise ValueError(f"{args.params}: {exc}") from None
-    result, timings = quantize_with_allocator(w, hc, params, block_size=args.block, dtype=dtype)
+    result, allocator_time = quantize_with_allocator(w, hc, params, args.block, dtype)
     echo = {"command": "quantize", "block_size": args.block, "precision": args.precision,
             "params": Path(args.params).name}
-    return _write_layer(args, stored, result, timings, params.t_max, 0, echo)
+    return _write_layer(args, stored, result, allocator_time, params.t_max, 0, echo)
 
 
 def cmd_baseline(args) -> int:
     from .baselines import BaselineSpec, run_baseline
-    from .pipeline import AllocatorTimings
     from .training import TrainConfig, load_run_config
 
     cfg = load_run_config(args.config) if args.config else TrainConfig()
@@ -264,10 +276,9 @@ def cmd_baseline(args) -> int:
     result = run_baseline(spec, w, hc, cfg=cfg)
     # Time outside the engine: choosing the widths (mlp-ptq's training).
     outside = time.perf_counter() - start - result.wall_time
-    timings = AllocatorTimings(allocator_time=outside, engine_time=result.wall_time)
     echo = {"command": "baseline", "method": spec.method, "bits": spec.bits,
             "target_bits": spec.target_bits, "block_size": cfg.block_size}
-    return _write_layer(args, w, result, timings, cfg.t_max, cfg.seed, echo, method=spec.method)
+    return _write_layer(args, w, result, outside, cfg.t_max, cfg.seed, echo, method=spec.method)
 
 
 def cmd_eval(args) -> int:
@@ -277,7 +288,7 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"shape mismatch: {args.orig} has {w.shape}, {args.quant} has {q.shape}"
         )
-    loss = proxy_loss(w, q, _CalibFiles(args.calib))
+    loss = proxy_loss(w, q, _CalibFiles(args.calib, w.shape[1]))
     diff = np.subtract(w, q, dtype=np.float64)
     payload = {
         "proxy_loss": loss,

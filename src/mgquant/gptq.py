@@ -72,7 +72,7 @@ class QuantResult:
         codes: u8 integer codes, same shape (and, from the engine, the same
             column-major layout) as ``quantized``.
         scales, zeros: the grid of each column (float64, length d_col).
-        widths: the bit assignment actually applied (copy).
+        widths: the bit assignment actually applied (a fresh int64 array).
         block_errors: per block, the sum of squared compensation entries.
         wall_time: seconds spent in the engine (excluded from determinism).
         residuals: compensated value of each column at the moment it was
@@ -99,7 +99,8 @@ class QuantResult:
         return [int(c) for c in counts]
 
 
-def validate_widths(widths: np.ndarray, d_col: int, t_max: int | None = None) -> np.ndarray:
+def validate_widths(widths: np.ndarray, d_col: int) -> np.ndarray:
+    """``widths`` as a fresh int64 array of ``d_col`` whole numbers in 1..MAX_BITS."""
     w = np.asarray(widths)
     if w.shape != (d_col,):
         raise ShapeMismatchError(f"widths must have shape ({d_col},), got {w.shape}")
@@ -110,8 +111,8 @@ def validate_widths(widths: np.ndarray, d_col: int, t_max: int | None = None) ->
     w = w.astype(np.int64)
     if w.min() < 1:
         raise ValueError(f"widths must be >= 1, got min {w.min()}")
-    if t_max is not None and w.max() > t_max:
-        raise ValueError(f"widths must be <= {t_max}, got max {w.max()}")
+    if w.max() > MAX_BITS:
+        raise ValueError(f"widths must be <= {MAX_BITS}, got max {w.max()}")
     return w
 
 
@@ -132,7 +133,8 @@ def quantize_blockwise(
         hc: upper-triangular Cholesky factor of the damped inverse Gram
             (d_col x d_col) with strictly positive diagonal.
         widths: per-column bit widths, each in 1..8.
-        block_size: columns per compensation block (1..d_col).
+        block_size: columns per compensation block, at least 1; a block
+            wider than the matrix is one block.
         keep_residuals: record the compensated column values seen by the
             quantizer (returned as a transposed view, shape d_row x d_col).
     """
@@ -147,13 +149,13 @@ def quantize_blockwise(
         raise ShapeMismatchError(
             f"hessian factor shape {hc.shape} does not match d_col {d_col}"
         )
-    widths = validate_widths(widths, d_col, MAX_BITS)
+    widths = validate_widths(widths, d_col)
     diag = np.diag(hc)
     if not (diag > 0).all():
         bad = int(np.argmin(diag))
         raise ValueError(f"hessian factor diagonal must be positive (entry {bad})")
-    if not 1 <= block_size <= d_col:
-        raise ValueError(f"block_size must be in [1, {d_col}], got {block_size}")
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
 
     hc = hc.astype(w.dtype, copy=False)
     start = time.perf_counter()
@@ -198,7 +200,7 @@ def quantize_blockwise(
         codes=codes.T,
         scales=scales,
         zeros=zeros,
-        widths=widths.copy(),
+        widths=widths,
         block_errors=np.asarray(block_errors, dtype=np.float64),
         wall_time=wall,
         residuals=None if residuals is None else residuals.T,

@@ -14,7 +14,7 @@ Nothing here reads calibration data: the CLI takes each proxy loss.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,25 +28,12 @@ from .allocator import (
 from .gptq import QuantResult, quantize_blockwise
 
 __all__ = [
-    "AllocatorTimings",
     "widths_for",
     "quantize_with_allocator",
     "params_to_sections",
     "params_from_sections",
     "result_to_sections",
 ]
-
-
-@dataclass(frozen=True)
-class AllocatorTimings:
-    """Wall-clock split between allocator inference and the engine."""
-
-    allocator_time: float
-    engine_time: float
-
-    @property
-    def total(self) -> float:
-        return self.allocator_time + self.engine_time
 
 
 def widths_for(
@@ -76,11 +63,12 @@ def quantize_with_allocator(
     params: AllocatorParams,
     block_size: int = 128,
     dtype=np.float32,
-) -> tuple[QuantResult, AllocatorTimings]:
+) -> tuple[QuantResult, float]:
     """Allocate widths with the trained graph allocator, then quantize.
 
     Inference is deterministic: widths come from the argmax of the head
-    logits, no sampling.
+    logits, no sampling. Returns the result and the seconds spent choosing
+    the widths; the engine's own are ``result.wall_time``.
     """
     w = np.ascontiguousarray(np.asarray(w), dtype=dtype)
     hc_t = np.ascontiguousarray(np.asarray(hc), dtype=dtype)
@@ -89,8 +77,7 @@ def quantize_with_allocator(
     widths = widths_for(w, hc_t, params)
     allocator_time = time.perf_counter() - start
 
-    result = quantize_blockwise(w, hc_t, widths, block_size=min(block_size, w.shape[1]))
-    return result, AllocatorTimings(allocator_time=allocator_time, engine_time=result.wall_time)
+    return quantize_blockwise(w, hc_t, widths, block_size=block_size), allocator_time
 
 
 def params_to_sections(params: AllocatorParams) -> dict[str, np.ndarray]:

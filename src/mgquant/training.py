@@ -347,8 +347,7 @@ def _layer_pass(
     P = gumbel_softmax(cache.logits, cfg.tau, noise)
     hard = np.argmax(P, axis=1).astype(np.int64) + 1
 
-    result = quantize_blockwise(w, hc, hard, block_size=min(cfg.block_size, w.shape[1]),
-                                keep_residuals=True)
+    result = quantize_blockwise(w, hc, hard, block_size=cfg.block_size, keep_residuals=True)
     errs = error_table(result.residuals, np.diag(hc), cfg.t_max)
     del result  # the engine's buffers go before backward allocates
     breakdown = soft_losses(P, errs, cfg.target_bits, cfg.alpha)

@@ -668,12 +668,12 @@ class TestLowerFactorRejected:
         assert ("below the diagonal" in err) == (entry is not None), err
 
 
-def refused(capsys, tmp_path, argv) -> str:
-    """Run ``argv``, check it exits 2 with one stderr line, no stdout and no
-    file written under ``tmp_path``, and return that line."""
+def refused(capsys, tmp_path, argv, code=2) -> str:
+    """Run ``argv``, check it exits ``code`` with one stderr line, no stdout and
+    no file written under ``tmp_path``, and return that line."""
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
-    assert main([str(a) for a in argv]) == 2, argv
+    assert main([str(a) for a in argv]) == code, argv
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
@@ -732,6 +732,53 @@ class TestFloatSections:
         }[command.split("-")[0]]
         err = refused(capsys, tmp_path, argv)
         assert f"{bad}: '{name}' must be float32 or float64, got uint8" in err, err
+
+
+class TestContentsNameTheirFile:
+    """A bad ``--calib`` section, or a Gram whose contents cannot be factored,
+    is refused with a message that names its file."""
+
+    @pytest.mark.parametrize("command, fault", [
+        ("gram", "u8"), ("quantize", "u8"), ("baseline", "u8"), ("eval", "u8"),
+        ("quantize", "columns"), ("baseline", "columns"), ("eval", "columns"),
+    ])
+    def test_bad_calibration_section_exit_2(self, tmp_path, capsys, command, fault):
+        wdir, hdir, _, _ = make_instance(tmp_path, seed=13, d_col=3, n_layers=1)
+        weights = wdir / "L0.mgqt"
+        quant = tmp_path / "q.mgqt"
+        write_tensor_file(quant, {"quantized": read_tensor_file(weights)["weights"]})
+        params = tmp_path / "p.mgqt"
+        write_tensor_file(params, params_to_sections(
+            init_allocator_params(8, 8, 4, np.random.default_rng(0))))
+        calib = tmp_path / "bad_calib.mgqt"
+        if fault == "u8":
+            write_tensor_file(calib, {"x": np.arange(15, dtype=np.uint8).reshape(5, 3)})
+            expected = f"{calib}: section 'x' must be float32 or float64, got uint8"
+        else:
+            write_tensor_file(calib, {"x": np.ones((5, 4))})
+            expected = f"{calib}: section 'x' has 4 columns, expected 3"
+        layer = ["--weights", weights, "--hessian", hdir / "L0.mgqt", "--calib", calib,
+                 "--out", tmp_path / "out.mgqt", "--report", tmp_path / "r.json"]
+        argv = {
+            "gram": ["gram", "--calib", calib, "--out", tmp_path / "g.mgqt"],
+            "quantize": ["quantize", "--params", params, *layer],
+            "baseline": ["baseline", "--method", "rtn", *layer],
+            "eval": ["eval", "--orig", weights, "--quant", quant, "--calib", calib,
+                     "--report", tmp_path / "r.json"],
+        }[command]
+        assert refused(capsys, tmp_path, argv).endswith(expected)
+
+    @pytest.mark.parametrize("gram, code, expected", [
+        (np.ones((3, 4)), 2, "gram must be square and non-empty, got shape (3, 4)"),
+        (np.array([[2.0, 1.0], [0.0, 2.0]]), 2, "matrix is not symmetric"),
+        (np.diag([1.0, -4.0]), 4, "damped Gram is not positive definite at pivot 1"),
+    ], ids=["not-square", "not-symmetric", "not-positive-definite"])
+    def test_bad_gram_names_file(self, tmp_path, capsys, gram, code, expected):
+        path = tmp_path / "g.mgqt"
+        write_tensor_file(path, {"gram": gram, "samples": np.array([2.0])})
+        err = refused(capsys, tmp_path, ["hessian", "--gram", path, "--damp", "0.0",
+                                         "--out", tmp_path / "h.mgqt"], code)
+        assert f"{path}: {expected}" in err, err
 
 
 class TestFileMode:

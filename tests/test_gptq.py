@@ -314,6 +314,8 @@ class TestValidation:
             quantize_blockwise(w, hc, np.array([9, 2, 2]))
         with pytest.raises(ValueError):
             quantize_rtn_matrix(w, 9)
+        with pytest.raises(ValueError, match="<= 8"):
+            validate_widths(np.array([9]), 1)
         with pytest.raises(ShapeMismatchError):
             quantize_blockwise(w, hc, np.array([2, 2]))
 
@@ -338,8 +340,12 @@ class TestValidation:
         w = np.ones((2, 3))
         with pytest.raises(ValueError):
             quantize_blockwise(w, np.eye(3), np.full(3, 2), block_size=0)
-        with pytest.raises(ValueError):
-            quantize_blockwise(w, np.eye(3), np.full(3, 2), block_size=4)
+        # a block wider than the matrix is one block: the same bytes as block_size=d_col
+        w, hc, _ = correlated_layer(4, d_row=5, d_col=3, rows=16)
+        widths = np.array([1, 3, 2])
+        wide, whole = (quantize_blockwise(w, hc, widths, block_size=b) for b in (4, 3))
+        for name in ("quantized", "codes", "scales", "zeros", "widths", "block_errors"):
+            assert getattr(wide, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
 def loop_oracle(w, q, x):
