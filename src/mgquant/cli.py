@@ -26,7 +26,13 @@ import numpy as np
 
 from .calibration import GramAccumulator, build_hessian_cholesky, proxy_loss
 from .linalg import NotPositiveDefiniteError
-from .tensorfile import TensorFileError, read_tensor_file, write_atomic, write_tensor_file
+from .tensorfile import (
+    TensorFileError,
+    read_tensor_file,
+    read_tensor_headers,
+    write_atomic,
+    write_tensor_file,
+)
 
 if TYPE_CHECKING:
     from .gptq import QuantResult
@@ -104,13 +110,35 @@ class _CalibFiles:
     time; each section leaves its file's dict as it is yielded, so no more
     than one file is held. Every section must be 2-D float, with ``d_col``
     columns if given, else with the column count of the first.
-    ``total_rows`` counts the rows yielded by the last pass.
+    ``total_rows`` counts the rows yielded by the last pass. ``check``
+    applies the same rules to the headers alone, before a long run.
     """
 
     def __init__(self, paths: list[str], d_col: int | None = None):
         self.paths = paths
         self.d_col = d_col
         self.total_rows = 0
+
+    @staticmethod
+    def _columns(path: str, name: str, dtype: np.dtype, shape: tuple, d_col: int | None) -> int:
+        """The section's column count, which must be ``d_col`` unless that is None."""
+        if len(shape) != 2:
+            raise ValueError(f"{path}: section {name!r} must be 2-D, got {shape}")
+        if dtype.kind != "f":
+            raise ValueError(f"{path}: section {name!r} must be float32 or float64, "
+                             f"got {dtype}")
+        if d_col is not None and shape[1] != d_col:
+            raise ValueError(
+                f"{path}: section {name!r} has {shape[1]} columns, expected {d_col}"
+            )
+        return shape[1]
+
+    def check(self) -> None:
+        """Check every file's section headers, skipping the payloads."""
+        d_col = self.d_col
+        for path in self.paths:
+            for name, (dtype, shape) in read_tensor_headers(path).items():
+                d_col = self._columns(path, name, dtype, shape, d_col)
 
     def __iter__(self) -> Iterator[np.ndarray]:
         d_col = self.d_col
@@ -119,20 +147,10 @@ class _CalibFiles:
             sections = read_tensor_file(path)
             while sections:
                 name = next(iter(sections))
-                shape, dtype = sections[name].shape, sections[name].dtype
-                if len(shape) != 2:
-                    raise ValueError(f"{path}: section {name!r} must be 2-D, got {shape}")
-                if dtype.kind != "f":
-                    raise ValueError(f"{path}: section {name!r} must be float32 or float64, "
-                                     f"got {dtype}")
-                if d_col is None:
-                    d_col = shape[1]
-                elif shape[1] != d_col:
-                    raise ValueError(
-                        f"{path}: section {name!r} has {shape[1]} columns, expected {d_col}"
-                    )
+                shape = sections[name].shape
+                d_col = self._columns(path, name, sections[name].dtype, shape, d_col)
                 self.total_rows += shape[0]
-                yield sections.pop(name)
+                yield sections.pop(name)  # held by no name here while the caller runs
 
 
 def cmd_gram(args) -> int:
@@ -254,6 +272,7 @@ def cmd_quantize(args) -> int:
     if len(hc) != w.shape[1]:
         raise ValueError(f"{args.hessian}: factor {hc.shape} does not match "
                          f"the {w.shape[1]} columns of {args.weights}")
+    _CalibFiles(args.calib, w.shape[1]).check()
     try:
         params = params_from_sections(read_tensor_file(args.params))
     except ValueError as exc:
@@ -271,6 +290,7 @@ def cmd_baseline(args) -> int:
     cfg = load_run_config(args.config) if args.config else TrainConfig()
     w = _load_weights(args.weights)
     hc = _load_hessian(args.hessian)
+    _CalibFiles(args.calib, w.shape[1]).check()
     spec = BaselineSpec(method=args.method, bits=args.bits, target_bits=args.target_bits)
     start = time.perf_counter()
     result = run_baseline(spec, w, hc, cfg=cfg)

@@ -104,64 +104,65 @@ def _check_peak(peak: float) -> None:
         raise ValueError(f"cannot quantize {what}")
 
 
-def _abs_sum(x: np.ndarray):
-    # sum(|x|) along the last axis (kept for 2-D input), bit for bit the sum
-    # inside np.mean, after the magnitude check. A sum that may overflow is
-    # rejected by the caller, so it must not warn.
-    mag = np.abs(x)
+def _mean_abs(mag: np.ndarray):
+    # mean(|x|) along the last axis (kept for 2-D input) from mag = |x|, bit
+    # for bit np.mean's, after the magnitude check. Only a sum past LIMIT
+    # can overflow; such a mean is rejected, so the sum must not warn.
     peak = float(mag.max())
     _check_peak(peak)
+    n = mag.shape[-1]
     keep = mag.ndim > 1
-    if peak * mag.shape[-1] <= LIMIT:
-        return np.add.reduce(mag, axis=-1, keepdims=keep)
+    if peak * n <= LIMIT:
+        return np.add.reduce(mag, axis=-1, keepdims=keep) / n
     with np.errstate(over="ignore"):
-        return np.add.reduce(mag, axis=-1, keepdims=keep)
+        alpha = np.add.reduce(mag, axis=-1, keepdims=keep) / n
+    if not np.max(alpha) <= LIMIT:
+        raise ValueError("cannot quantize at 1 bit: mean(|x|) overflows")
+    return alpha
 
 
-_MEAN_OVERFLOWS = "cannot quantize at 1 bit: mean(|x|) overflows"
-
-
-def _round(x: np.ndarray, scale, zero, cmax: int, clip: bool = True) -> np.ndarray:
-    # Nearest level, ties away from zero in code space. In place: fresh
-    # temporaries cost more than the arithmetic here.
-    raw = np.divide(x, scale)
-    raw += zero
-    codes = np.copysign(0.5, raw)
-    codes += raw
+def _round(x: np.ndarray, scale, zero, cmax: int, clip: bool = True, out=None) -> np.ndarray:
+    # Nearest level, ties away from zero in code space, into ``out`` if
+    # given. In place: fresh temporaries cost more than the arithmetic here.
+    codes = np.divide(x, scale, out=out)
+    codes += zero
+    codes += np.copysign(0.5, codes)
     np.trunc(codes, out=codes)
     if clip:
         np.clip(codes, 0.0, cmax, out=codes)
     return codes
 
 
-def _quantize_rows(x: np.ndarray, bits: int):
-    # One grid per row of x; scale and zero are (rows, 1) arrays.
-    if bits == 1:
-        alpha = _abs_sum(x) / x.shape[-1]
-        if not alpha.max() <= LIMIT:
-            raise ValueError(_MEAN_OVERFLOWS)
-        flat = alpha == 0.0
-        scale, zero = np.where(flat, 1.0, 2.0 * alpha), np.where(flat, 1.0, 0.5)
-        return (x >= 0).astype(np.float64), scale, zero
+def _grid_rows(vmin: np.ndarray, vmax: np.ndarray, bits: int):
+    # The min-max grid of each row from its (rows, 1) extremes.
     cmax = (1 << bits) - 1
-    vmin = x.min(axis=-1, keepdims=True)
-    vmax = x.max(axis=-1, keepdims=True)
-    _check_peak(max(-float(vmin.min()), float(vmax.max())))
     span = vmax - vmin
     scale = np.where(span == 0.0, 1.0, np.maximum(span / cmax, TINY))
     zero = _exact_zero(vmin, scale)
     short = ~_covers(vmin, vmax, cmax, scale, zero)  # never a constant row
     for i in zip(*np.nonzero(short)):  # rare: widen one short row at a time
         scale[i], zero[i] = _fit_covering_1d(float(vmin[i]), float(vmax[i]), bits)
-    return _round(x, scale, zero, cmax), scale, zero
+    return scale, zero
+
+
+def _quantize_rows(x: np.ndarray, bits: int):
+    # One grid per row of x; scale and zero are (rows, 1) arrays.
+    if bits == 1:
+        alpha = _mean_abs(np.abs(x))
+        flat = alpha == 0.0
+        scale, zero = np.where(flat, 1.0, 2.0 * alpha), np.where(flat, 1.0, 0.5)
+        return (x >= 0).astype(np.float64), scale, zero
+    vmin = x.min(axis=-1, keepdims=True)
+    vmax = x.max(axis=-1, keepdims=True)
+    _check_peak(max(-float(vmin.min()), float(vmax.max())))
+    scale, zero = _grid_rows(vmin, vmax, bits)
+    return _round(x, scale, zero, (1 << bits) - 1), scale, zero
 
 
 def _quantize_vector(x: np.ndarray, bits: int):
     # _quantize_rows for a 1-D x, with scale and zero as Python floats.
     if bits == 1:
-        alpha = float(_abs_sum(x)) / x.size
-        if not alpha <= LIMIT:
-            raise ValueError(_MEAN_OVERFLOWS)
+        alpha = float(_mean_abs(np.abs(x)))
         scale, zero = (1.0, 1.0) if alpha == 0.0 else (2.0 * alpha, 0.5)
         return (x >= 0).astype(np.float64), scale, zero
     cmax = (1 << bits) - 1
@@ -231,8 +232,10 @@ def error_table(weights: np.ndarray, hc_diag: np.ndarray, t_max: int) -> np.ndar
     emit if column j were quantized at t bits right now. The training loop
     calls this once per layer pass, on the engine's residuals.
 
-    Columns are taken :data:`CHUNK_ELEMENTS` entries' worth at a time, so
-    the temporaries are a few chunks in size whatever the layer's shape.
+    Each entry has the bits of :func:`quantize`'s error at that width.
+    Columns are taken :data:`CHUNK_ELEMENTS` entries' worth at a time, and
+    each chunk's extremes and magnitude check serve every width, so the
+    temporaries are a few chunks in size whatever the layer's shape.
     Each entry is a sum over one column alone, so the table's bits do not
     depend on the chunk size.
     A column-major ``weights`` (the engine's residuals view) is read in
@@ -251,8 +254,24 @@ def error_table(weights: np.ndarray, hc_diag: np.ndarray, t_max: int) -> np.ndar
     step = max(1, CHUNK_ELEMENTS // max(1, w.shape[0]))
     for c in range(0, d_col, step):
         cols = np.ascontiguousarray(w[:, c : c + step].T)
-        for t in range(1, t_max + 1):
-            diff = quantize(cols, t)[0]
+        # 1 bit: (|x| - alpha)^2 is (+-alpha - x)^2 bit for bit, and 0 on an
+        # all-zero column, whose alpha is 0
+        diff = np.abs(cols)
+        diff -= _mean_abs(diff)
+        out[c : c + step, 0] = np.sum(np.square(diff, out=diff), axis=-1)
+        vmin = cols.min(axis=-1, keepdims=True)  # within LIMIT: checked above
+        vmax = cols.max(axis=-1, keepdims=True)
+        for t in range(2, t_max + 1):
+            cmax = (1 << t) - 1
+            scale, zero = _grid_rows(vmin, vmax, t)
+            # as in _quantize_vector, clip only if some row's end codes leave [0, cmax]
+            lo = vmin / scale + zero
+            hi = vmax / scale + zero
+            clip = (lo + np.copysign(0.5, lo) <= -1.0).any() or (
+                hi + np.copysign(0.5, hi) >= cmax + 1).any()
+            _round(cols, scale, zero, cmax, clip, out=diff)
+            diff -= zero
+            diff *= scale
             diff -= cols
             out[c : c + step, t - 1] = np.sum(np.square(diff, out=diff), axis=-1)
     out /= (hc_diag**2)[:, None]

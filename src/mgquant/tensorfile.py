@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "MAGIC",
     "VERSION",
     "read_tensor_file",
+    "read_tensor_headers",
     "write_atomic",
     "write_tensor_file",
 ]
@@ -137,19 +139,18 @@ class _Reader:
             raise TensorFileError(f"{self.path}: {what} truncated")
         self.left -= view.nbytes
 
+    def skip(self, n: int) -> None:
+        self.fh.seek(n, os.SEEK_CUR)
+        self.left -= n
 
-def read_tensor_file(path: str | Path) -> dict[str, np.ndarray]:
-    """Read all sections of a tensor file, in file order.
 
-    Each payload is read straight into a fresh array, so the file's bytes
-    are never held a second time.
+def _walk(path: Path, payloads: bool) -> Iterator[tuple[str, np.dtype, tuple, np.ndarray | None]]:
+    """Yield ``(name, dtype, dims, payload)`` per section, in file order.
 
-    Raises:
-        TensorFileError: on bad magic, unknown version or dtype, no or
-            duplicate sections, an impossible shape, truncation, trailing
-            garbage, or non-finite float data.
+    The payload is read straight into a fresh array, or skipped (``None``)
+    without ``payloads``; either way the whole file is walked and checked
+    up to the payloads' contents.
     """
-    path = Path(path)
     with open(path, "rb") as fh:
         cur = _Reader(fh, path)
         if cur.take(4, "magic") != MAGIC:
@@ -160,7 +161,7 @@ def read_tensor_file(path: str | Path) -> dict[str, np.ndarray]:
         if count == 0:
             raise TensorFileError(f"{path}: no sections")
 
-        sections: dict[str, np.ndarray] = {}
+        names: set[str] = set()
         for i in range(count):
             (name_len,) = struct.unpack("<B", cur.take(1, f"section {i} name length"))
             if name_len == 0:
@@ -169,8 +170,9 @@ def read_tensor_file(path: str | Path) -> dict[str, np.ndarray]:
                 name = cur.take(name_len, f"section {i} name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise TensorFileError(f"{path}: section {i} name is not UTF-8") from exc
-            if name in sections:
+            if name in names:
                 raise TensorFileError(f"{path}: duplicate section name {name!r}")
+            names.add(name)
             dtype_code, ndim = struct.unpack("<BB", cur.take(2, f"section {name!r} header"))
             if dtype_code not in _CODE_TO_DTYPE:
                 raise TensorFileError(f"{path}: section {name!r} has unknown dtype {dtype_code}")
@@ -183,6 +185,10 @@ def read_tensor_file(path: str | Path) -> dict[str, np.ndarray]:
             # memory than the file holds.
             if n_items * dtype.itemsize > cur.left:
                 raise TensorFileError(f"{path}: section {name!r} payload truncated")
+            if not payloads:
+                cur.skip(n_items * dtype.itemsize)
+                yield name, dtype, dims, None
+                continue
             try:
                 arr = np.empty(dims, dtype=dtype)
             except ValueError as exc:  # too many dims, or a dim past numpy's limit
@@ -190,8 +196,31 @@ def read_tensor_file(path: str | Path) -> dict[str, np.ndarray]:
             cur.take_into(arr, f"section {name!r} payload")
             if dtype_code in (0, 1) and arr.size and not np.isfinite(arr).all():
                 raise TensorFileError(f"{path}: section {name!r} contains NaN/Inf")
-            sections[name] = arr
+            yield name, dtype, dims, arr
 
         if cur.left:
             raise TensorFileError(f"{path}: {cur.left} trailing bytes")
-    return sections
+
+
+def read_tensor_file(path: str | Path) -> dict[str, np.ndarray]:
+    """Read all sections of a tensor file, in file order.
+
+    Each payload is read straight into a fresh array, so the file's bytes
+    are never held a second time.
+
+    Raises:
+        TensorFileError: on bad magic, unknown version or dtype, no or
+            duplicate sections, an impossible shape, truncation, trailing
+            garbage, or non-finite float data.
+    """
+    return {name: arr for name, _, _, arr in _walk(Path(path), payloads=True)}
+
+
+def read_tensor_headers(path: str | Path) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
+    """Each section's ``(dtype, shape)``, in file order, its payload skipped.
+
+    Raises:
+        TensorFileError: as :func:`read_tensor_file` does, but for what
+            only a payload's contents or numpy's array limits reveal.
+    """
+    return {name: (dtype, dims) for name, dtype, dims, _ in _walk(Path(path), payloads=False)}

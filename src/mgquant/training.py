@@ -18,7 +18,9 @@ activations kept; backprop through the softmax, classifier head and both
 graph layers is written out by hand, from the layer's first-layer input
 A0, propagated once per pass. Gradients accumulate by plain summation, in
 one buffer per parameter, across ``accum_steps`` layer passes before one
-AdamW step, at AdamW's default betas, eps and weight decay.
+AdamW step, at AdamW's default betas, eps and weight decay. ``w0``'s buffer
+and moments hold only the rows the widest first-layer input meets; the
+rows past them never get a gradient, and AdamW only decays them.
 
 All randomness (parameter init, Gumbel noise) comes from the config seed,
 and everything runs in float64, so a training run is bit-reproducible.
@@ -47,6 +49,11 @@ from .allocator import (
 from .gptq import MAX_BITS, quantize_blockwise
 from .linalg import ShapeMismatchError
 from .quant import error_table
+
+#: Elements of a parameter :meth:`AdamW.step` updates at once (128 KiB of
+#: float64), so the chunks of parameter, gradient, moments and scratch it
+#: touches stay in cache together.
+ADAMW_CHUNK = 1 << 14
 
 __all__ = [
     "TrainConfig",
@@ -229,12 +236,13 @@ def backward_from_cache(
 ) -> None:
     """Add the exact gradients of the surrogate loss to ``into``, in place.
 
-    ``into`` maps every parameter name to an accumulator of its shape.
-    ``errs`` is constant; the chain runs loss -> P -> Gumbel-softmax ->
-    logits -> head -> two (graph) layers, with the adjacency transposed on
-    the way back through the second: ``w0``'s gradient is ``A0^T dA1``,
-    added to its first A0-width rows only; the rows past them get nothing,
-    and AdamW only decays them.
+    ``into`` maps every parameter name to an accumulator of its shape, or
+    for ``w0`` of at least A0's width in rows. ``errs`` is constant; the
+    chain runs loss -> P -> Gumbel-softmax -> logits -> head -> two (graph)
+    layers, with the adjacency transposed on the way back through the
+    second: ``w0``'s gradient is ``A0^T dA1``, added to its first A0-width
+    rows only; the rows past them get nothing. The ReLU masks are applied
+    in place, and each layer's gradient buffer is dropped once read.
     """
     P = np.asarray(P, dtype=np.float64)
     errs = np.asarray(errs, dtype=np.float64)
@@ -249,13 +257,15 @@ def backward_from_cache(
 
     into["wc"] += cache.x2.T @ dZ
     into["bc"] += dZ.sum(axis=0)
-    dX2 = dZ @ params.wc.T
-    dA2 = dX2 * (cache.x2 > 0)
+    dA2 = dZ @ params.wc.T
+    dA2 *= cache.x2 > 0
     if cache.adj is not None:
         dA2 = cache.adj.T @ dA2
     into["w1"] += cache.x1.T @ dA2
 
-    dA1 = (dA2 @ params.w1.T) * (cache.x1 > 0)
+    dA1 = dA2 @ params.w1.T
+    del dA2
+    dA1 *= cache.x1 > 0
     into["w0"][: cache.x0.shape[1]] += cache.x0.T @ dA1
 
 
@@ -264,7 +274,14 @@ class AdamW:
 
     ``step`` updates the parameter arrays and moments in place and leaves
     the gradients as they are. State (first/second moments, step count) is
-    keyed by parameter name and created lazily.
+    keyed by parameter name and created lazily, in the gradient's shape.
+
+    A gradient may have fewer leading rows than its parameter. The rows past
+    it only decay: bit for bit what a zero gradient gives them, as that
+    decay reads no moment, and no moment is stored for them. Each parameter
+    is stepped :data:`ADAMW_CHUNK` elements' worth of rows at a time,
+    through one scratch buffer of two such chunks, with every element taking
+    the out-of-place formula's operations in its order.
     """
 
     def __init__(
@@ -287,29 +304,41 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
+        decay = self.lr * self.weight_decay
         for name, p in params.items():
             g = grads[name]
-            if g.shape != p.shape:
+            if (g.shape[1:] != p.shape[1:] or len(g) > len(p)
+                    or g.shape != self._m.get(name, g).shape):
                 raise ShapeMismatchError(
-                    f"gradient for {name} has shape {g.shape}, expected {p.shape}"
+                    f"gradient for {name} has shape {g.shape}, expected {p.shape} "
+                    f"or fewer rows, the same on every step"
                 )
             if name not in self._m:
-                self._m[name] = np.zeros_like(p)
-                self._v[name] = np.zeros_like(p)
+                self._m[name] = np.zeros(g.shape, dtype=p.dtype)
+                self._v[name] = np.zeros(g.shape, dtype=p.dtype)
             m = self._m[name]
             v = self._v[name]
-            # Two scratch arrays, each operation in the out-of-place formula's order
-            a, b = np.empty_like(p), np.empty_like(p)
-            if self.weight_decay:
-                p -= np.multiply(self.lr * self.weight_decay, p, out=a)
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
-            v *= self.beta2
-            v += np.multiply(1.0 - self.beta2, np.square(g, out=a), out=a)
-            denom = np.sqrt(np.divide(v, bc2, out=a), out=a)
-            denom += self.eps
-            update = np.multiply(self.lr, np.divide(m, bc1, out=b), out=b)
-            p -= np.divide(update, denom, out=b)
+            rows = min(len(p), max(1, ADAMW_CHUNK // max(1, math.prod(p.shape[1:]))))
+            scratch = np.empty((2, rows) + p.shape[1:], dtype=p.dtype)
+            r = 0
+            while r < len(p):
+                learns = r < len(g)  # a chunk stops where the gradient does
+                end = min(r + rows, len(g) if learns else len(p))
+                pc = p[r:end]
+                a, b = scratch[0, : end - r], scratch[1, : end - r]
+                if self.weight_decay:
+                    pc -= np.multiply(decay, pc, out=a)
+                if learns:
+                    gc, mc, vc = g[r:end], m[r:end], v[r:end]
+                    mc *= self.beta1
+                    mc += np.multiply(1.0 - self.beta1, gc, out=a)
+                    vc *= self.beta2
+                    vc += np.multiply(1.0 - self.beta2, np.square(gc, out=a), out=a)
+                    denom = np.sqrt(np.divide(vc, bc2, out=a), out=a)
+                    denom += self.eps
+                    update = np.multiply(self.lr, np.divide(mc, bc1, out=b), out=b)
+                    pc -= np.divide(update, denom, out=b)
+                r = end
 
 
 def _layer(layers: Sequence, i: int, dtype: type | None = np.float64) -> tuple[np.ndarray, ...]:
@@ -369,8 +398,10 @@ def train(
     flushed at the epoch boundary).
 
     ``layers`` needs ``len`` and ``[i]``. It is indexed once per layer
-    before the first epoch, to check every shape (even at ``epochs`` 0),
-    and then once per pass, and only the pass's layer is held: a sequence
+    before the first epoch, to check every shape (even at ``epochs`` 0) and
+    find the widest first-layer input, ``min(d_row, d_gnn)`` (``min(d_col,
+    d_gnn)`` for the MLP ablation), which sizes ``w0``'s gradient buffer and
+    moments; then once per pass, and only the pass's layer is held: a sequence
     that loads on access keeps one layer in memory. Weights and factors
     already in float64 are used as given, not copied.
 
@@ -382,15 +413,19 @@ def train(
     n_layers = len(layers)
     if not n_layers:
         raise ValueError("need at least one layer to train on")
-    for i in range(n_layers):
-        _layer(layers, i, dtype=None)
+    # The shape check also finds the widest first-layer input: w0's rows
+    # past it never get a gradient, so they get no accumulator rows.
+    axis = 0 if arch == "gcn" else 1
+    width = max(min(_layer(layers, i, dtype=None)[0].shape[axis], cfg.d_gnn)
+                for i in range(n_layers))
 
     rng = np.random.default_rng(cfg.seed)
     params = init_allocator_params(cfg.d_gnn, cfg.d_gnn, cfg.t_max, rng)
     opt = AdamW(lr=cfg.lr)
     param_arrays = params.as_dict()
 
-    pending = {k: np.zeros_like(v) for k, v in param_arrays.items()}
+    pending = {k: np.zeros_like(v[:width] if k == "w0" else v)
+               for k, v in param_arrays.items()}
     pending_count = 0
     records: list[TrainingLogRecord] = []
 

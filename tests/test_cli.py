@@ -768,6 +768,41 @@ class TestContentsNameTheirFile:
         }[command]
         assert refused(capsys, tmp_path, argv).endswith(expected)
 
+    @pytest.mark.parametrize("fault", ["u8", "1-D", "columns", "missing"])
+    @pytest.mark.parametrize("command", ["quantize", "rtn", "mlp-ptq"])
+    def test_bad_calibration_file_refused_before_the_engine(self, tmp_path, capsys, monkeypatch,
+                                                            command, fault):
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        for module in ("pipeline", "baselines", "training"):
+            monkeypatch.setattr(importlib.import_module(f"mgquant.{module}"),
+                                "quantize_blockwise", engine)
+        wdir, hdir, _, cfg = make_instance(tmp_path, seed=14, d_col=3, n_layers=1)
+        params = tmp_path / "p.mgqt"
+        write_tensor_file(params, params_to_sections(
+            init_allocator_params(8, 8, 4, np.random.default_rng(0))))
+        calib = tmp_path / "bad_calib.mgqt"
+        good = {"a": np.ones((5, 3), dtype=np.float32)}
+        expected = {
+            "u8": "section 'x' must be float32 or float64, got uint8",
+            "1-D": "section 'x' must be 2-D, got (15,)",
+            "columns": "section 'x' has 4 columns, expected 3",
+            "missing": "No such file or directory",
+        }[fault]
+        bad = {"u8": np.ones((5, 3), dtype=np.uint8), "1-D": np.ones(15),
+               "columns": np.ones((5, 4))}.get(fault)
+        if bad is not None:
+            write_tensor_file(calib, {**good, "x": bad})
+        layer = ["--weights", wdir / "L0.mgqt", "--hessian", hdir / "L0.mgqt",
+                 "--calib", calib, "--out", tmp_path / "out.mgqt", "--report", tmp_path / "r.json"]
+        if command == "quantize":
+            argv = ["quantize", "--params", params, *layer]
+        else:
+            argv = ["baseline", "--method", command, "--config", cfg, *layer]
+        err = refused(capsys, tmp_path, argv)
+        assert expected in err and str(calib) in err, err
+
     @pytest.mark.parametrize("gram, code, expected", [
         (np.ones((3, 4)), 2, "gram must be square and non-empty, got shape (3, 4)"),
         (np.array([[2.0, 1.0], [0.0, 2.0]]), 2, "matrix is not symmetric"),

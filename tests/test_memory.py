@@ -15,7 +15,7 @@ from mgquant import quant
 from mgquant.calibration import proxy_loss
 from mgquant.gptq import quantize_blockwise
 from mgquant.quant import error_table
-from mgquant.training import TrainConfig, train
+from mgquant.training import AdamW, TrainConfig, train
 
 D = 1024
 M = D * D * 8
@@ -68,6 +68,39 @@ def test_training_holds_one_pass_at_a_time():
     cfg = TrainConfig(epochs=1, accum_steps=2, d_gnn=64)
     peak = heap_peak(lambda: train([(w0, hc0), (w1, hc1)], cfg))
     assert peak < 3.75, peak
+
+
+def test_adamw_step_keeps_no_parameter_sized_scratch():
+    # One step on a 512 x 512 parameter (2 MiB) whose moments exist: two
+    # scratch chunks of 128 KiB. Two scratch copies of the parameter took 4 MiB.
+    rng = np.random.default_rng(5)
+    params, grads = {"w": rng.standard_normal((512, 512))}, {"w": rng.standard_normal((512, 512))}
+    opt = AdamW()
+    opt.step(params, grads)
+    peak = heap_peak(lambda: opt.step(params, grads)) * M
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("arch, rows", [("gcn", 48), ("mlp", 40)])
+def test_w0_state_stops_at_the_widest_first_layer_input(monkeypatch, arch, rows):
+    # d_gnn 64 is past every layer's first-layer input: d_row 48 at most for
+    # the graph layers, d_col 40 for the MLP ablation
+    shapes = []
+    step = AdamW.step
+
+    def spy(opt, params, grads):
+        step(opt, params, grads)
+        shapes.append((grads["w0"].shape, opt._m["w0"].shape, opt._v["w0"].shape))
+
+    monkeypatch.setattr(AdamW, "step", spy)
+    rng = np.random.default_rng(6)
+    layers = []
+    for d_row in (32, 48):
+        hc = np.triu(rng.standard_normal((40, 40))) / 8
+        np.fill_diagonal(hc, np.abs(np.diag(hc)) + 1.0)
+        layers.append((0.05 * rng.standard_normal((d_row, 40)), hc))
+    train(layers, TrainConfig(epochs=2, accum_steps=1, d_gnn=64, block_size=16), arch=arch)
+    assert shapes == [((rows, 64),) * 3] * 4
 
 
 class BuiltOnAccess:

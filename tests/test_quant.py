@@ -223,6 +223,34 @@ class TestErrorTable:
             monkeypatch.setattr(quant, "CHUNK_ELEMENTS", 24 * chunk)
             assert np.array_equal(error_table(w, hd, 4), whole)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_match_the_per_width_quantize_reference(self, monkeypatch, dtype):
+        # one grid fit per chunk serves every width; each entry keeps the bits
+        # of quantize's error, on zero, signed-zero, constant and one-signed
+        # columns and on one whose nominal 2-bit grid falls short of its range
+        rng = np.random.default_rng(15)
+        w = rng.standard_normal((3, 12)) * np.logspace(-2, 2, 12)
+        w[:, 0] = [0.0, -0.0, 0.0]
+        w[:, 1] = [-0.0, 0.5, -0.25]
+        w[:, 2] = -0.75
+        w[:, 3] = np.abs(w[:, 3])
+        w[:, 4] = -np.abs(w[:, 4])
+        w[:, 5] = [0.1, 0.3, 0.7]
+        w[:, 6] = [1e6, 1e6 + 1.2e-10, 1e6 + 4.8e-10]
+        w = w.astype(dtype)
+        hd = np.abs(rng.standard_normal(12)) + 0.05
+        fits = []
+        fit = quant._fit_covering_1d
+        monkeypatch.setattr(quant, "_fit_covering_1d", lambda *a: fits.append(a) or fit(*a))
+        table = error_table(w, hd, 8)
+        if dtype is np.float64:
+            assert (0.1, 0.7, 2) in fits
+        cols = w.T.astype(np.float64)
+        ref = np.stack([np.sum(np.square(quantize(cols, t)[0] - cols), axis=-1)
+                        for t in range(1, 9)], axis=1) / (hd**2)[:, None]
+        assert table.tobytes() == ref.tobytes()
+        assert table[0].tobytes() == np.zeros(8).tobytes()
+
     def test_error_table_validation(self):
         with pytest.raises(ValueError):
             error_table(np.ones((4, 3)), np.ones(2), 4)

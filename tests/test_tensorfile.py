@@ -9,6 +9,7 @@ from mgquant.tensorfile import (
     MAGIC,
     TensorFileError,
     read_tensor_file,
+    read_tensor_headers,
     write_tensor_file,
 )
 
@@ -83,6 +84,20 @@ def test_truncation(tmp_path):
     p.write_bytes(blob[:-5])
     with pytest.raises(TensorFileError, match="truncat"):
         read_tensor_file(p)
+
+
+def test_headers_walk_the_file_without_its_payloads(tmp_path):
+    path = tmp_path / "h.mgqt"
+    write_tensor_file(path, {"a": np.zeros((3, 2), dtype=np.float32),
+                             "b": np.arange(4, dtype=np.uint8)})
+    assert read_tensor_headers(path) == {"a": (np.dtype("<f4"), (3, 2)),
+                                         "b": (np.dtype("u1"), (4,))}
+    blob = path.read_bytes()
+    for cut, match in ((blob[:-1], "truncat"), (blob + b"x", "trailing"),
+                       (b"XXXX" + blob[4:], "magic")):
+        path.write_bytes(cut)
+        with pytest.raises(TensorFileError, match=match):
+            read_tensor_headers(path)
 
 
 def test_trailing_garbage(tmp_path):
@@ -240,9 +255,14 @@ def test_fuzzed_bytes_fail_cleanly_or_round_trip(tmp_path_factory, blob):
     path = root / "fuzz.mgqt"
     path.write_bytes(blob)
     try:
+        headers = read_tensor_headers(path)
+    except TensorFileError:
+        headers = None
+    try:
         sections = read_tensor_file(path)
     except TensorFileError:
         return
+    assert headers == {name: (arr.dtype, arr.shape) for name, arr in sections.items()}
     for arr in sections.values():
         assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
     again = root / "fuzz_again.mgqt"

@@ -12,6 +12,7 @@ from mgquant.allocator import (
     preprocess,
     sample_gumbel,
 )
+from mgquant.linalg import ShapeMismatchError
 from mgquant.pipeline import widths_for
 from mgquant.synth import make_layer
 from mgquant.training import (
@@ -197,6 +198,37 @@ class TestAdamW:
         opt = AdamW()
         with pytest.raises(Exception):
             opt.step({"a": np.ones(3)}, {"a": np.ones(4)})
+
+    @pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+    def test_fewer_gradient_rows_step_like_a_zero_padded_gradient(self, weight_decay):
+        # rows past the gradient only decay, bit for bit as under a zero
+        # gradient row, and get no moments; 70 x 300 spans several chunks
+        rng = np.random.default_rng(10)
+        short = {"w": rng.standard_normal((70, 300)), "b": rng.standard_normal(9)}
+        short["w"][50:55] = -0.0
+        padded = {k: p.copy() for k, p in short.items()}
+        opts = [AdamW(lr=0.05, weight_decay=weight_decay) for _ in range(2)]
+        for _ in range(4):
+            grads = {"w": rng.standard_normal((45, 300)), "b": rng.standard_normal(4)}
+            opts[0].step(short, grads)
+            opts[1].step(padded, {k: np.concatenate([g, np.zeros((len(short[k]) - len(g),)
+                                                                    + g.shape[1:])])
+                                  for k, g in grads.items()})
+        for k in short:
+            assert short[k].tobytes() == padded[k].tobytes(), k
+            n = len(grads[k])
+            assert opts[0]._m[k].shape == grads[k].shape
+            assert np.array_equal(opts[0]._m[k], opts[1]._m[k][:n])
+            assert np.array_equal(opts[0]._v[k], opts[1]._v[k][:n])
+
+    def test_more_gradient_rows_or_another_row_shape_raise(self):
+        opt = AdamW()
+        for g in (np.ones((4, 2)), np.ones((3, 3)), np.ones(2)):
+            with pytest.raises(ShapeMismatchError):
+                opt.step({"a": np.ones((3, 2))}, {"a": g})
+        opt.step({"a": np.ones((3, 2))}, {"a": np.ones((2, 2))})
+        with pytest.raises(ShapeMismatchError):  # the moments keep their first shape
+            opt.step({"a": np.ones((3, 2))}, {"a": np.ones((3, 2))})
 
     @pytest.mark.parametrize("weight_decay", [0.01, 0.0])
     def test_in_place_step_matches_the_out_of_place_formula(self, weight_decay):

@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Check that two source trees produce the same bytes on the benchmark's stacks.
+
+    python3 tools/compare_trees.py PARENT_SRC CHANGE_SRC
+
+Each argument is a tree's `src` directory, the one that holds `mgquant`.
+For every stack of `bench/workloads.py` at seeds 1 and 7, the inputs are
+generated once through `workloads.generate`. Each tree then runs the CLI
+flow `gram -> hessian -> train -> quantize --report -> eval --report` into
+its own output directory, one process per command, with the benchmark's
+damping, block size and precision.
+
+Compared between the trees: each command's exit status and stdout line;
+every file written, byte for byte (the training log among them); and each
+report, with its `timing` section dropped, as that is the one part that
+may vary. In stdout and reports the output directory's path reads `<out>`. One line
+is printed per artifact that differs. The exit status is 1 if any does.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import BLOCK, DAMP, WORKLOADS, Inputs, generate  # noqa: E402
+
+SEEDS = (1, 7)
+
+
+def flow(inputs: Inputs, out: Path) -> list[tuple[str, list[str]]]:
+    """``(label, argv)`` of every command of the flow, in the order they run."""
+    cmds = []
+    for layer in inputs.layers:
+        gram = out / "gram" / f"{layer.name}.mgqt"
+        cmds.append((f"gram {layer.name}", ["gram", "--calib", *map(str, layer.calib_paths),
+                                             "--out", str(gram)]))
+        cmds.append((f"hessian {layer.name}", [
+            "hessian", "--gram", str(gram), "--damp", str(DAMP),
+            "--out", str(out / "hessians" / f"{layer.name}.mgqt")]))
+    params = out / "params.mgqt"
+    cmds.append(("train", ["train", "--weights", str(inputs.weights_dir), "--hessians",
+                           str(out / "hessians"), "--config", str(inputs.config_path),
+                           "--out", str(params)]))
+    for layer in inputs.layers:
+        cmds.append((f"quantize {layer.name}", [
+            "quantize", "--weights", str(layer.weights_path),
+            "--hessian", str(out / "hessians" / f"{layer.name}.mgqt"),
+            "--params", str(params), "--block", str(BLOCK), "--precision", "f32",
+            "--calib", *map(str, layer.calib_paths),
+            "--out", str(out / "quant" / f"{layer.name}.mgqt"),
+            "--report", str(out / "reports" / f"quantize-{layer.name}.json")]))
+    for layer in inputs.layers:
+        cmds.append((f"eval {layer.name}", [
+            "eval", "--orig", str(layer.weights_path),
+            "--quant", str(out / "quant" / f"{layer.name}.mgqt"),
+            "--calib", *map(str, layer.calib_paths),
+            "--report", str(out / "reports" / f"eval-{layer.name}.json")]))
+    return cmds
+
+
+def run(src: Path, inputs: Inputs, out: Path) -> dict[str, str]:
+    """Run the flow with ``src``'s package; each command's exit status and stdout."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    printed = {}
+    for label, argv in flow(inputs, out):
+        proc = subprocess.run([sys.executable, "-m", "mgquant", *argv], env=env,
+                              capture_output=True, text=True)
+        printed[label] = f"exit {proc.returncode}: " + proc.stdout.replace(str(out), "<out>")
+    return printed
+
+
+def contents(out: Path, rel: Path):
+    """A written file as compared: a report with ``out`` replaced by ``<out>`` and
+    without its timing, else its bytes."""
+    path = out / rel
+    if path.suffix == ".json":
+        report = json.loads(path.read_text().replace(str(out), "<out>"))
+        report.pop("timing", None)
+        return json.dumps(report, sort_keys=True)
+    return path.read_bytes()
+
+
+def differences(parent: Path, change: Path, work: Path) -> list[str]:
+    found = []
+    for name in WORKLOADS:
+        for seed in SEEDS:
+            with tempfile.TemporaryDirectory(dir=work) as tmp:
+                tmp = Path(tmp)
+                inputs = generate(WORKLOADS[name], seed, tmp / "inputs")
+                outs = [tmp / "parent", tmp / "change"]
+                printed = [run(src, inputs, out) for src, out in zip((parent, change), outs)]
+                where = f"{name} seed {seed}"
+                for label in printed[0]:
+                    if printed[0][label] != printed[1][label]:
+                        found.append(f"{where}: stdout of {label} differs")
+                    elif not printed[0][label].startswith("exit 0:"):
+                        found.append(f"{where}: {label} failed in both trees")
+                files = [{p.relative_to(o) for p in o.rglob("*") if p.is_file()} for o in outs]
+                for rel in sorted(files[0] ^ files[1]):
+                    found.append(f"{where}: {rel} written by one tree only")
+                for rel in sorted(files[0] & files[1]):
+                    if contents(outs[0], rel) != contents(outs[1], rel):
+                        found.append(f"{where}: {rel} differs")
+            print(f"{name} seed {seed}: compared", file=sys.stderr)
+    return found
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: compare_trees.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    for src in (parent, change):
+        if not (src / "mgquant" / "__init__.py").is_file():
+            print(f"{src}: no mgquant package here", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as work:
+        found = differences(parent, change, Path(work))
+    for line in found:
+        print(line)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
