@@ -103,65 +103,61 @@ def _load_hessian(path: str) -> np.ndarray:
     return hc
 
 
+def _load_layer(weights: str, hessian: str) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's weights and factor, the factor sized to the weights' columns."""
+    w, hc = _load_weights(weights), _load_hessian(hessian)
+    if len(hc) != w.shape[1]:
+        raise ValueError(f"{hessian}: factor {hc.shape} does not match "
+                         f"the {w.shape[1]} columns of {weights}")
+    return w, hc
+
+
 class _CalibFiles:
     """The sections of the ``--calib`` files as one stream of batches.
 
+    Built from the files' headers alone, skipping the payloads: every section
+    must be 2-D float, with ``d_col`` columns if given, else with the column
+    count of the first, and the files (if any) must hold at least one row
+    between them. ``d_col`` and ``total_rows`` are then the stream's.
     Iterating reads the files in order and yields their sections one at a
     time; each section leaves its file's dict as it is yielded, so no more
-    than one file is held. Every section must be 2-D float, with ``d_col``
-    columns if given, else with the column count of the first.
-    ``total_rows`` counts the rows yielded by the last pass. ``check``
-    applies the same rules to the headers alone, before a long run.
+    than one file is held.
     """
 
     def __init__(self, paths: list[str], d_col: int | None = None):
         self.paths = paths
-        self.d_col = d_col
         self.total_rows = 0
-
-    @staticmethod
-    def _columns(path: str, name: str, dtype: np.dtype, shape: tuple, d_col: int | None) -> int:
-        """The section's column count, which must be ``d_col`` unless that is None."""
-        if len(shape) != 2:
-            raise ValueError(f"{path}: section {name!r} must be 2-D, got {shape}")
-        if dtype.kind != "f":
-            raise ValueError(f"{path}: section {name!r} must be float32 or float64, "
-                             f"got {dtype}")
-        if d_col is not None and shape[1] != d_col:
-            raise ValueError(
-                f"{path}: section {name!r} has {shape[1]} columns, expected {d_col}"
-            )
-        return shape[1]
-
-    def check(self) -> None:
-        """Check every file's section headers, skipping the payloads."""
-        d_col = self.d_col
-        for path in self.paths:
+        for path in paths:
             for name, (dtype, shape) in read_tensor_headers(path).items():
-                d_col = self._columns(path, name, dtype, shape, d_col)
+                if len(shape) != 2:
+                    raise ValueError(f"{path}: section {name!r} must be 2-D, got {shape}")
+                if dtype.kind != "f":
+                    raise ValueError(f"{path}: section {name!r} must be float32 or float64, "
+                                     f"got {dtype}")
+                d_col = shape[1] if d_col is None else d_col
+                if shape[1] != d_col:
+                    raise ValueError(
+                        f"{path}: section {name!r} has {shape[1]} columns, expected {d_col}"
+                    )
+                self.total_rows += shape[0]
+        if paths and not self.total_rows:
+            raise ValueError(f"{' '.join(paths)}: calibration files hold no rows")
+        self.d_col = d_col
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        d_col = self.d_col
-        self.total_rows = 0
         for path in self.paths:
             sections = read_tensor_file(path)
             while sections:
-                name = next(iter(sections))
-                shape = sections[name].shape
-                d_col = self._columns(path, name, sections[name].dtype, shape, d_col)
-                self.total_rows += shape[0]
-                yield sections.pop(name)  # held by no name here while the caller runs
+                # held by no name here while the caller runs
+                yield sections.pop(next(iter(sections)))
 
 
 def cmd_gram(args) -> int:
-    acc: GramAccumulator | None = None
-    for batch in _CalibFiles(args.calib):
-        if acc is None:
-            acc = GramAccumulator(d_col=batch.shape[1])
+    calib = _CalibFiles(args.calib)
+    acc = GramAccumulator(d_col=calib.d_col)
+    for batch in calib:
         acc.accumulate(batch)
         del batch  # keep no folded batch alive while the next file is read
-    if acc is None or acc.samples_seen == 0:
-        raise ValueError("no calibration rows found in the given files")
     write_tensor_file(
         args.out,
         {"gram": acc.gram, "samples": np.array([float(acc.samples_seen)])},
@@ -171,6 +167,8 @@ def cmd_gram(args) -> int:
 
 
 def cmd_hessian(args) -> int:
+    if not 0 <= args.damp < np.inf:  # NaN fails too
+        raise ValueError(f"damp_frac must be finite and >= 0, got {args.damp}")
     sections = _read(args.gram, "gram", "samples")
     samples = sections.pop("samples")
     if samples.size != 1 or not (samples.flat[0] > 0 and float(samples.flat[0]).is_integer()):
@@ -180,8 +178,6 @@ def cmd_hessian(args) -> int:
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(exc.pivot, f"{args.gram}: {exc}") from None
     except ValueError as exc:
-        if not 0 <= args.damp < np.inf:  # a bad --damp, refused before the Gram is read
-            raise
         raise ValueError(f"{args.gram}: {exc}") from None
     write_tensor_file(args.out, {"hessian_cholesky": hc})
     _emit({"out": args.out, "d_col": hc.shape[0], "damp": args.damp})
@@ -219,7 +215,7 @@ class _LayerFiles:
 
     def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         wp, hp = self.pairs[i]
-        return _load_weights(str(wp)), _load_hessian(str(hp))
+        return _load_layer(str(wp), str(hp))
 
 
 def cmd_train(args) -> int:
@@ -238,13 +234,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_layer(args, w: np.ndarray, result: QuantResult, allocator_time: float,
-                 t_max: int, seed: int, config_echo: dict, **stdout) -> int:
+def _write_layer(args, w: np.ndarray, calib: _CalibFiles, result: QuantResult,
+                 allocator_time: float, t_max: int, seed: int, config_echo: dict,
+                 **stdout) -> int:
     """Take the proxy loss (untimed) and write the layer, report and JSON line of a command."""
     from .report import build_report, layer_entry, write_report
 
-    calib = _CalibFiles(args.calib, w.shape[1])
-    loss = proxy_loss(w, result.quantized, calib) if args.calib else None
+    loss = proxy_loss(w, result.quantized, calib) if calib.paths else None
     if args.out:
         write_tensor_file(args.out, result_to_sections(result))
     name = Path(args.weights).stem
@@ -263,24 +259,21 @@ def _write_layer(args, w: np.ndarray, result: QuantResult, allocator_time: float
 def cmd_quantize(args) -> int:
     from .pipeline import params_from_sections
 
-    # The engine works in the chosen precision: convert each file as it
-    # loads. The proxy loss, as in `eval`, is against the stored weights.
+    # The engine works in the chosen precision. The proxy loss, as in
+    # `eval`, is against the stored weights.
     dtype = np.float32 if args.precision == "f32" else np.float64
-    stored = _load_weights(args.weights)
-    w = stored.astype(dtype, copy=False)
-    hc = _load_hessian(args.hessian).astype(dtype, copy=False)
-    if len(hc) != w.shape[1]:
-        raise ValueError(f"{args.hessian}: factor {hc.shape} does not match "
-                         f"the {w.shape[1]} columns of {args.weights}")
-    _CalibFiles(args.calib, w.shape[1]).check()
+    stored, hc = _load_layer(args.weights, args.hessian)
+    w, hc = stored.astype(dtype, copy=False), hc.astype(dtype, copy=False)
+    calib = _CalibFiles(args.calib, w.shape[1])
+    sections = _read(args.params, "w0", "w1", "wc", "bc")
     try:
-        params = params_from_sections(read_tensor_file(args.params))
+        params = params_from_sections(sections)
     except ValueError as exc:
         raise ValueError(f"{args.params}: {exc}") from None
     result, allocator_time = quantize_with_allocator(w, hc, params, args.block, dtype)
     echo = {"command": "quantize", "block_size": args.block, "precision": args.precision,
             "params": Path(args.params).name}
-    return _write_layer(args, stored, result, allocator_time, params.t_max, 0, echo)
+    return _write_layer(args, stored, calib, result, allocator_time, params.t_max, 0, echo)
 
 
 def cmd_baseline(args) -> int:
@@ -288,9 +281,8 @@ def cmd_baseline(args) -> int:
     from .training import TrainConfig, load_run_config
 
     cfg = load_run_config(args.config) if args.config else TrainConfig()
-    w = _load_weights(args.weights)
-    hc = _load_hessian(args.hessian)
-    _CalibFiles(args.calib, w.shape[1]).check()
+    w, hc = _load_layer(args.weights, args.hessian)
+    calib = _CalibFiles(args.calib, w.shape[1])
     spec = BaselineSpec(method=args.method, bits=args.bits, target_bits=args.target_bits)
     start = time.perf_counter()
     result = run_baseline(spec, w, hc, cfg=cfg)
@@ -298,17 +290,19 @@ def cmd_baseline(args) -> int:
     outside = time.perf_counter() - start - result.wall_time
     echo = {"command": "baseline", "method": spec.method, "bits": spec.bits,
             "target_bits": spec.target_bits, "block_size": cfg.block_size}
-    return _write_layer(args, w, result, outside, cfg.t_max, cfg.seed, echo, method=spec.method)
+    return _write_layer(args, w, calib, result, outside, cfg.t_max, cfg.seed, echo,
+                        method=spec.method)
 
 
 def cmd_eval(args) -> int:
     w = _load_weights(args.orig)
+    calib = _CalibFiles(args.calib, w.shape[1])
     q = _read(args.quant, "quantized")["quantized"]
     if q.shape != w.shape:
         raise ValueError(
             f"shape mismatch: {args.orig} has {w.shape}, {args.quant} has {q.shape}"
         )
-    loss = proxy_loss(w, q, _CalibFiles(args.calib, w.shape[1]))
+    loss = proxy_loss(w, q, calib)
     diff = np.subtract(w, q, dtype=np.float64)
     payload = {
         "proxy_loss": loss,

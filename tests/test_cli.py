@@ -56,6 +56,21 @@ def src_env(**extra) -> dict:
     return env
 
 
+def refuse_payload_reads(monkeypatch, paths):
+    """Make ``cli``'s payload reader raise on ``paths``; other files read as usual."""
+    from mgquant import cli
+
+    read = cli.read_tensor_file
+    banned = {str(p) for p in paths}
+
+    def guarded(path):
+        if str(path) in banned:
+            raise AssertionError(f"payload of {path} read")
+        return read(path)
+
+    monkeypatch.setattr(cli, "read_tensor_file", guarded)
+
+
 def last_json_line(capsys):
     out = capsys.readouterr().out.strip().split("\n")
     return json.loads(out[-1])
@@ -85,10 +100,12 @@ class TestGram:
         assert main(["gram", "--calib", str(whole), "--out", str(g2)]) == 0
         assert g1.read_bytes() == g2.read_bytes()
 
-    def test_shape_mismatch_exit_2_names_file(self, tmp_path, capsys):
+    def test_shape_mismatch_exit_2_names_file(self, tmp_path, capsys, monkeypatch):
+        # refused from the headers, before any calibration payload is read
         a, b = tmp_path / "a.mgqt", tmp_path / "b.mgqt"
         write_tensor_file(a, {"x": np.zeros((3, 4))})
         write_tensor_file(b, {"x": np.zeros((3, 5))})
+        refuse_payload_reads(monkeypatch, [a, b])
         rc = main(["gram", "--calib", str(a), str(b), "--out", str(tmp_path / "g.mgqt")])
         assert rc == 2
         assert "b.mgqt" in capsys.readouterr().err
@@ -401,8 +418,8 @@ class TestQuantizeCli:
 
     def test_old_params_flags_section(self, tmp_path, capsys):
         # files from before the flags or the wf/bf sections were dropped are
-        # refused, flags 0 or not; so are sections of the wrong rank, and a
-        # head over more widths than a one-byte code holds
+        # refused, flags 0 or not; so are sections of the wrong rank or not
+        # float, and a head over more widths than a one-byte code holds
         params = params_to_sections(init_allocator_params(8, 8, 4, np.random.default_rng(0)))
         assert self.quantize_with_params(tmp_path / "new", capsys, params)[0] == 0
         cases = [
@@ -413,13 +430,15 @@ class TestQuantizeCli:
             ("w0", {"w0": params["w0"][None]}),
             ("bc", {"bc": params["bc"][:, None]}),
             ("t_max", {"wc": np.zeros((8, 9)), "bc": np.zeros(9)}),
+            ("uint8", {k: v.astype(np.uint8) for k, v in params.items()}),
         ]
         for i, (section, change) in enumerate(cases):
             rc, out, err, q = self.quantize_with_params(
                 tmp_path / f"old{i}", capsys, {**params, **change}
             )
             assert rc == 2 and out == "" and not q.exists()
-            assert len(err) == 1 and "odd_params.mgqt" in err[0] and section in err[0], err
+            assert len(err) == 1 and err[0].count("odd_params.mgqt") == 1, err
+            assert section in err[0], err
 
     def test_representable_fixture_zero_proxy_and_identity_oracle(self, tmp_path, capsys):
         # allocator parameters pinned so every column gets 3 bits; weights
@@ -458,20 +477,40 @@ class TestQuantizeCli:
             oracle = quantize(w[:, j], 3)[0]
             assert np.array_equal(sections["quantized"][:, j], oracle)
 
-    def test_factor_size_mismatch_exit_2_names_both_files(self, tmp_path, capsys):
-        weights, factor, params, out = (
-            tmp_path / n for n in ("w.mgqt", "h.mgqt", "p.mgqt", "q.mgqt")
+    @pytest.mark.parametrize("command", ["quantize", "rtn", "gptq-uniform", "mlp-ptq", "train"])
+    def test_factor_size_mismatch_exit_2_names_both_files(self, tmp_path, capsys, monkeypatch,
+                                                          command):
+        def ran(*args, **kwargs):
+            raise AssertionError("the engine or training ran")
+
+        # `train` checks its pairs inside training.train, before the first pass
+        patched = [("pipeline", "quantize_blockwise"), ("baselines", "quantize_blockwise"),
+                   ("baselines", "quantize_rtn_matrix"), ("training", "quantize_blockwise")]
+        if command != "train":
+            patched += [("baselines", "train"), ("training", "train")]
+        for module, name in patched:
+            monkeypatch.setattr(importlib.import_module(f"mgquant.{module}"), name, ran)
+        wdir, hdir = tmp_path / "weights", tmp_path / "hessians"
+        wdir.mkdir()
+        hdir.mkdir()
+        weights, factor, params, calib = (
+            wdir / "L0.mgqt", hdir / "L0.mgqt", tmp_path / "p.mgqt", tmp_path / "c.mgqt"
         )
         write_tensor_file(weights, {"weights": np.ones((24, 12), np.float32)})
         write_tensor_file(factor, {"hessian_cholesky": np.eye(16)})
         write_tensor_file(params, params_to_sections(
             init_allocator_params(8, 8, 4, np.random.default_rng(0))))
-        rc = main(["quantize", "--weights", str(weights), "--hessian", str(factor),
-                   "--params", str(params), "--out", str(out)])
-        captured = capsys.readouterr()
-        assert rc == 2 and captured.out == "" and not out.exists()
-        err = captured.err.strip().splitlines()
-        assert len(err) == 1 and str(weights) in err[0] and str(factor) in err[0], err
+        write_tensor_file(calib, {"x": np.ones((4, 12))})
+        layer = ["--weights", weights, "--hessian", factor, "--calib", calib,
+                 "--out", tmp_path / "q.mgqt", "--report", tmp_path / "r.json"]
+        if command == "quantize":
+            argv = ["quantize", "--params", params, *layer]
+        elif command == "train":
+            argv = ["train", "--weights", wdir, "--hessians", hdir, "--out", tmp_path / "q.mgqt"]
+        else:
+            argv = ["baseline", "--method", command, *layer]
+        err = refused(capsys, tmp_path, argv)
+        assert f"{factor}: factor (16, 16) does not match the 12 columns of {weights}" in err, err
 
     def test_report_has_both_timings(self, tmp_path, capsys):
         wdir, hdir, calibs, params = self.make_trained(tmp_path, capsys)
@@ -741,6 +780,8 @@ class TestContentsNameTheirFile:
     @pytest.mark.parametrize("command, fault", [
         ("gram", "u8"), ("quantize", "u8"), ("baseline", "u8"), ("eval", "u8"),
         ("quantize", "columns"), ("baseline", "columns"), ("eval", "columns"),
+        ("gram", "no rows"), ("quantize", "no rows"), ("baseline", "no rows"),
+        ("eval", "no rows"),
     ])
     def test_bad_calibration_section_exit_2(self, tmp_path, capsys, command, fault):
         wdir, hdir, _, _ = make_instance(tmp_path, seed=13, d_col=3, n_layers=1)
@@ -754,9 +795,12 @@ class TestContentsNameTheirFile:
         if fault == "u8":
             write_tensor_file(calib, {"x": np.arange(15, dtype=np.uint8).reshape(5, 3)})
             expected = f"{calib}: section 'x' must be float32 or float64, got uint8"
-        else:
+        elif fault == "columns":
             write_tensor_file(calib, {"x": np.ones((5, 4))})
             expected = f"{calib}: section 'x' has 4 columns, expected 3"
+        else:
+            write_tensor_file(calib, {"x": np.ones((0, 3)), "y": np.ones((0, 3))})
+            expected = f"{calib}: calibration files hold no rows"
         layer = ["--weights", weights, "--hessian", hdir / "L0.mgqt", "--calib", calib,
                  "--out", tmp_path / "out.mgqt", "--report", tmp_path / "r.json"]
         argv = {
@@ -768,7 +812,7 @@ class TestContentsNameTheirFile:
         }[command]
         assert refused(capsys, tmp_path, argv).endswith(expected)
 
-    @pytest.mark.parametrize("fault", ["u8", "1-D", "columns", "missing"])
+    @pytest.mark.parametrize("fault", ["u8", "1-D", "columns", "missing", "no rows"])
     @pytest.mark.parametrize("command", ["quantize", "rtn", "mlp-ptq"])
     def test_bad_calibration_file_refused_before_the_engine(self, tmp_path, capsys, monkeypatch,
                                                             command, fault):
@@ -789,11 +833,14 @@ class TestContentsNameTheirFile:
             "1-D": "section 'x' must be 2-D, got (15,)",
             "columns": "section 'x' has 4 columns, expected 3",
             "missing": "No such file or directory",
+            "no rows": "calibration files hold no rows",
         }[fault]
         bad = {"u8": np.ones((5, 3), dtype=np.uint8), "1-D": np.ones(15),
                "columns": np.ones((5, 4))}.get(fault)
         if bad is not None:
             write_tensor_file(calib, {**good, "x": bad})
+        elif fault == "no rows":
+            write_tensor_file(calib, {"a": np.ones((0, 3), dtype=np.float32)})
         layer = ["--weights", wdir / "L0.mgqt", "--hessian", hdir / "L0.mgqt",
                  "--calib", calib, "--out", tmp_path / "out.mgqt", "--report", tmp_path / "r.json"]
         if command == "quantize":
@@ -1026,12 +1073,14 @@ class TestEvalCli:
         assert last_json_line(capsys)["proxy_loss"] > 0
         assert peak < 2 * file_payload + layer, (peak, file_payload)
 
-    def test_calibration_column_mismatch_exit_2_names_file(self, tmp_path, capsys):
+    def test_calibration_column_mismatch_exit_2_names_file(self, tmp_path, capsys, monkeypatch):
+        # refused from the headers, before any calibration payload is read
         orig, quant, a, b = (tmp_path / n for n in ("o.mgqt", "q.mgqt", "a.mgqt", "b.mgqt"))
         write_tensor_file(orig, {"weights": np.zeros((2, 3))})
         write_tensor_file(quant, {"quantized": np.zeros((2, 3))})
         write_tensor_file(a, {"x": np.eye(3)})
         write_tensor_file(b, {"x": np.eye(3), "y": np.ones((2, 4))})
+        refuse_payload_reads(monkeypatch, [a, b])
         rc = main(["eval", "--orig", str(orig), "--quant", str(quant), "--calib", str(a), str(b)])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()

@@ -8,7 +8,10 @@ For every stack of `bench/workloads.py` at seeds 1 and 7, the inputs are
 generated once through `workloads.generate`. Each tree then runs the CLI
 flow `gram -> hessian -> train -> quantize --report -> eval --report` into
 its own output directory, one process per command, with the benchmark's
-damping, block size and precision.
+damping, block size and precision. After it come the reference methods,
+each with `--calib` and `--report`: `baseline --method rtn` and
+`--method gptq-uniform --bits 2` on every layer, and `--method mlp-ptq`
+with the stack's training config on the first.
 
 Compared between the trees: each command's exit status and stdout line;
 every file written, byte for byte (the training log among them); and each
@@ -62,6 +65,18 @@ def flow(inputs: Inputs, out: Path) -> list[tuple[str, list[str]]]:
             "--quant", str(out / "quant" / f"{layer.name}.mgqt"),
             "--calib", *map(str, layer.calib_paths),
             "--report", str(out / "reports" / f"eval-{layer.name}.json")]))
+    for i, layer in enumerate(inputs.layers):
+        methods = [["rtn"], ["gptq-uniform", "--bits", "2"]]
+        if i == 0:
+            methods.append(["mlp-ptq", "--config", str(inputs.config_path)])
+        for method in methods:
+            name = f"{method[0]}-{layer.name}"
+            cmds.append((f"baseline {name}", [
+                "baseline", "--method", *method, "--weights", str(layer.weights_path),
+                "--hessian", str(out / "hessians" / f"{layer.name}.mgqt"),
+                "--calib", *map(str, layer.calib_paths),
+                "--out", str(out / "baseline" / f"{name}.mgqt"),
+                "--report", str(out / "reports" / f"baseline-{name}.json")]))
     return cmds
 
 
