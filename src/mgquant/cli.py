@@ -116,9 +116,9 @@ class _CalibFiles:
     """The sections of the ``--calib`` files as one stream of batches.
 
     Built from the files' headers alone, skipping the payloads: every section
-    must be 2-D float, with ``d_col`` columns if given, else with the column
-    count of the first, and the files (if any) must hold at least one row
-    between them. ``d_col`` and ``total_rows`` are then the stream's.
+    must be 2-D float with at least one column, ``d_col`` of them if given,
+    else as many as the first, and the files (if any) must hold at least one
+    row between them. ``d_col`` and ``total_rows`` are then the stream's.
     Iterating reads the files in order and yields their sections one at a
     time; each section leaves its file's dict as it is yielded, so no more
     than one file is held.
@@ -134,6 +134,8 @@ class _CalibFiles:
                 if dtype.kind != "f":
                     raise ValueError(f"{path}: section {name!r} must be float32 or float64, "
                                      f"got {dtype}")
+                if not shape[1]:
+                    raise ValueError(f"{path}: section {name!r} has no columns, got {shape}")
                 d_col = shape[1] if d_col is None else d_col
                 if shape[1] != d_col:
                     raise ValueError(
@@ -392,11 +394,34 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def keep_freed_heap(libc=None) -> None:
+    """Pin the mmap threshold of ``libc`` (by default this process's C library)
+    at 32 MiB and its trim threshold at 64 MiB through ``mallopt``; a silent
+    no-op where it has no ``mallopt``. See :func:`console_main`."""
+    import ctypes
+
+    if libc is None and os.name == "posix":
+        libc = ctypes.CDLL(None)
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def console_main() -> None:
-    """Run :func:`main` as a process: flush its output, then skip interpreter
-    teardown (every file a command writes is closed by then). An exception
-    that escapes :func:`main`, argparse's ``SystemExit`` among them, exits
-    the normal way."""
+    """Run :func:`main` as a process: pin the heap policy, flush the command's
+    output, then skip interpreter teardown (every file a command writes is
+    closed by then). An exception that escapes :func:`main`, argparse's
+    ``SystemExit`` among them, exits the normal way.
+
+    The pinned thresholds are the ceilings glibc's dynamic policy reaches; they
+    override ``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_``. Freed
+    blocks below 32 MiB stay in the heap for the next training pass, instead of
+    going back to the kernel and faulting in again (``train`` on the benchmark's
+    ``stack-256``: about 13,000 minor faults, not 255,000); larger ones
+    are still unmapped. :func:`main` and library callers keep glibc's defaults."""
+    keep_freed_heap()
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

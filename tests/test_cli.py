@@ -1,16 +1,24 @@
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
+import platform
 import re
 import stat
+import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mgquant
 from mgquant import training
@@ -18,7 +26,7 @@ from mgquant.allocator import init_allocator_params
 from mgquant.calibration import CHUNK_ROWS, GramAccumulator, build_hessian_cholesky, gram_break_even
 from mgquant.cli import build_parser, main
 from mgquant.pipeline import params_to_sections
-from mgquant.tensorfile import read_tensor_file, write_tensor_file
+from mgquant.tensorfile import MAGIC, VERSION, read_tensor_file, write_tensor_file
 
 
 def make_instance(tmp_path, seed=0, d_row=24, d_col=16, rows=96, n_layers=2):
@@ -781,7 +789,8 @@ class TestContentsNameTheirFile:
         ("gram", "u8"), ("quantize", "u8"), ("baseline", "u8"), ("eval", "u8"),
         ("quantize", "columns"), ("baseline", "columns"), ("eval", "columns"),
         ("gram", "no rows"), ("quantize", "no rows"), ("baseline", "no rows"),
-        ("eval", "no rows"),
+        ("eval", "no rows"), ("gram", "no columns"), ("quantize", "no columns"),
+        ("baseline", "no columns"), ("eval", "no columns"),
     ])
     def test_bad_calibration_section_exit_2(self, tmp_path, capsys, command, fault):
         wdir, hdir, _, _ = make_instance(tmp_path, seed=13, d_col=3, n_layers=1)
@@ -798,6 +807,9 @@ class TestContentsNameTheirFile:
         elif fault == "columns":
             write_tensor_file(calib, {"x": np.ones((5, 4))})
             expected = f"{calib}: section 'x' has 4 columns, expected 3"
+        elif fault == "no columns":
+            write_tensor_file(calib, {"x": np.ones((5, 0))})
+            expected = f"{calib}: section 'x' has no columns, got (5, 0)"
         else:
             write_tensor_file(calib, {"x": np.ones((0, 3)), "y": np.ones((0, 3))})
             expected = f"{calib}: calibration files hold no rows"
@@ -861,6 +873,62 @@ class TestContentsNameTheirFile:
         err = refused(capsys, tmp_path, ["hessian", "--gram", path, "--damp", "0.0",
                                          "--out", tmp_path / "h.mgqt"], code)
         assert f"{path}: {expected}" in err, err
+
+
+def raw_tensor_file(path, arr: np.ndarray, name: str = "x") -> None:
+    """Write ``arr`` as a one-section container, with none of the writer's checks."""
+    code = {np.dtype("<f4"): 0, np.dtype("<f8"): 1, np.dtype("u1"): 2}[arr.dtype]
+    header = MAGIC + struct.pack("<BHB", VERSION, 1, len(name)) + name.encode()
+    dims = struct.pack(f"<BB{arr.ndim}Q", code, arr.ndim, *arr.shape)
+    Path(path).write_bytes(header + dims + arr.tobytes())
+
+
+# Each turns a valid (rows, cols) float64 calibration section into the array
+# stored, or (for "truncate") into None; only the two float casts stay valid.
+CALIB_MUTATIONS = {
+    "float32": lambda x: x.astype(np.float32),
+    "float64": lambda x: x,
+    "uint8": lambda x: np.abs(x).astype(np.uint8),
+    "0 rows": lambda x: x[:0],
+    "0 columns": lambda x: x[:, :0],
+    "1-D": lambda x: x.reshape(-1),
+    "3-D": lambda x: x.reshape(1, *x.shape),
+    "truncate": lambda x: None,
+    "NaN": lambda x: np.where(np.arange(x.size).reshape(x.shape) == x.size // 2, np.nan, x),
+    "Inf": lambda x: np.where(np.arange(x.size).reshape(x.shape) == 0, -np.inf, x),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                elements=st.floats(-4.0, 4.0)),
+       mutation=st.sampled_from(sorted(CALIB_MUTATIONS)),
+       cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_gram_calib_boundary(tmp_path_factory, x, mutation, cut):
+    """``gram --calib`` on one mutated file: exit 0 with one JSON line, or exit
+    2, 3 or 4 with one stderr line naming the file, no stdout and no output."""
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+        calib, out = Path(tmp) / "calib.mgqt", Path(tmp) / "gram.mgqt"
+        stored = CALIB_MUTATIONS[mutation](x)
+        if stored is None:
+            raw_tensor_file(calib, x)
+            blob = calib.read_bytes()
+            calib.write_bytes(blob[: int(cut * len(blob))])
+        else:
+            raw_tensor_file(calib, stored)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(["gram", "--calib", str(calib), "--out", str(out)])
+        if rc == 0:
+            assert stderr.getvalue() == "" and out.is_file()
+            (line,) = stdout.getvalue().splitlines()
+            assert json.loads(line)["samples"] == x.shape[0]
+        else:
+            assert rc in (2, 3, 4)
+            assert stdout.getvalue() == "" and not out.exists()
+            (line,) = stderr.getvalue().splitlines()
+            assert str(calib) in line, line
+        assert (rc == 0) == (mutation in ("float32", "float64")), (mutation, rc)
 
 
 class TestFileMode:
@@ -1230,6 +1298,71 @@ class TestProcessExit:
             assert proc.stdout == ""
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
             assert not out.exists()
+
+
+# Allocates and frees eight 512 KiB arrays per round, after pinning the heap
+# policy when asked to, and prints each round's minor page faults.
+_HEAP_PROBE = """
+import json, resource, sys
+import numpy as np
+from mgquant import cli
+if sys.argv[1] == "pin":
+    cli.keep_freed_heap()
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 16) for _ in range(8)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+class TestHeapPolicy:
+    """A CLI process keeps its freed heap for reuse; in-process callers keep
+    glibc's defaults."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is set through glibc's mallopt")
+    def test_pinned_process_reuses_freed_blocks(self):
+        env = {k: v for k, v in src_env().items()
+               if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        pages = 8 * (512 << 10) // os.sysconf("SC_PAGE_SIZE")
+        faults = {}
+        for mode in ("pin", "default"):
+            proc = subprocess.run([sys.executable, "-c", _HEAP_PROBE, mode], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            faults[mode] = json.loads(proc.stdout)
+        assert all(n < pages // 4 for n in faults["pin"][1:]), faults
+        # glibc's own policy hands the freed blocks back and faults them in again
+        assert all(n > pages // 2 for n in faults["default"][1:]), faults
+
+    def test_no_mallopt_is_a_silent_no_op(self, capsys):
+        from mgquant.cli import keep_freed_heap
+        assert keep_freed_heap(object()) is None
+        assert capsys.readouterr() == ("", "")
+
+    def test_main_leaves_the_heap_policy_alone(self, tmp_path, capsys, monkeypatch):
+        from mgquant import cli
+
+        def pinned(*args):
+            raise AssertionError("main pinned the heap policy")
+
+        monkeypatch.setattr(cli, "keep_freed_heap", pinned)
+        calib = tmp_path / "c.mgqt"
+        write_tensor_file(calib, {"x": np.eye(3)})
+        assert main(["gram", "--calib", str(calib), "--out", str(tmp_path / "g.mgqt")]) == 0
+
+    def test_console_main_pins_before_the_command_runs(self, monkeypatch):
+        from mgquant import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "keep_freed_heap", lambda: calls.append("pin"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+        monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(f"exit {code}"))
+        cli.console_main()
+        assert calls == ["pin", "main", "exit 0"]
 
 
 class TestReadmeCli:
