@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cli import METHODS
-from .gptq import QuantResult, quantize_blockwise, validate_widths
+from .gptq import MAX_BITS, QuantResult, quantize_blockwise, validate_widths
 from .pipeline import widths_for
 from .quant import quantize
 from .training import TrainConfig, train
@@ -39,12 +39,16 @@ class BaselineSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown baseline method {self.method!r}; expected {METHODS}")
-        if not 1 <= self.bits:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ValueError(f"bits must be in [1, {MAX_BITS}], got {self.bits}")
 
     @property
     def budget(self) -> float:
         return float(self.bits) if self.target_bits is None else float(self.target_bits)
+
+    def training_config(self, cfg: TrainConfig) -> TrainConfig:
+        """``cfg`` with :attr:`budget` as its target, checked: what ``mlp-ptq`` trains with."""
+        return dataclasses.replace(cfg, target_bits=self.budget).validate()
 
 
 def quantize_rtn_matrix(w: np.ndarray, bits: int) -> QuantResult:
@@ -87,7 +91,6 @@ def run_baseline(
     else:
         # mlp-ptq: train the dense-ablation allocator on this layer and take
         # its hard assignment.
-        train_cfg = dataclasses.replace(cfg, target_bits=spec.budget)
-        params, _ = train([(w, hc)], train_cfg, arch="mlp")
+        params, _ = train([(w, hc)], spec.training_config(cfg), arch="mlp")
         widths = widths_for(w, np.asarray(hc, dtype=np.float64), params, arch="mlp")
     return quantize_blockwise(w, hc, widths, block_size=cfg.block_size)

@@ -1,14 +1,17 @@
 """Command-line surface.
 
-Subcommands: ``gram`` (accumulate calibration Gram), ``hessian`` (damped
-inverse-Gram Cholesky factor), ``train`` (fit the allocator over a layer
-directory), ``quantize`` (allocate widths + blockwise quantize), ``baseline``
-(reference methods) and ``eval`` (compare original vs quantized).
+Subcommands (README, "CLI"): ``gram``, ``hessian``, ``train``, ``quantize``,
+``baseline`` and ``eval``.
+
+Every file a command reads has a role in :data:`ROLES`, and :data:`INPUTS`
+gives each input flag's role (README, "File roles"). A command checks its
+flags and all its inputs' headers against them, then the payloads' contents,
+and only then works.
 
 stdout carries exactly one JSON line per successful command; diagnostics go
-to stderr. Exit codes: 0 success, 2 usage/validation, 3 malformed data
-file, 4 numeric failure (e.g. a Gram that is not positive definite).
-Each command imports only the modules it runs.
+to stderr, one line. Exit codes (:data:`EXIT_CODES`): 0 success, 2
+usage/validation, 3 malformed data file, 4 numeric failure (e.g. a Gram
+that is not positive definite). Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -20,19 +23,14 @@ import sys
 import time
 from collections.abc import Iterator
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .calibration import GramAccumulator, build_hessian_cholesky, proxy_loss
 from .linalg import NotPositiveDefiniteError
-from .tensorfile import (
-    TensorFileError,
-    read_tensor_file,
-    read_tensor_headers,
-    write_atomic,
-    write_tensor_file,
-)
+from .tensorfile import (TensorFileError, read_tensor_file, read_tensor_headers, write_atomic,
+                         write_tensor_file)
 
 if TYPE_CHECKING:
     from .gptq import QuantResult
@@ -42,6 +40,9 @@ __all__ = ["main", "console_main"]
 #: The ``baseline --method`` choices, which :class:`mgquant.baselines.BaselineSpec`
 #: also checks; defined here so building the parser loads no quantizer.
 METHODS = ("rtn", "gptq-uniform", "mlp-ptq")
+
+#: The exit code of each error a command reports; argparse exits 2 on its own.
+EXIT_CODES = {TensorFileError: 3, NotPositiveDefiniteError: 4, ValueError: 2, OSError: 2}
 
 
 # bench/tracing.py wraps these three names on this module, so each stays a
@@ -65,86 +66,116 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _read(path: str, *names: str) -> dict[str, np.ndarray]:
-    """The sections of a tensor file that must hold every section in ``names``, as floats."""
-    sections = read_tensor_file(path)
-    for name in names:
-        if name not in sections:
-            raise ValueError(f"{path}: missing {name!r} section")
-        if sections[name].dtype.kind != "f":
-            raise ValueError(f"{path}: {name!r} must be float32 or float64, "
-                             f"got {sections[name].dtype}")
-    return sections
+class Role(NamedTuple):
+    """A file role: ``sections`` maps each section it reads (``"*"``: every
+    section, whatever its name) to a shape, float32 or float64 of that rank.
+    A length is ``None`` (any) or named: at least 1 and alike in one layer's
+    files, with ``empty`` and ``differs`` the words for a 0 and for a length
+    other than the first file's. ``only`` refuses any other section."""
+
+    sections: dict[str, tuple[str | None, ...]]
+    empty: str = "{path}: {label} has no {dim}, got {shape}"
+    differs: str = "{path}: {label} {shape} does not match the {want} {dim} of {source}"
+    only: bool = False
 
 
-def _load_weights(path: str) -> np.ndarray:
-    w = _read(path, "weights")["weights"]
-    if w.ndim != 2:
-        raise ValueError(f"{path}: 'weights' must be 2-D, got shape {w.shape}")
-    if not w.size:
-        raise ValueError(
-            f"{path}: weights must have at least one row and one column, got shape {w.shape}"
-        )
-    return w
+#: Every file role a command reads (README, "File roles").
+ROLES = {
+    "weights": Role({"weights": ("rows", "columns")}, empty="{path}: weights must have "
+                    "at least one row and one column, got shape {shape}"),
+    "calib": Role({"*": (None, "columns")},
+                  differs="{path}: {label} has {got} columns, expected {want}"),
+    "gram": Role({"gram": ("columns", "columns"), "samples": (None,)},
+                 differs="{path}: gram must be square and non-empty, got shape {shape}"),
+    "factor": Role({"hessian_cholesky": ("columns", "columns")},
+                   differs="{path}: factor {shape} does not match the {want} {dim} of {source}"),
+    "params": Role({"w0": ("features", "hidden units"), "w1": ("hidden units", "hidden units"),
+                    "wc": ("hidden units", "widths"), "bc": ("widths",)}, only=True),
+    "quantized": Role({"quantized": ("rows", "columns")}),
+}
+
+#: Each command's input flags, in the order they are checked, with their roles.
+#: ``train``'s name directories of weights and factor files, paired by name.
+INPUTS = {
+    "gram": {"calib": "calib"},
+    "hessian": {"gram": "gram"},
+    "train": {"weights": "weights", "hessians": "factor"},
+    "quantize": {"weights": "weights", "hessian": "factor", "params": "params", "calib": "calib"},
+    "baseline": {"weights": "weights", "hessian": "factor", "calib": "calib"},
+    "eval": {"orig": "weights", "quant": "quantized", "calib": "calib"},
+}
 
 
-def _load_hessian(path: str) -> np.ndarray:
-    hc = _read(path, "hessian_cholesky")["hessian_cholesky"]
-    if hc.ndim != 2 or hc.shape[0] != hc.shape[1]:
-        raise ValueError(f"{path}: 'hessian_cholesky' must be square, got {hc.shape}")
+def check_sections(role: str, path: str, heads: dict, lengths: dict) -> None:
+    """Check one file's ``{name: (dtype, shape)}`` against ``ROLES[role]``. ``lengths``
+    maps each named length that earlier files of the layer gave to ``(length, path)``."""
+    spec = ROLES[role]
+    missing = [name for name in spec.sections if name != "*" and name not in heads]
+    if missing:
+        raise ValueError(f"{path}: missing {missing[0]!r} section")
+    for name, (dtype, shape) in heads.items():
+        dims = spec.sections.get(name, spec.sections.get("*"))
+        label = repr(name) if name in spec.sections else f"section {name!r}"
+        if dims is None and spec.only:
+            raise ValueError(f"{path}: unexpected section {name!r}")
+        if dims is None:
+            continue
+        if dtype.kind != "f":
+            raise ValueError(f"{path}: {label} must be float32 or float64, got {dtype}")
+        if len(shape) != len(dims):
+            raise ValueError(f"{path}: {label} must be {len(dims)}-D, got {shape}")
+        for dim, got in zip(dims, shape):
+            want, source = lengths.setdefault(dim, (got, path)) if dim else (got, path)
+            if dim and (not got or got != want):
+                raise ValueError((spec.differs if got else spec.empty).format(
+                    path=path, label=label, shape=shape, dim=dim, got=got, want=want,
+                    source=source))
+
+
+def _check(args) -> _CalibFiles:
+    """Check the files that the input flags of ``args`` name, in :data:`INPUTS`
+    order, from their headers alone as the files of one layer; return its
+    ``--calib`` files as one stream. A file that cannot be opened is reported
+    when its payload is read; a calibration file here, as only the work reads it."""
+    heads, lengths = {}, {}
+    for flag, role in INPUTS[args.command].items():
+        paths = getattr(args, flag)
+        for path in paths if isinstance(paths, list) else [paths]:
+            try:
+                heads[path] = read_tensor_headers(path)
+            except OSError:
+                if role == "calib":
+                    raise
+                continue
+            check_sections(role, path, heads[path], lengths)
+    return _CalibFiles(getattr(args, "calib", []), heads)
+
+
+def _factor(path: str) -> np.ndarray:
+    """The factor of a file whose headers passed, its contents checked."""
+    hc = read_tensor_file(path)["hessian_cholesky"]
     bad = np.flatnonzero(~(np.diagonal(hc) > 0))
     if bad.size:
         raise ValueError(f"{path}: 'hessian_cholesky' diagonal must be positive (entry {bad[0]})")
-    # A lower factor or the full inverse would pass the diagonal check above
-    # and silently skip compensation, which reads only the upper part.
-    # Checked 128 rows at a time: a whole np.tril would copy the factor.
+    # A lower factor or the full inverse would pass the diagonal check and silently skip
+    # compensation, which reads only the upper part. 128 rows at a time: np.tril copies.
     if any(np.tril(hc[r : r + 128, : r + 128], r - 1).any() for r in range(0, len(hc), 128)):
         raise ValueError(f"{path}: 'hessian_cholesky' has non-zero entries below the diagonal")
     return hc
 
 
-def _load_layer(weights: str, hessian: str) -> tuple[np.ndarray, np.ndarray]:
-    """A layer's weights and factor, the factor sized to the weights' columns."""
-    w, hc = _load_weights(weights), _load_hessian(hessian)
-    if len(hc) != w.shape[1]:
-        raise ValueError(f"{hessian}: factor {hc.shape} does not match "
-                         f"the {w.shape[1]} columns of {weights}")
-    return w, hc
-
-
 class _CalibFiles:
-    """The sections of the ``--calib`` files as one stream of batches.
+    """The sections of ``--calib`` files whose headers passed, as one stream of
+    batches that must hold a row. Iterating reads the files in order and yields
+    their sections one at a time; each section leaves its file's dict as it is
+    yielded, so no more than one file is held."""
 
-    Built from the files' headers alone, skipping the payloads: every section
-    must be 2-D float with at least one column, ``d_col`` of them if given,
-    else as many as the first, and the files (if any) must hold at least one
-    row between them. ``d_col`` and ``total_rows`` are then the stream's.
-    Iterating reads the files in order and yields their sections one at a
-    time; each section leaves its file's dict as it is yielded, so no more
-    than one file is held.
-    """
-
-    def __init__(self, paths: list[str], d_col: int | None = None):
-        self.paths = paths
-        self.total_rows = 0
-        for path in paths:
-            for name, (dtype, shape) in read_tensor_headers(path).items():
-                if len(shape) != 2:
-                    raise ValueError(f"{path}: section {name!r} must be 2-D, got {shape}")
-                if dtype.kind != "f":
-                    raise ValueError(f"{path}: section {name!r} must be float32 or float64, "
-                                     f"got {dtype}")
-                if not shape[1]:
-                    raise ValueError(f"{path}: section {name!r} has no columns, got {shape}")
-                d_col = shape[1] if d_col is None else d_col
-                if shape[1] != d_col:
-                    raise ValueError(
-                        f"{path}: section {name!r} has {shape[1]} columns, expected {d_col}"
-                    )
-                self.total_rows += shape[0]
+    def __init__(self, paths: list[str], heads: dict):
+        shapes = [shape for path in paths for _, shape in heads[path].values()]
+        self.paths, self.d_col = paths, shapes[0][1] if shapes else None
+        self.total_rows = sum(shape[0] for shape in shapes)
         if paths and not self.total_rows:
             raise ValueError(f"{' '.join(paths)}: calibration files hold no rows")
-        self.d_col = d_col
 
     def __iter__(self) -> Iterator[np.ndarray]:
         for path in self.paths:
@@ -155,15 +186,12 @@ class _CalibFiles:
 
 
 def cmd_gram(args) -> int:
-    calib = _CalibFiles(args.calib)
+    calib = _check(args)
     acc = GramAccumulator(d_col=calib.d_col)
     for batch in calib:
         acc.accumulate(batch)
         del batch  # keep no folded batch alive while the next file is read
-    write_tensor_file(
-        args.out,
-        {"gram": acc.gram, "samples": np.array([float(acc.samples_seen)])},
-    )
+    write_tensor_file(args.out, {"gram": acc.gram, "samples": np.array([float(acc.samples_seen)])})
     _emit({"out": args.out, "d_col": acc.d_col, "samples": acc.samples_seen})
     return 0
 
@@ -171,7 +199,8 @@ def cmd_gram(args) -> int:
 def cmd_hessian(args) -> int:
     if not 0 <= args.damp < np.inf:  # NaN fails too
         raise ValueError(f"damp_frac must be finite and >= 0, got {args.damp}")
-    sections = _read(args.gram, "gram", "samples")
+    _check(args)
+    sections = read_tensor_file(args.gram)
     samples = sections.pop("samples")
     if samples.size != 1 or not (samples.flat[0] > 0 and float(samples.flat[0]).is_integer()):
         raise ValueError(f"{args.gram}: 'samples' must hold one positive whole number")
@@ -186,38 +215,30 @@ def cmd_hessian(args) -> int:
     return 0
 
 
-def _paired_layers(weights_dir: str, hessians_dir: str) -> list[tuple[Path, Path]]:
-    wdir, hdir = Path(weights_dir), Path(hessians_dir)
-    if not wdir.is_dir():
-        raise ValueError(f"{wdir}: not a directory")
-    if not hdir.is_dir():
-        raise ValueError(f"{hdir}: not a directory")
-    wfiles = {p.stem: p for p in sorted(wdir.glob("*.mgqt"))}
-    hfiles = {p.stem: p for p in sorted(hdir.glob("*.mgqt"))}
-    only_w = sorted(set(wfiles) - set(hfiles))
-    only_h = sorted(set(hfiles) - set(wfiles))
-    if only_w or only_h:
-        raise ValueError(
-            f"unpaired layer files: weights-only {only_w}, hessians-only {only_h}"
-        )
-    if not wfiles:
-        raise ValueError(f"no .mgqt layer files found in {wdir}")
-    return [(wfiles[stem], hfiles[stem]) for stem in sorted(wfiles)]
+class _LayerFiles(list):
+    """``train``'s layers: the ``--weights`` and ``--hessians`` files paired by
+    name, each pair checked from its headers as one layer's files. Indexing
+    reads a pair's arrays, as stored, every time; iterating yields the paths."""
 
-
-class _LayerFiles:
-    """``train``'s (weights, factor) pairs, each read from its files, as
-    stored, every time it is indexed."""
-
-    def __init__(self, pairs: list[tuple[Path, Path]]):
-        self.pairs = pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+    def __init__(self, weights_dir: str, hessians_dir: str):
+        wdir, hdir = Path(weights_dir), Path(hessians_dir)
+        for d in (wdir, hdir):
+            if not d.is_dir():
+                raise ValueError(f"{d}: not a directory")
+        wfiles = {p.stem: p for p in sorted(wdir.glob("*.mgqt"))}
+        hfiles = {p.stem: p for p in sorted(hdir.glob("*.mgqt"))}
+        only_w, only_h = sorted(set(wfiles) - set(hfiles)), sorted(set(hfiles) - set(wfiles))
+        if only_w or only_h:
+            raise ValueError(f"unpaired layer files: weights-only {only_w}, hessians-only {only_h}")
+        if not wfiles:
+            raise ValueError(f"no .mgqt layer files found in {wdir}")
+        super().__init__((str(wfiles[stem]), str(hfiles[stem])) for stem in sorted(wfiles))
+        for wp, hp in self:
+            _check(argparse.Namespace(command="train", weights=wp, hessians=hp))
 
     def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        wp, hp = self.pairs[i]
-        return _load_layer(str(wp), str(hp))
+        wp, hp = super().__getitem__(i)
+        return read_tensor_file(wp)["weights"], _factor(hp)
 
 
 def cmd_train(args) -> int:
@@ -225,8 +246,7 @@ def cmd_train(args) -> int:
     from .training import TrainConfig, format_training_log, load_run_config
 
     cfg = load_run_config(args.config) if args.config else TrainConfig()
-    layers = _LayerFiles(_paired_layers(args.weights, args.hessians))
-    params, records = train(layers, cfg, arch="gcn")
+    params, records = train(_LayerFiles(args.weights, args.hessians), cfg, arch="gcn")
     write_tensor_file(args.out, params_to_sections(params))
     log_path = args.log or (args.out + ".log")
     write_atomic(log_path, format_training_log(records).encode())
@@ -261,15 +281,15 @@ def _write_layer(args, w: np.ndarray, calib: _CalibFiles, result: QuantResult,
 def cmd_quantize(args) -> int:
     from .pipeline import params_from_sections
 
-    # The engine works in the chosen precision. The proxy loss, as in
-    # `eval`, is against the stored weights.
+    if args.block < 1:
+        raise ValueError(f"block_size must be >= 1, got {args.block}")
+    calib = _check(args)
+    # The engine works in the chosen precision; the proxy loss, as in `eval`, on the stored weights.
     dtype = np.float32 if args.precision == "f32" else np.float64
-    stored, hc = _load_layer(args.weights, args.hessian)
-    w, hc = stored.astype(dtype, copy=False), hc.astype(dtype, copy=False)
-    calib = _CalibFiles(args.calib, w.shape[1])
-    sections = _read(args.params, "w0", "w1", "wc", "bc")
+    stored = read_tensor_file(args.weights)["weights"]
+    w, hc = stored.astype(dtype, copy=False), _factor(args.hessian).astype(dtype, copy=False)
     try:
-        params = params_from_sections(sections)
+        params = params_from_sections(read_tensor_file(args.params))
     except ValueError as exc:
         raise ValueError(f"{args.params}: {exc}") from None
     result, allocator_time = quantize_with_allocator(w, hc, params, args.block, dtype)
@@ -283,9 +303,11 @@ def cmd_baseline(args) -> int:
     from .training import TrainConfig, load_run_config
 
     cfg = load_run_config(args.config) if args.config else TrainConfig()
-    w, hc = _load_layer(args.weights, args.hessian)
-    calib = _CalibFiles(args.calib, w.shape[1])
     spec = BaselineSpec(method=args.method, bits=args.bits, target_bits=args.target_bits)
+    if spec.method == "mlp-ptq":
+        spec.training_config(cfg)  # its budget, checked before any input is read
+    calib = _check(args)
+    w, hc = read_tensor_file(args.weights)["weights"], _factor(args.hessian)
     start = time.perf_counter()
     result = run_baseline(spec, w, hc, cfg=cfg)
     # Time outside the engine: choosing the widths (mlp-ptq's training).
@@ -297,21 +319,12 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    w = _load_weights(args.orig)
-    calib = _CalibFiles(args.calib, w.shape[1])
-    q = _read(args.quant, "quantized")["quantized"]
-    if q.shape != w.shape:
-        raise ValueError(
-            f"shape mismatch: {args.orig} has {w.shape}, {args.quant} has {q.shape}"
-        )
+    calib = _check(args)
+    w, q = read_tensor_file(args.orig)["weights"], read_tensor_file(args.quant)["quantized"]
     loss = proxy_loss(w, q, calib)
     diff = np.subtract(w, q, dtype=np.float64)
-    payload = {
-        "proxy_loss": loss,
-        "max_abs_error": float(np.max(np.abs(diff, out=diff))),
-        "orig": args.orig,
-        "quant": args.quant,
-    }
+    payload = {"proxy_loss": loss, "max_abs_error": float(np.max(np.abs(diff, out=diff))),
+               "orig": args.orig, "quant": args.quant}
     if args.report:
         from .report import write_report
         write_report(args.report, {"schema": "mgquant-eval-v1", "metrics": payload})
@@ -320,10 +333,8 @@ def cmd_eval(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mgquant",
-        description="Mixed-precision weight quantization with a graph-network bit allocator.",
-    )
+    parser = argparse.ArgumentParser(prog="mgquant", description="Mixed-precision weight "
+                                     "quantization with a graph-network bit allocator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gram", help="accumulate the calibration Gram matrix")
@@ -379,19 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TensorFileError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotPositiveDefiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def keep_freed_heap(libc=None) -> None:
@@ -410,17 +414,11 @@ def keep_freed_heap(libc=None) -> None:
 
 
 def console_main() -> None:
-    """Run :func:`main` as a process: pin the heap policy, flush the command's
-    output, then skip interpreter teardown (every file a command writes is
-    closed by then). An exception that escapes :func:`main`, argparse's
-    ``SystemExit`` among them, exits the normal way.
-
-    The pinned thresholds are the ceilings glibc's dynamic policy reaches; they
-    override ``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_``. Freed
-    blocks below 32 MiB stay in the heap for the next training pass, instead of
-    going back to the kernel and faulting in again (``train`` on the benchmark's
-    ``stack-256``: about 13,000 minor faults, not 255,000); larger ones
-    are still unmapped. :func:`main` and library callers keep glibc's defaults."""
+    """Run :func:`main` as a process: pin the heap policy (README, "CLI"), flush
+    the command's output, then skip interpreter teardown (every file a command
+    writes is closed by then). An exception that escapes :func:`main`,
+    argparse's ``SystemExit`` among them, exits the normal way. :func:`main`
+    and library callers keep glibc's heap policy."""
     keep_freed_heap()
     code = main()
     sys.stdout.flush()

@@ -1,8 +1,6 @@
-"""End-to-end quantization pipeline and file-layout conventions.
+"""End-to-end quantization pipeline.
 
-Weight files carry a 2-D ``weights`` section; Gram files carry ``gram`` and
-``samples``; hessian files carry ``hessian_cholesky`` (upper triangular);
-allocator parameter files carry ``w0/w1/wc/bc`` and nothing else.
+The files the CLI reads are laid out as :data:`mgquant.cli.ROLES` declares.
 Quantized outputs carry the dequantized ``quantized`` matrix, u8 ``codes``,
 per-column ``scales``/``zeros`` grids and u8 ``widths``, which
 :func:`result_to_sections` takes as they are from the
@@ -14,7 +12,6 @@ Nothing here reads calibration data: the CLI takes each proxy loss.
 from __future__ import annotations
 
 import time
-from dataclasses import fields
 
 import numpy as np
 
@@ -25,6 +22,7 @@ from .allocator import (
     hessian_node_features,
     preprocess,
 )
+from .cli import check_sections
 from .gptq import QuantResult, quantize_blockwise
 
 __all__ = [
@@ -85,17 +83,15 @@ def params_to_sections(params: AllocatorParams) -> dict[str, np.ndarray]:
 
 
 def params_from_sections(sections: dict[str, np.ndarray]) -> AllocatorParams:
-    """Rebuild allocator parameters from the sections :func:`params_to_sections` writes.
+    """Rebuild allocator parameters from the sections :func:`params_to_sections` writes,
+    checked as the CLI's ``params`` file role.
 
     A missing or any other section is an error, so that an older file whose
     ``flags`` or ``wf``/``bf`` sections changed the network it was trained
     with does not load silently.
     """
-    names = [f.name for f in fields(AllocatorParams)]
-    missing = [name for name in names if name not in sections]
-    unknown = sorted(set(sections) - set(names))
-    if missing or unknown:
-        raise ValueError(f"allocator parameter sections: missing {missing}, unknown {unknown}")
+    heads = {k: (np.asarray(v).dtype, np.shape(v)) for k, v in sections.items()}
+    check_sections("params", "allocator parameter sections", heads, {})
     return AllocatorParams(**{k: np.asarray(v, dtype=np.float64) for k, v in sections.items()})
 
 
