@@ -1,4 +1,4 @@
-"""Scalar quantization: one grid fit and rounding step, plus the error table.
+"""Scalar quantization: one grid rule and rounding step, plus the error table.
 
 A t-bit grid maps integer codes ``c in [0, 2^t - 1]`` to real values via
 
@@ -11,10 +11,12 @@ as ``W.T`` gets one grid per column. The 1-bit case has its own quantizer:
 ``alpha * sign(x)`` with ``alpha = mean(|x|)`` and ``sign(0) = +1``, which
 is the least-squares optimal two-level code for the sign pattern.
 
-A 1-D input (the blockwise engine's one call per column) fits its grid on
-Python floats, where a numpy call on a one-element array would cost more
-than the arithmetic; only the rounding is vectorised. The 2-D path is the
-reference: both give the same bits for the same vector.
+Above 1 bit one function, :func:`_grid`, is the grid rule, on Python
+floats: the nominal min-max scale, an exact zero and a covering repair. A
+1-D input (the engine's call per column) calls it directly. Rows, in
+:func:`quantize` and at every width of :func:`error_table`, are prefiltered
+as arrays: only those the nominal grid does not fit exactly go through
+:func:`_grid`, so every path gives the same bits for the same vector.
 """
 
 from __future__ import annotations
@@ -40,22 +42,10 @@ TINY = math.ulp(0.0)
 CHUNK_ELEMENTS = 1 << 16
 
 
-def _exact_zero(vmin, scale):
+def _exact_zero(vmin: float, scale: float) -> float:
     # zero = -vmin/scale up to rounding; where that misses, prefer the
     # representable neighbor above, then the one below, that reproduces vmin
     # exactly at code 0.
-    nominal = zero = -vmin / scale
-    for direction in (np.inf, -np.inf):
-        miss = scale * (0.0 - zero) != vmin
-        if not miss.any():
-            break
-        cand = np.nextafter(nominal, direction)
-        zero = np.where(miss & (scale * (0.0 - cand) == vmin), cand, zero)
-    return zero
-
-
-def _exact_zero_1d(vmin: float, scale: float) -> float:
-    # _exact_zero on Python floats.
     nominal = zero = -vmin / scale
     for direction in (math.inf, -math.inf):
         if scale * (0.0 - zero) == vmin:
@@ -66,12 +56,8 @@ def _exact_zero_1d(vmin: float, scale: float) -> float:
     return zero
 
 
-def _covers(vmin, vmax, cmax: int, scale, zero):
-    return (scale * (0.0 - zero) <= vmin) & (scale * (cmax - zero) >= vmax)
-
-
-def _uncoverable(bits: int, vmin: float, vmax: float) -> ValueError:
-    return ValueError(f"cannot fit a finite {bits}-bit grid covering [{vmin!r}, {vmax!r}]")
+def _covers(vmin: float, vmax: float, cmax: int, scale: float, zero: float) -> bool:
+    return scale * (0.0 - zero) <= vmin and scale * (cmax - zero) >= vmax
 
 
 def _fit_covering_1d(vmin: float, vmax: float, bits: int) -> tuple[float, float]:
@@ -87,7 +73,7 @@ def _fit_covering_1d(vmin: float, vmax: float, bits: int) -> tuple[float, float]
     slack = 4.0 * math.ulp(max(abs(vmin), abs(vmax)))
     for _ in range(60):
         s = (span + slack) / cmax
-        z = _exact_zero_1d(vmin, s)
+        z = _exact_zero(vmin, s)
         for _ in range(64):
             if not s * (0.0 - z) > vmin:
                 break
@@ -95,7 +81,7 @@ def _fit_covering_1d(vmin: float, vmax: float, bits: int) -> tuple[float, float]
         if _covers(vmin, vmax, cmax, s, z):
             return s, z
         slack *= 2.0
-    raise _uncoverable(bits, vmin, vmax)
+    raise ValueError(f"cannot fit a finite {bits}-bit grid covering [{vmin!r}, {vmax!r}]")
 
 
 def _check_peak(peak: float) -> None:
@@ -105,7 +91,7 @@ def _check_peak(peak: float) -> None:
 
 
 def _mean_abs(mag: np.ndarray):
-    # mean(|x|) along the last axis (kept for 2-D input) from mag = |x|, bit
+    # mean(|x|) along the last axis (kept for N-D input) from mag = |x|, bit
     # for bit np.mean's, after the magnitude check. Only a sum past LIMIT
     # can overflow; such a mean is rejected, so the sum must not warn.
     peak = float(mag.max())
@@ -121,7 +107,27 @@ def _mean_abs(mag: np.ndarray):
     return alpha
 
 
-def _round(x: np.ndarray, scale, zero, cmax: int, clip: bool = True, out=None) -> np.ndarray:
+def _grid(vmin: float, vmax: float, bits: int) -> tuple[float, float]:
+    # The min-max grid (scale, zero) of [vmin, vmax]: the nominal scale (1 for
+    # a constant range), the zero that puts vmin exactly at code 0, and the
+    # widened grid where rounding leaves that one short of the range.
+    cmax = (1 << bits) - 1
+    span = vmax - vmin
+    scale = 1.0 if span == 0.0 else max(span / cmax, TINY)
+    zero = _exact_zero(vmin, scale)
+    if _covers(vmin, vmax, cmax, scale, zero):
+        return scale, zero
+    return _fit_covering_1d(vmin, vmax, bits)
+
+
+def _clips(vmin, vmax, scale, zero, cmax: int):
+    # Whether vmin's or vmax's code, rounded as _round does, leaves [0, cmax].
+    # Rounding is monotone, so they bound every code; np.clip (a third of the
+    # rounding's cost, a no-op inside, -0.0 included) runs only if this holds.
+    return (vmin / scale + zero - 0.5 <= -1.0) | (vmax / scale + zero + 0.5 >= cmax + 1)
+
+
+def _round(x: np.ndarray, scale, zero, cmax: int, clip: bool, out=None) -> np.ndarray:
     # Nearest level, ties away from zero in code space, into ``out`` if
     # given. In place: fresh temporaries cost more than the arithmetic here.
     codes = np.divide(x, scale, out=out)
@@ -133,55 +139,21 @@ def _round(x: np.ndarray, scale, zero, cmax: int, clip: bool = True, out=None) -
     return codes
 
 
-def _grid_rows(vmin: np.ndarray, vmax: np.ndarray, bits: int):
-    # The min-max grid of each row from its (rows, 1) extremes.
+def _round_rows(x: np.ndarray, vmin: np.ndarray, vmax: np.ndarray, bits: int, out=None):
+    # Codes of each row of x on its grid; the extremes vmin and vmax, scale and
+    # zero have x's shape with a last axis of 1. Rows whose nominal grid
+    # misses vmin at code 0 or falls short of vmax go through _grid, the rest
+    # keep the nominal grid, which is what _grid would return for them.
     cmax = (1 << bits) - 1
     span = vmax - vmin
     scale = np.where(span == 0.0, 1.0, np.maximum(span / cmax, TINY))
-    zero = _exact_zero(vmin, scale)
-    short = ~_covers(vmin, vmax, cmax, scale, zero)  # never a constant row
-    for i in zip(*np.nonzero(short)):  # rare: widen one short row at a time
-        scale[i], zero[i] = _fit_covering_1d(float(vmin[i]), float(vmax[i]), bits)
-    return scale, zero
-
-
-def _quantize_rows(x: np.ndarray, bits: int):
-    # One grid per row of x; scale and zero are (rows, 1) arrays.
-    if bits == 1:
-        alpha = _mean_abs(np.abs(x))
-        flat = alpha == 0.0
-        scale, zero = np.where(flat, 1.0, 2.0 * alpha), np.where(flat, 1.0, 0.5)
-        return (x >= 0).astype(np.float64), scale, zero
-    vmin = x.min(axis=-1, keepdims=True)
-    vmax = x.max(axis=-1, keepdims=True)
-    _check_peak(max(-float(vmin.min()), float(vmax.max())))
-    scale, zero = _grid_rows(vmin, vmax, bits)
-    return _round(x, scale, zero, (1 << bits) - 1), scale, zero
-
-
-def _quantize_vector(x: np.ndarray, bits: int):
-    # _quantize_rows for a 1-D x, with scale and zero as Python floats.
-    if bits == 1:
-        alpha = float(_mean_abs(np.abs(x)))
-        scale, zero = (1.0, 1.0) if alpha == 0.0 else (2.0 * alpha, 0.5)
-        return (x >= 0).astype(np.float64), scale, zero
-    cmax = (1 << bits) - 1
-    vmin = float(x.min())
-    vmax = float(x.max())
-    _check_peak(max(-vmin, vmax))
-    span = vmax - vmin
-    scale = 1.0 if span == 0.0 else max(span / cmax, TINY)
-    zero = _exact_zero_1d(vmin, scale)
-    if not _covers(vmin, vmax, cmax, scale, zero):
-        scale, zero = _fit_covering_1d(vmin, vmax, bits)
-    # Rounding is monotone, so the codes of vmin and vmax bound every code;
-    # np.clip, a third of the rounding's cost, runs only when one of them
-    # falls outside [0, cmax] (it leaves values inside, -0.0 included, as
-    # they are).
-    lo = vmin / scale + zero
-    hi = vmax / scale + zero
-    clip = lo + math.copysign(0.5, lo) <= -1.0 or hi + math.copysign(0.5, hi) >= cmax + 1
-    return _round(x, scale, zero, cmax, clip), scale, zero
+    zero = -vmin / scale
+    odd = np.nonzero((scale * (0.0 - zero) != vmin) | (scale * (cmax - zero) < vmax))
+    if odd[0].size:
+        fits = [_grid(lo, hi, bits) for lo, hi in zip(vmin[odd].tolist(), vmax[odd].tolist())]
+        scale[odd], zero[odd] = zip(*fits)
+    clip = _clips(vmin, vmax, scale, zero, cmax).any()
+    return _round(x, scale, zero, cmax, clip, out), scale, zero
 
 
 def quantize(
@@ -215,11 +187,25 @@ def quantize(
     x = np.ascontiguousarray(values, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot quantize an empty vector")
-    vector = x.ndim == 1
-    codes, scale, zero = _quantize_vector(x, bits) if vector else _quantize_rows(x, bits)
+    if bits == 1:
+        alpha = _mean_abs(np.abs(x))
+        scale = 2.0 * alpha + (alpha == 0.0)  # 1 for an all-zero vector
+        zero = 1.0 - alpha / scale  # exactly 0.5, and 1 for an all-zero vector
+        codes = (x >= 0).astype(np.float64)
+    elif x.ndim == 1:
+        vmin, vmax = float(x.min()), float(x.max())
+        _check_peak(max(-vmin, vmax))
+        scale, zero = _grid(vmin, vmax, bits)
+        cmax = (1 << bits) - 1
+        codes = _round(x, scale, zero, cmax, _clips(vmin, vmax, scale, zero, cmax))
+    else:
+        vmin = x.min(axis=-1, keepdims=True)
+        vmax = x.max(axis=-1, keepdims=True)
+        _check_peak(max(-float(vmin.min()), float(vmax.max())))
+        codes, scale, zero = _round_rows(x, vmin, vmax, bits)
     dequant = np.subtract(codes, zero)
     dequant *= scale
-    if vector:
+    if x.ndim == 1:
         return dequant, codes, np.float64(scale), np.float64(zero)
     return dequant, codes, scale[..., 0], zero[..., 0]
 
@@ -232,18 +218,21 @@ def error_table(weights: np.ndarray, hc_diag: np.ndarray, t_max: int) -> np.ndar
     emit if column j were quantized at t bits right now. The training loop
     calls this once per layer pass, on the engine's residuals.
 
-    Each entry has the bits of :func:`quantize`'s error at that width.
-    Columns are taken :data:`CHUNK_ELEMENTS` entries' worth at a time, and
+    Each entry has the bits of :func:`quantize`'s error at that width. It
+    sums one column alone, so the bits do not depend on the chunk size:
+    columns are taken :data:`CHUNK_ELEMENTS` entries' worth at a time, and
     each chunk's extremes and magnitude check serve every width, so the
-    temporaries are a few chunks in size whatever the layer's shape.
-    Each entry is a sum over one column alone, so the table's bits do not
-    depend on the chunk size.
-    A column-major ``weights`` (the engine's residuals view) is read in
-    place; any other layout is copied one chunk at a time.
+    temporaries stay a few chunks in size whatever the layer's shape. A
+    column-major ``weights`` (the engine's residuals view) is read in place;
+    any other layout is copied one chunk at a time.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"weights must be 2-D, got shape {w.shape}")
+    if w.shape[0] == 0:
+        raise ValueError(f"weights must have at least one row, got shape {w.shape}")
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
     d_col = w.shape[1]
     hc_diag = np.asarray(hc_diag, dtype=np.float64)
     if hc_diag.shape != (d_col,):
@@ -251,7 +240,7 @@ def error_table(weights: np.ndarray, hc_diag: np.ndarray, t_max: int) -> np.ndar
     if not (hc_diag > 0).all():
         raise ValueError("hc_diag entries must be positive")
     out = np.empty((d_col, t_max), dtype=np.float64)
-    step = max(1, CHUNK_ELEMENTS // max(1, w.shape[0]))
+    step = max(1, CHUNK_ELEMENTS // w.shape[0])
     for c in range(0, d_col, step):
         cols = np.ascontiguousarray(w[:, c : c + step].T)
         # 1 bit: (|x| - alpha)^2 is (+-alpha - x)^2 bit for bit, and 0 on an
@@ -262,14 +251,7 @@ def error_table(weights: np.ndarray, hc_diag: np.ndarray, t_max: int) -> np.ndar
         vmin = cols.min(axis=-1, keepdims=True)  # within LIMIT: checked above
         vmax = cols.max(axis=-1, keepdims=True)
         for t in range(2, t_max + 1):
-            cmax = (1 << t) - 1
-            scale, zero = _grid_rows(vmin, vmax, t)
-            # as in _quantize_vector, clip only if some row's end codes leave [0, cmax]
-            lo = vmin / scale + zero
-            hi = vmax / scale + zero
-            clip = (lo + np.copysign(0.5, lo) <= -1.0).any() or (
-                hi + np.copysign(0.5, hi) >= cmax + 1).any()
-            _round(cols, scale, zero, cmax, clip, out=diff)
+            scale, zero = _round_rows(cols, vmin, vmax, t, out=diff)[1:]
             diff -= zero
             diff *= scale
             diff -= cols

@@ -353,3 +353,97 @@ def test_quantize_property(values, bits):
     if bits > 1:
         grid = levels(scale, zero, bits)
         assert grid[0] <= values.min() and grid[-1] >= values.max()
+
+
+class TestErrorTableArguments:
+    """Each bad argument is a ValueError naming it, raised before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("error_table started work")
+
+        monkeypatch.setattr(quant, "_mean_abs", work)
+        monkeypatch.setattr(quant, "_round_rows", work)
+
+    def test_t_max_zero_rejected(self):
+        with pytest.raises(ValueError, match="t_max"):
+            error_table(np.ones((4, 3)), np.ones(3), 0)
+
+    def test_negative_t_max_rejected(self):
+        with pytest.raises(ValueError, match="t_max"):
+            error_table(np.ones((4, 3)), np.ones(3), -1)
+
+    def test_zero_row_weights_rejected(self):
+        with pytest.raises(ValueError, match="weights"):
+            error_table(np.ones((0, 3)), np.ones(3), 4)
+
+
+#: Vectors that need the covering repair at some width, a subnormal span,
+#: and signed zeros.
+SPECIAL_VECTORS = [
+    [1e6, 1e6 + 1.2e-10, 1e6 + 4.8e-10],
+    [0.1, 0.3, 0.7],
+    [1.0, 1.0 + 2.2e-16, 1.0 + 4.4e-16],
+    [1e-310, 1e-310 + 5e-324],
+    [0.0, -0.0, 0.0],
+    [-0.0, 0.5, -0.25],
+]
+
+
+def vectors(n):
+    """Length-n vectors that between them take every case of the grid fit:
+    the nominal grid, the exact-zero nudge, the covering repair, subnormal
+    spans, constant vectors and signed zeros."""
+    base = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-307, 1e-307))
+    steps = st.lists(st.integers(0, 5), min_size=n, max_size=n)
+    scaled_normal = st.builds(lambda s, e: np.random.default_rng(s).standard_normal(n) * 10.0**e,
+                              st.integers(0, 2**16), st.integers(-3, 3))
+    return st.one_of(
+        arrays(np.float64, n, elements=st.floats(-1e6, 1e6)),
+        scaled_normal,
+        st.builds(lambda b, k: b + np.spacing(b) * np.array(k, dtype=np.float64), base, steps),
+        st.sampled_from(SPECIAL_VECTORS).map(lambda v: np.resize(v, n)),
+        arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0, 0.5, -0.25])),
+        base.map(lambda c: np.full(n, c)),
+    )
+
+
+@st.composite
+def stacked_vectors(draw, rank):
+    """A float64 array of the given rank whose rows are drawn by :func:`vectors`."""
+    n = draw(st.integers(1, 6))
+    lead = draw(st.lists(st.integers(1, 3), min_size=rank - 1, max_size=rank - 1))
+    rows = [draw(vectors(n)) for _ in range(int(np.prod(lead)))]
+    return np.stack(rows).reshape(*lead, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(x=st.sampled_from([2, 3]).flatmap(stacked_vectors))
+def test_rows_match_per_vector_calls(x):
+    """Every row of a 2-D or 3-D input gets its own 1-D call's bits, at every width."""
+    for bits in range(1, 9):
+        result = quantize(x, bits)
+        for idx in np.ndindex(x.shape[:-1]):
+            for a, b in zip(result, quantize(x[idx], bits)):
+                assert a[idx].tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    cols=st.integers(1, 4).flatmap(
+        lambda m: st.lists(vectors(m), min_size=1, max_size=10).map(np.stack)),
+    chunk=st.integers(1, 4),
+    t_max=st.integers(1, 8),
+    order=st.sampled_from(["C", "F"]),
+)
+def test_error_table_matches_per_width_quantize(cols, chunk, t_max, order):
+    """Chunks that mix nominal and repaired columns keep each column's 1-D quantize bits."""
+    w = np.asarray(cols.T, order=order)
+    hd = np.linspace(0.5, 2.0, w.shape[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quant, "CHUNK_ELEMENTS", w.shape[0] * chunk)
+        table = error_table(w, hd, t_max)
+    ref = [[np.sum(np.square(quantize(col, t)[0] - col)) / h**2 for t in range(1, t_max + 1)]
+           for col, h in zip(cols, hd)]
+    assert table.tobytes() == np.array(ref).tobytes()

@@ -8,10 +8,14 @@ For every stack of `bench/workloads.py` at seeds 1 and 7, the inputs are
 generated once through `workloads.generate`. Each tree then runs the CLI
 flow `gram -> hessian -> train -> quantize --report -> eval --report` into
 its own output directory, one process per command, with the benchmark's
-damping, block size and precision. After it come the reference methods,
-each with `--calib` and `--report`: `baseline --method rtn` and
-`--method gptq-uniform --bits 2` on every layer, and `--method mlp-ptq`
-with the stack's training config on the first.
+damping, block size and precision; the first layer is also quantized with
+`--precision f64`. After it come the reference methods, each with `--calib`
+and `--report`: `baseline --method rtn` at its default 2 bits and with
+`--bits 1` and `--bits 3`, and `--method gptq-uniform --bits 2`, on every
+layer, and `--method mlp-ptq` with the stack's training config on the
+first. Between them these run every path of the scalar quantizer: the
+engine's 1-D calls at either precision, the N-D rows of `rtn` at 1 bit and
+above, and the training error table.
 
 Compared between the trees: each command's exit status and stdout line;
 every file written, byte for byte (the training log among them); and each
@@ -51,14 +55,16 @@ def flow(inputs: Inputs, out: Path) -> list[tuple[str, list[str]]]:
     cmds.append(("train", ["train", "--weights", str(inputs.weights_dir), "--hessians",
                            str(out / "hessians"), "--config", str(inputs.config_path),
                            "--out", str(params)]))
-    for layer in inputs.layers:
-        cmds.append((f"quantize {layer.name}", [
+    runs = [(layer, "f32", layer.name) for layer in inputs.layers]
+    runs.append((inputs.layers[0], "f64", f"{inputs.layers[0].name}-f64"))
+    for layer, precision, name in runs:
+        cmds.append((f"quantize {name}", [
             "quantize", "--weights", str(layer.weights_path),
             "--hessian", str(out / "hessians" / f"{layer.name}.mgqt"),
-            "--params", str(params), "--block", str(BLOCK), "--precision", "f32",
+            "--params", str(params), "--block", str(BLOCK), "--precision", precision,
             "--calib", *map(str, layer.calib_paths),
-            "--out", str(out / "quant" / f"{layer.name}.mgqt"),
-            "--report", str(out / "reports" / f"quantize-{layer.name}.json")]))
+            "--out", str(out / "quant" / f"{name}.mgqt"),
+            "--report", str(out / "reports" / f"quantize-{name}.json")]))
     for layer in inputs.layers:
         cmds.append((f"eval {layer.name}", [
             "eval", "--orig", str(layer.weights_path),
@@ -66,11 +72,12 @@ def flow(inputs: Inputs, out: Path) -> list[tuple[str, list[str]]]:
             "--calib", *map(str, layer.calib_paths),
             "--report", str(out / "reports" / f"eval-{layer.name}.json")]))
     for i, layer in enumerate(inputs.layers):
-        methods = [["rtn"], ["gptq-uniform", "--bits", "2"]]
+        methods = {"rtn": ["rtn"], "rtn-1": ["rtn", "--bits", "1"],
+                   "rtn-3": ["rtn", "--bits", "3"], "gptq-uniform": ["gptq-uniform", "--bits", "2"]}
         if i == 0:
-            methods.append(["mlp-ptq", "--config", str(inputs.config_path)])
-        for method in methods:
-            name = f"{method[0]}-{layer.name}"
+            methods["mlp-ptq"] = ["mlp-ptq", "--config", str(inputs.config_path)]
+        for label, method in methods.items():
+            name = f"{label}-{layer.name}"
             cmds.append((f"baseline {name}", [
                 "baseline", "--method", *method, "--weights", str(layer.weights_path),
                 "--hessian", str(out / "hessians" / f"{layer.name}.mgqt"),
