@@ -28,8 +28,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gptq import MAX_BITS
 from .linalg import ShapeMismatchError, transposed_copy
+from .quant import check_width
 
 __all__ = [
     "AllocatorParams",
@@ -68,8 +68,7 @@ class AllocatorParams:
             raise ShapeMismatchError(f"wc must have {hidden} rows, got {self.wc.shape}")
         if self.bc.shape != (self.wc.shape[1],):
             raise ShapeMismatchError(f"bc must match wc columns, got {self.bc.shape}")
-        if not 2 <= self.t_max <= MAX_BITS:
-            raise ValueError(f"t_max must be in [2, {MAX_BITS}], got {self.t_max}")
+        check_width("t_max", self.t_max, low=2)
 
     @property
     def d_gnn(self) -> int:

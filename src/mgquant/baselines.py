@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cli import METHODS
-from .gptq import MAX_BITS, QuantResult, quantize_blockwise, validate_widths
+from .gptq import QuantResult, quantize_blockwise
 from .pipeline import widths_for
-from .quant import quantize
+from .quant import check_width, quantize
 from .training import TrainConfig, train
 
 __all__ = ["BaselineSpec", "run_baseline", "quantize_rtn_matrix"]
@@ -39,8 +39,7 @@ class BaselineSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown baseline method {self.method!r}; expected {METHODS}")
-        if not 1 <= self.bits <= MAX_BITS:
-            raise ValueError(f"bits must be in [1, {MAX_BITS}], got {self.bits}")
+        check_width("bits", self.bits)
 
     @property
     def budget(self) -> float:
@@ -57,7 +56,7 @@ def quantize_rtn_matrix(w: np.ndarray, bits: int) -> QuantResult:
     if w.dtype not in (np.float32, np.float64):
         w = w.astype(np.float64)
     d_col = w.shape[1]
-    widths = validate_widths(np.full(d_col, bits), d_col)
+    widths = np.full(d_col, check_width("bits", bits), dtype=np.int64)
     start = time.perf_counter()
     quantized, codes, scales, zeros = quantize(w.T, bits)
     quantized = quantized.T.astype(w.dtype, order="C")

@@ -69,9 +69,10 @@ def _emit(payload: dict) -> None:
 class Role(NamedTuple):
     """A file role: ``sections`` maps each section it reads (``"*"``: every
     section, whatever its name) to a shape, float32 or float64 of that rank.
-    A length is ``None`` (any) or named: at least 1 and alike in one layer's
-    files, with ``empty`` and ``differs`` the words for a 0 and for a length
-    other than the first file's. ``only`` refuses any other section."""
+    A length is ``None`` (any), a numeral (exactly that) or named: at least 1
+    and alike in one layer's files, with ``empty`` and ``differs`` the words
+    for a 0 and for a length other than the first file's. ``only`` refuses
+    any other section."""
 
     sections: dict[str, tuple[str | None, ...]]
     empty: str = "{path}: {label} has no {dim}, got {shape}"
@@ -85,7 +86,7 @@ ROLES = {
                     "at least one row and one column, got shape {shape}"),
     "calib": Role({"*": (None, "columns")},
                   differs="{path}: {label} has {got} columns, expected {want}"),
-    "gram": Role({"gram": ("columns", "columns"), "samples": (None,)},
+    "gram": Role({"gram": ("columns", "columns"), "samples": ("1",)},
                  differs="{path}: gram must be square and non-empty, got shape {shape}"),
     "factor": Role({"hessian_cholesky": ("columns", "columns")},
                    differs="{path}: factor {shape} does not match the {want} {dim} of {source}"),
@@ -125,6 +126,8 @@ def check_sections(role: str, path: str, heads: dict, lengths: dict) -> None:
         if len(shape) != len(dims):
             raise ValueError(f"{path}: {label} must be {len(dims)}-D, got {shape}")
         for dim, got in zip(dims, shape):
+            if dim and dim.isdigit() and got != int(dim):
+                raise ValueError(f"{path}: {label} must have length {dim}, got {shape}")
             want, source = lengths.setdefault(dim, (got, path)) if dim else (got, path)
             if dim and (not got or got != want):
                 raise ValueError((spec.differs if got else spec.empty).format(
@@ -136,17 +139,12 @@ def _check(args) -> _CalibFiles:
     """Check the files that the input flags of ``args`` name, in :data:`INPUTS`
     order, from their headers alone as the files of one layer; return its
     ``--calib`` files as one stream. A file that cannot be opened is reported
-    when its payload is read; a calibration file here, as only the work reads it."""
+    here, before any payload is read."""
     heads, lengths = {}, {}
     for flag, role in INPUTS[args.command].items():
         paths = getattr(args, flag)
         for path in paths if isinstance(paths, list) else [paths]:
-            try:
-                heads[path] = read_tensor_headers(path)
-            except OSError:
-                if role == "calib":
-                    raise
-                continue
+            heads[path] = read_tensor_headers(path)
             check_sections(role, path, heads[path], lengths)
     return _CalibFiles(getattr(args, "calib", []), heads)
 
@@ -201,8 +199,8 @@ def cmd_hessian(args) -> int:
         raise ValueError(f"damp_frac must be finite and >= 0, got {args.damp}")
     _check(args)
     sections = read_tensor_file(args.gram)
-    samples = sections.pop("samples")
-    if samples.size != 1 or not (samples.flat[0] > 0 and float(samples.flat[0]).is_integer()):
+    samples = sections.pop("samples")[0]
+    if not (samples > 0 and float(samples).is_integer()):
         raise ValueError(f"{args.gram}: 'samples' must hold one positive whole number")
     try:
         hc = build_hessian_cholesky(sections.pop("gram"), damp_frac=args.damp)

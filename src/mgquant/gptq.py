@@ -32,8 +32,7 @@ formed (in the work dtype), row j of ``work`` is overwritten with column j's
 quantized values, so the engine holds one float copy of the matrix. The
 result carries ``quantized`` and the u8 ``codes`` as transposed views of the
 engine's ``(d_col, d_row)`` buffers, and the grids as per-column
-``scales``/``zeros`` arrays; widths above 8 bits are rejected because a
-code must fit in a byte.
+``scales``/``zeros`` arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import numpy as np
 
 from .calibration import proxy_loss  # noqa: F401  (bench/tracing.py wraps this name)
 from .linalg import ShapeMismatchError, transposed_copy
-from .quant import quantize
+from .quant import MAX_BITS, quantize
 
 __all__ = [
     "QuantResult",
@@ -53,7 +52,6 @@ __all__ = [
     "validate_widths",
 ]
 
-MAX_BITS = 8  # codes are stored one byte each
 SUB_BLOCK = 16  # columns per rank-1 sub-block inside a compensation block
 
 

@@ -9,7 +9,9 @@ reproduced (up to 1 ulp) at code 0. :func:`quantize` fits one grid per
 vector along the last axis, asymmetric min-max, so a weight matrix passed
 as ``W.T`` gets one grid per column. The 1-bit case has its own quantizer:
 ``alpha * sign(x)`` with ``alpha = mean(|x|)`` and ``sign(0) = +1``, which
-is the least-squares optimal two-level code for the sign pattern.
+is the least-squares optimal two-level code for the sign pattern. A width
+is a whole number in ``[1, MAX_BITS]``, declared here: every bound on a width
+calls :func:`check_width`, so the quantizer refuses any other.
 
 Above 1 bit one function, :func:`_grid`, is the grid rule, on Python
 floats: the nominal min-max scale, an exact zero and a covering repair. A
@@ -25,7 +27,9 @@ import math
 
 import numpy as np
 
-__all__ = ["quantize", "error_table"]
+__all__ = ["quantize", "error_table", "check_width", "MAX_BITS"]
+
+MAX_BITS = 8  # the widest width: codes are stored one byte each
 
 #: Largest magnitude :func:`quantize` accepts. Within it the span
 #: ``vmax - vmin``, the end levels of a min-max grid and the 1-bit scale
@@ -40,6 +44,13 @@ TINY = math.ulp(0.0)
 #: Elements :func:`error_table` quantizes at once (512 KiB of float64), so
 #: each temporary stays cache-sized: 256 columns of 256 rows, 32 of 2,048.
 CHUNK_ELEMENTS = 1 << 16
+
+
+def check_width(name: str, value, low: int = 1) -> int:
+    """``value`` as an int if it is a whole number in ``[low, MAX_BITS]``, else a ValueError."""
+    if low <= value <= MAX_BITS and value % 1 == 0:
+        return int(value)
+    raise ValueError(f"{name} must be in [{low}, {MAX_BITS}], got {value}")
 
 
 def _exact_zero(vmin: float, scale: float) -> float:
@@ -177,13 +188,12 @@ def quantize(
         exactly, and every entry is finite.
 
     Raises:
-        ValueError: for a width below 1, an empty input, a non-finite value
-            or a magnitude above :data:`LIMIT`; at 1 bit also when
-            ``mean(|x|)`` overflows; above 1 bit when no finite grid covers
-            a vector's range.
+        ValueError: for a width :func:`check_width` refuses, an empty input,
+            a non-finite value or a magnitude above :data:`LIMIT`; at 1 bit
+            also when ``mean(|x|)`` overflows; above 1 bit when no finite
+            grid covers a vector's range.
     """
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
+    bits = check_width("bits", bits)
     x = np.ascontiguousarray(values, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot quantize an empty vector")
@@ -231,8 +241,7 @@ def error_table(weights: np.ndarray, hc_diag: np.ndarray, t_max: int) -> np.ndar
         raise ValueError(f"weights must be 2-D, got shape {w.shape}")
     if w.shape[0] == 0:
         raise ValueError(f"weights must have at least one row, got shape {w.shape}")
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    t_max = check_width("t_max", t_max)
     d_col = w.shape[1]
     hc_diag = np.asarray(hc_diag, dtype=np.float64)
     if hc_diag.shape != (d_col,):

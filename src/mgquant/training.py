@@ -46,9 +46,9 @@ from .allocator import (
     preprocess,
     sample_gumbel,
 )
-from .gptq import MAX_BITS, quantize_blockwise
+from .gptq import quantize_blockwise
 from .linalg import ShapeMismatchError
-from .quant import error_table
+from .quant import check_width, error_table
 
 #: Elements of a parameter :meth:`AdamW.step` updates at once (128 KiB of
 #: float64), so the chunks of parameter, gradient, moments and scratch it
@@ -101,8 +101,7 @@ class TrainConfig:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if not 2 <= self.t_max <= MAX_BITS:
-            raise ValueError(f"t_max must be in [2, {MAX_BITS}], got {self.t_max}")
+        check_width("t_max", self.t_max, low=2)
         if not 1 <= self.target_bits <= self.t_max:
             raise ValueError(f"target_bits must be in [1, {self.t_max}], got {self.target_bits}")
         if self.d_gnn < 1:

@@ -707,11 +707,13 @@ class TestLowerFactorRejected:
             hc[entry] = 1e-300
         write_tensor_file(tmp_path / "h.mgqt", {"hessian_cholesky": hc})
         write_tensor_file(tmp_path / "w.mgqt", {"weights": np.zeros((4, 300))})
+        params = init_allocator_params(4, 4, 4, np.random.default_rng(0))
+        write_tensor_file(tmp_path / "p.mgqt", params_to_sections(params))
         rc = main(["quantize", "--weights", str(tmp_path / "w.mgqt"), "--hessian",
-                   str(tmp_path / "h.mgqt"), "--params", str(tmp_path / "missing.mgqt"),
+                   str(tmp_path / "h.mgqt"), "--params", str(tmp_path / "p.mgqt"),
                    "--out", str(tmp_path / "q.mgqt")])
         err = capsys.readouterr().err
-        assert rc == 2
+        assert rc == (0 if entry is None else 2), err
         assert ("below the diagonal" in err) == (entry is not None), err
 
 
@@ -1245,6 +1247,16 @@ class TestStartupImports:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == ["mgquant"]
+
+    def test_allocator_loads_no_engine(self):
+        code = ("import json, sys, mgquant.allocator; "
+                "print(json.dumps(sorted(m for m in sys.modules if m.startswith('mgquant'))))")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert "mgquant.allocator" in loaded
+        assert not {"mgquant.gptq", "mgquant.calibration"} & set(loaded), loaded
 
     def test_package_exports_resolve_to_their_modules(self):
         for name in mgquant.__all__:

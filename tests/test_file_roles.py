@@ -106,8 +106,6 @@ def expected(role: str, section: str, mutation: str) -> str:
         return "ok"
     if mutation in ("NaN", "Inf", *FACTOR_MUTATIONS):
         return "content"
-    if section == "samples" and mutation in ("0 rows", "0 columns", "one more column"):
-        return "content"  # one positive whole number: its length is read with its value
     if role == "calib" and mutation in ("0 rows", "drop", "rename"):
         return "ok"  # the file's other section still holds rows
     if mutation == "extra section" and role != "params":

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mgquant import quant
-from mgquant.quant import LIMIT, _fit_covering_1d, error_table, quantize
+from mgquant.quant import LIMIT, MAX_BITS, _fit_covering_1d, error_table, quantize
 
 
 def levels(scale, zero, bits):
@@ -377,6 +377,35 @@ class TestErrorTableArguments:
     def test_zero_row_weights_rejected(self):
         with pytest.raises(ValueError, match="weights"):
             error_table(np.ones((0, 3)), np.ones(3), 4)
+
+
+class TestWidthRule:
+    """``quantize`` and ``error_table`` take whole widths in 1..MAX_BITS; any
+    other width is a ValueError naming it, raised before any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("_mean_abs", "_grid", "_round", "_round_rows"):
+            monkeypatch.setattr(quant, name, work)
+
+    @pytest.mark.parametrize("width", [0, 9, 1024, 2.5, float("nan")], ids=str)
+    def test_bad_width_refused(self, no_work, width):
+        x = np.linspace(-1.0, 1.0, 12)
+        for values in (x, x.reshape(3, 4)):
+            with pytest.raises(ValueError, match=r"^bits must be in \[1, 8\], got "):
+                quantize(values, width)
+        with pytest.raises(ValueError, match=r"^t_max must be in \[1, 8\], got "):
+            error_table(x.reshape(3, 4), np.ones(4), width)
+
+    @pytest.mark.parametrize("width", range(1, MAX_BITS + 1))
+    def test_every_width_accepted(self, width):
+        x = np.linspace(-1.0, 1.0, 12)
+        assert quantize(x, width)[1].max() <= (1 << width) - 1
+        assert quantize(x.reshape(3, 4), width)[1].max() <= (1 << width) - 1
+        assert error_table(x.reshape(3, 4), np.ones(4), width).shape == (4, width)
 
 
 #: Vectors that need the covering repair at some width, a subnormal span,
