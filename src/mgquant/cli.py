@@ -5,13 +5,16 @@ Subcommands (README, "CLI"): ``gram``, ``hessian``, ``train``, ``quantize``,
 
 Every file a command reads has a role in :data:`ROLES`, and :data:`INPUTS`
 gives each input flag's role (README, "File roles"). A command checks its
-flags and all its inputs' headers against them, then the payloads' contents,
-and only then works.
+flags, its output paths (none a directory), all its inputs' headers, then the
+payloads' contents, and only then works. It returns ``(files, payload)``:
+each output path, in write order, with the tensor sections or bytes that go
+there, and its stdout object. :func:`main` alone writes the files and then
+prints the object as one JSON line, so a command that fails writes nothing.
 
-stdout carries exactly one JSON line per successful command; diagnostics go
-to stderr, one line. Exit codes (:data:`EXIT_CODES`): 0 success, 2
-usage/validation, 3 malformed data file, 4 numeric failure (e.g. a Gram
-that is not positive definite). Each command imports only the modules it runs.
+Diagnostics go to stderr, one line. Exit codes (:data:`EXIT_CODES`): 0
+success, 2 usage/validation, 3 malformed data file, 4 numeric failure (a
+Gram that is not positive definite, or NaN/Inf in an output). Each command
+imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import os
 import sys
 import time
 from collections.abc import Iterator
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -41,8 +45,9 @@ __all__ = ["main", "console_main"]
 #: also checks; defined here so building the parser loads no quantizer.
 METHODS = ("rtn", "gptq-uniform", "mlp-ptq")
 
-#: The exit code of each error a command reports; argparse exits 2 on its own.
-EXIT_CODES = {TensorFileError: 3, NotPositiveDefiniteError: 4, ValueError: 2, OSError: 2}
+#: The exit code of each error a command reports, the first that matches; argparse
+#: exits 2 on its own. :class:`NotPositiveDefiniteError` is an ``ArithmeticError``.
+EXIT_CODES = {TensorFileError: 3, ArithmeticError: 4, ValueError: 2, OSError: 2}
 
 
 # bench/tracing.py wraps these three names on this module, so each stays a
@@ -60,10 +65,6 @@ def result_to_sections(result: QuantResult) -> dict[str, np.ndarray]:
 def train(*args, **kwargs):
     from . import training
     return training.train(*args, **kwargs)
-
-
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 class Role(NamedTuple):
@@ -135,11 +136,19 @@ def check_sections(role: str, path: str, heads: dict, lengths: dict) -> None:
                     source=source))
 
 
+def _check_outputs(args) -> None:
+    """Refuse an output flag of ``args`` that names a directory, which no write can replace."""
+    for path in filter(None, (getattr(args, flag, None) for flag in ("out", "report", "log"))):
+        if os.path.isdir(path):
+            raise ValueError(f"{path}: is a directory")
+
+
 def _check(args) -> _CalibFiles:
-    """Check the files that the input flags of ``args`` name, in :data:`INPUTS`
-    order, from their headers alone as the files of one layer; return its
-    ``--calib`` files as one stream. A file that cannot be opened is reported
-    here, before any payload is read."""
+    """Check the output paths of ``args``, then the files that its input flags
+    name, in :data:`INPUTS` order, from their headers alone as the files of one
+    layer; return its ``--calib`` files as one stream. A file that cannot be
+    opened is reported here, before any payload is read."""
+    _check_outputs(args)
     heads, lengths = {}, {}
     for flag, role in INPUTS[args.command].items():
         paths = getattr(args, flag)
@@ -183,18 +192,26 @@ class _CalibFiles:
                 yield sections.pop(next(iter(sections)))
 
 
-def cmd_gram(args) -> int:
+def _report(path: str, report: dict) -> bytes:
+    """``report``'s bytes; a NaN or Inf in it is a numeric failure of ``path``."""
+    from .report import dump_report
+    try:
+        return dump_report(report).encode()
+    except ValueError:  # json's refusal of NaN and Infinity
+        raise FloatingPointError(f"{path}: contains NaN/Inf") from None
+
+
+def cmd_gram(args) -> tuple[dict, dict]:
     calib = _check(args)
     acc = GramAccumulator(d_col=calib.d_col)
     for batch in calib:
         acc.accumulate(batch)
         del batch  # keep no folded batch alive while the next file is read
-    write_tensor_file(args.out, {"gram": acc.gram, "samples": np.array([float(acc.samples_seen)])})
-    _emit({"out": args.out, "d_col": acc.d_col, "samples": acc.samples_seen})
-    return 0
+    return ({args.out: {"gram": acc.gram, "samples": np.array([float(acc.samples_seen)])}},
+            {"out": args.out, "d_col": acc.d_col, "samples": acc.samples_seen})
 
 
-def cmd_hessian(args) -> int:
+def cmd_hessian(args) -> tuple[dict, dict]:
     if not 0 <= args.damp < np.inf:  # NaN fails too
         raise ValueError(f"damp_frac must be finite and >= 0, got {args.damp}")
     _check(args)
@@ -208,9 +225,8 @@ def cmd_hessian(args) -> int:
         raise NotPositiveDefiniteError(exc.pivot, f"{args.gram}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{args.gram}: {exc}") from None
-    write_tensor_file(args.out, {"hessian_cholesky": hc})
-    _emit({"out": args.out, "d_col": hc.shape[0], "damp": args.damp})
-    return 0
+    return ({args.out: {"hessian_cholesky": hc}},
+            {"out": args.out, "d_col": hc.shape[0], "damp": args.damp})
 
 
 class _LayerFiles(list):
@@ -239,30 +255,28 @@ class _LayerFiles(list):
         return read_tensor_file(wp)["weights"], _factor(hp)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> tuple[dict, dict]:
     from .pipeline import params_to_sections
-    from .training import TrainConfig, format_training_log, load_run_config
+    from .training import TrainConfig, TrainingLogRecord, format_training_log, load_run_config
 
+    args.log = args.log or args.out + ".log"
     cfg = load_run_config(args.config) if args.config else TrainConfig()
+    _check_outputs(args)
     params, records = train(_LayerFiles(args.weights, args.hessians), cfg, arch="gcn")
-    write_tensor_file(args.out, params_to_sections(params))
-    log_path = args.log or (args.out + ".log")
-    write_atomic(log_path, format_training_log(records).encode())
     last = records[-1] if records else None
-    fields = ("l_quant", "l_bit", "total", "hard_mean_bits", "soft_mean_bits")
-    _emit({**{k: getattr(last, k, None) for k in fields}, "out": args.out, "log": log_path})
-    return 0
+    floats = [f.name for f in fields(TrainingLogRecord) if f.type == "float"]  # losses, mean bits
+    return ({args.out: params_to_sections(params), args.log: format_training_log(records).encode()},
+            {**{k: getattr(last, k, None) for k in floats}, "out": args.out, "log": args.log})
 
 
-def _write_layer(args, w: np.ndarray, calib: _CalibFiles, result: QuantResult,
-                 allocator_time: float, t_max: int, seed: int, config_echo: dict,
-                 **stdout) -> int:
-    """Take the proxy loss (untimed) and write the layer, report and JSON line of a command."""
-    from .report import build_report, layer_entry, write_report
+def _layer_outputs(args, w: np.ndarray, calib: _CalibFiles, result: QuantResult,
+                   allocator_time: float, t_max: int, seed: int, config_echo: dict,
+                   **stdout) -> tuple[dict, dict]:
+    """Take the proxy loss (untimed); return the layer, the report and the stdout of a command."""
+    from .report import build_report, layer_entry
 
     loss = proxy_loss(w, result.quantized, calib) if calib.paths else None
-    if args.out:
-        write_tensor_file(args.out, result_to_sections(result))
+    files = {args.out: result_to_sections(result)} if args.out else {}
     name = Path(args.weights).stem
     entry = layer_entry(name, result, loss, t_max)
     if args.report:
@@ -270,13 +284,12 @@ def _write_layer(args, w: np.ndarray, calib: _CalibFiles, result: QuantResult,
         row = {"name": name, "allocator_time": allocator_time,
                "engine_time": result.wall_time, "wall_time": total}
         timing = {"layers": [row], "total_wall_time": total}
-        write_report(args.report, build_report(seed, config_echo, [entry], timing))
-    _emit({**stdout, "out": args.out, "report": args.report,
-           "mean_bits": entry["mean_bits"], "proxy_loss": entry["proxy_loss"]})
-    return 0
+        files[args.report] = _report(args.report, build_report(seed, config_echo, [entry], timing))
+    return files, {**stdout, "out": args.out, "report": args.report,
+                   "mean_bits": entry["mean_bits"], "proxy_loss": entry["proxy_loss"]}
 
 
-def cmd_quantize(args) -> int:
+def cmd_quantize(args) -> tuple[dict, dict]:
     from .pipeline import params_from_sections
 
     if args.block < 1:
@@ -293,10 +306,10 @@ def cmd_quantize(args) -> int:
     result, allocator_time = quantize_with_allocator(w, hc, params, args.block, dtype)
     echo = {"command": "quantize", "block_size": args.block, "precision": args.precision,
             "params": Path(args.params).name}
-    return _write_layer(args, stored, calib, result, allocator_time, params.t_max, 0, echo)
+    return _layer_outputs(args, stored, calib, result, allocator_time, params.t_max, 0, echo)
 
 
-def cmd_baseline(args) -> int:
+def cmd_baseline(args) -> tuple[dict, dict]:
     from .baselines import BaselineSpec, run_baseline
     from .training import TrainConfig, load_run_config
 
@@ -312,22 +325,21 @@ def cmd_baseline(args) -> int:
     outside = time.perf_counter() - start - result.wall_time
     echo = {"command": "baseline", "method": spec.method, "bits": spec.bits,
             "target_bits": spec.target_bits, "block_size": cfg.block_size}
-    return _write_layer(args, w, calib, result, outside, cfg.t_max, cfg.seed, echo,
-                        method=spec.method)
+    return _layer_outputs(args, w, calib, result, outside, cfg.t_max, cfg.seed, echo,
+                          method=spec.method)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[dict, dict]:
     calib = _check(args)
     w, q = read_tensor_file(args.orig)["weights"], read_tensor_file(args.quant)["quantized"]
     loss = proxy_loss(w, q, calib)
     diff = np.subtract(w, q, dtype=np.float64)
     payload = {"proxy_loss": loss, "max_abs_error": float(np.max(np.abs(diff, out=diff))),
                "orig": args.orig, "quant": args.quant}
+    files = {}
     if args.report:
-        from .report import write_report
-        write_report(args.report, {"schema": "mgquant-eval-v1", "metrics": payload})
-    _emit(payload)
-    return 0
+        files[args.report] = _report(args.report, {"schema": "mgquant-eval-v1", "metrics": payload})
+    return files, payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,9 +400,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run a command with numpy's floating-point warnings off, refuse NaN/Inf in
+    its outputs, write its files in order, print its JSON line; return the exit
+    code. A command's one tensor file is its first, so a refused section leaves
+    no file written."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            files, payload = args.func(args)
+        try:
+            line = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:
+            raise FloatingPointError("stdout: contains NaN/Inf") from None
+        for path, content in files.items():
+            if isinstance(content, bytes):
+                write_atomic(path, content)
+                continue
+            try:
+                write_tensor_file(path, content)
+            except ValueError as exc:  # the writer refuses NaN/Inf in a section before writing
+                raise FloatingPointError(f"{path}: {exc}") from None
+        sys.stdout.write(line)
+        return 0
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

@@ -74,7 +74,8 @@ def build_report(
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Sorted, indented JSON; a ValueError for NaN or Infinity, which JSON cannot hold."""
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(path: str | Path, report: dict) -> None:

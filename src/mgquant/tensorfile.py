@@ -67,20 +67,24 @@ def _coerce(name: str, array: np.ndarray) -> np.ndarray:
 
 def write_atomic(path: str | Path, *parts) -> None:
     """Write ``parts`` (bytes-like, in order) to a temp file beside ``path``, of
-    mode 0o666 less the umask as ``open`` would make it, and rename it into place."""
+    mode 0o666 less the umask as ``open`` would make it, and rename it into place.
+    An ``OSError`` of the temp file or the rename names ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for part in parts:
-                fh.write(part)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                for part in parts:
+                    fh.write(part)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def write_tensor_file(path: str | Path, sections: dict[str, np.ndarray]) -> None:

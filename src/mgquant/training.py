@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
@@ -153,18 +153,15 @@ class TrainingLogRecord:
     soft_mean_bits: float
 
 
-LOG_HEADER = "epoch\tlayer\tl_quant\tl_bit\ttotal\thard_mean_bits\tsoft_mean_bits"
+#: The training log's columns: :class:`TrainingLogRecord`'s fields, in order.
+LOG_COLUMNS = tuple(f.name for f in fields(TrainingLogRecord))
+LOG_HEADER = "\t".join(LOG_COLUMNS)
 
 
 def format_training_log(records: Sequence[TrainingLogRecord]) -> str:
-    """Tab-separated log, one line per layer pass, floats via repr (round-trip exact)."""
-    lines = [LOG_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.epoch}\t{r.layer}\t{r.l_quant!r}\t{r.l_bit!r}\t{r.total!r}"
-            f"\t{r.hard_mean_bits!r}\t{r.soft_mean_bits!r}"
-        )
-    return "\n".join(lines) + "\n"
+    """Tab-separated log, one line per layer pass, values via repr (round-trip exact)."""
+    rows = ("\t".join(repr(getattr(r, c)) for c in LOG_COLUMNS) for r in records)
+    return "\n".join([LOG_HEADER, *rows]) + "\n"
 
 
 def soft_losses(

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -875,6 +876,126 @@ class TestContentsNameTheirFile:
         err = refused(capsys, tmp_path, ["hessian", "--gram", path, "--damp", "0.0",
                                          "--out", tmp_path / "h.mgqt"], code)
         assert f"{path}: {expected}" in err, err
+
+
+def small_layer(tmp_path, weights_scale=0.01, calib_scale=0.05, rows=64) -> dict:
+    """One 24x16 layer's input files, by role: weights and identity-factor
+    directories for ``train``, calibration rows, a Gram, params and a quantized
+    matrix."""
+    rng = np.random.default_rng(43)
+    wdir, hdir = tmp_path / "weights", tmp_path / "hessians"
+    wdir.mkdir()
+    hdir.mkdir()
+    w = weights_scale * rng.standard_normal((24, 16))
+    files = {"wdir": wdir, "hdir": hdir, "weights": wdir / "L0.mgqt", "factor": hdir / "L0.mgqt",
+             "calib": tmp_path / "c.mgqt", "gram": tmp_path / "g.mgqt",
+             "params": tmp_path / "p.mgqt", "quant": tmp_path / "q.mgqt"}
+    write_tensor_file(files["weights"], {"weights": w})
+    write_tensor_file(files["factor"], {"hessian_cholesky": np.eye(16)})
+    write_tensor_file(files["calib"], {"x": calib_scale * rng.standard_normal((rows, 16))})
+    write_tensor_file(files["gram"], {"gram": np.eye(16), "samples": np.array([2.0])})
+    write_tensor_file(files["params"], params_to_sections(
+        init_allocator_params(8, 8, 4, np.random.default_rng(0))))
+    write_tensor_file(files["quant"], {"quantized": w + 0.001 * rng.standard_normal(w.shape)})
+    return files
+
+
+def layer_argv(command: str, f: dict, outs: dict) -> list:
+    """``command``'s argv on ``small_layer``'s files, with the output flags ``outs``."""
+    layer = ["--weights", f["weights"], "--hessian", f["factor"], "--calib", f["calib"]]
+    inputs = {
+        "gram": ["--calib", f["calib"]],
+        "hessian": ["--gram", f["gram"]],
+        "train": ["--weights", f["wdir"], "--hessians", f["hdir"]],
+        "quantize": [*layer, "--params", f["params"]],
+        "baseline": ["--method", "gptq-uniform", *layer],
+        "eval": ["--orig", f["weights"], "--quant", f["quant"], "--calib", f["calib"]],
+    }[command]
+    return [command, *inputs, *(a for flag, path in outs.items() for a in (f"--{flag}", path))]
+
+
+class TestOutputPathsFirst:
+    """An output flag that names a directory is refused before any input is opened."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gram", "out"), ("hessian", "out"), ("train", "out"), ("train", "log"),
+        ("train", "default log"), ("quantize", "out"), ("quantize", "report"),
+        ("baseline", "out"), ("baseline", "report"), ("eval", "report"),
+    ])
+    def test_directory_exit_2_names_it_and_reads_nothing(self, tmp_path, capsys, monkeypatch,
+                                                         command, flag):
+        from mgquant import cli
+
+        files = small_layer(tmp_path)
+        flags = {"gram": ["out"], "hessian": ["out"], "train": ["out", "log"],
+                 "quantize": ["out", "report"], "baseline": ["out", "report"],
+                 "eval": ["report"]}[command]
+        outs = {name: tmp_path / f"new-{name}" for name in flags}
+        if flag == "default log":
+            del outs["log"]
+            taken = Path(f"{outs['out']}.log")
+        else:
+            taken = outs[flag] = tmp_path / "taken"
+        taken.mkdir()
+
+        def unread(path):
+            raise AssertionError(f"{path} opened")
+
+        monkeypatch.setattr(cli, "read_tensor_headers", unread)
+        monkeypatch.setattr(cli, "read_tensor_file", unread)
+        err = refused(capsys, tmp_path, layer_argv(command, files, outs))
+        assert err == f"error: {taken}: is a directory"
+
+    def test_failed_write_names_the_path_not_the_temp_file(self, tmp_path):
+        from mgquant.tensorfile import write_atomic
+
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            write_atomic(tmp_path / "d", b"x")
+        assert str(info.value) == f"[Errno 21] Is a directory: '{tmp_path / 'd'}'"
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+
+class TestNonFiniteOutputs:
+    """NaN or Inf in any output exits 4 and names that output; nothing is written
+    or printed, and numpy's floating-point warnings stay off stderr."""
+
+    def refused_quietly(self, capsys, tmp_path, argv) -> str:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            err = refused(capsys, tmp_path, argv, code=4)
+        assert not seen, [str(w.message) for w in seen]
+        return err
+
+    # 64 rows take the proxy loss through the Gram (NaN), 20 through the rows (Inf)
+    @pytest.mark.parametrize("rows", [64, 20])
+    @pytest.mark.parametrize("report", [False, True])
+    def test_eval_proxy_loss(self, tmp_path, capsys, rows, report):
+        files = small_layer(tmp_path, calib_scale=1e200, rows=rows)
+        outs = {"report": tmp_path / "r.json"} if report else {}
+        err = self.refused_quietly(capsys, tmp_path, layer_argv("eval", files, outs))
+        assert err == f"error: {outs['report'] if report else 'stdout'}: contains NaN/Inf"
+
+    def test_baseline_report(self, tmp_path, capsys):
+        files = small_layer(tmp_path, weights_scale=1e307)
+        outs = {"report": tmp_path / "r.json"}
+        err = self.refused_quietly(capsys, tmp_path, layer_argv("baseline", files, outs))
+        assert err == f"error: {outs['report']}: contains NaN/Inf"
+
+    def test_gram(self, tmp_path, capsys):
+        files = small_layer(tmp_path, calib_scale=1e200)
+        out = tmp_path / "new.mgqt"
+        err = self.refused_quietly(capsys, tmp_path, layer_argv("gram", files, {"out": out}))
+        assert err == f"error: {out}: section 'gram' contains NaN/Inf"
+
+    def test_train(self, tmp_path, capsys):
+        files = small_layer(tmp_path)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "new.mgqt"
+        cfg.write_text(json.dumps({"epochs": 2, "lr": 1e308, "accum_steps": 1, "d_gnn": 8,
+                                   "block_size": 8}))
+        argv = [*layer_argv("train", files, {"out": out}), "--config", cfg]
+        # the last pass's losses are NaN too, and stdout is checked before any file
+        assert self.refused_quietly(capsys, tmp_path, argv) == "error: stdout: contains NaN/Inf"
 
 
 def raw_tensor_file(path, arr: np.ndarray, name: str = "x") -> None:

@@ -20,8 +20,11 @@ above, and the training error table.
 Compared between the trees: each command's exit status and stdout line;
 every file written, byte for byte (the training log among them); and each
 report, with its `timing` section dropped, as that is the one part that
-may vary. In stdout and reports the output directory's path reads `<out>`. One line
-is printed per artifact that differs. The exit status is 1 if any does.
+may vary. In stdout and reports the output directory's path reads `<out>`.
+A command that exits 0 must print exactly one line holding one JSON object,
+and every report must be JSON; either parse refuses NaN and Infinity, which
+JSON cannot hold, and a line or file that fails it counts as a difference.
+One line is printed per artifact that differs. The exit status is 1 if any does.
 """
 
 from __future__ import annotations
@@ -87,6 +90,23 @@ def flow(inputs: Inputs, out: Path) -> list[tuple[str, list[str]]]:
     return cmds
 
 
+def strict_json(text: str):
+    """``text`` as JSON, or None where it is not JSON or holds NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(constant)
+
+    try:
+        return json.loads(text, parse_constant=refuse)
+    except ValueError:
+        return None
+
+
+def one_object(stdout: str) -> bool:
+    """Whether ``stdout`` is exactly one line holding one JSON object."""
+    line, newline, rest = stdout.partition("\n")
+    return bool(newline) and not rest and isinstance(strict_json(line), dict)
+
+
 def run(src: Path, inputs: Inputs, out: Path) -> dict[str, str]:
     """Run the flow with ``src``'s package; each command's exit status and stdout."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -100,10 +120,12 @@ def run(src: Path, inputs: Inputs, out: Path) -> dict[str, str]:
 
 def contents(out: Path, rel: Path):
     """A written file as compared: a report with ``out`` replaced by ``<out>`` and
-    without its timing, else its bytes."""
+    without its timing (None if it is not strict JSON), else its bytes."""
     path = out / rel
     if path.suffix == ".json":
-        report = json.loads(path.read_text().replace(str(out), "<out>"))
+        report = strict_json(path.read_text().replace(str(out), "<out>"))
+        if not isinstance(report, dict):
+            return None
         report.pop("timing", None)
         return json.dumps(report, sort_keys=True)
     return path.read_bytes()
@@ -120,6 +142,11 @@ def differences(parent: Path, change: Path, work: Path) -> list[str]:
                 printed = [run(src, inputs, out) for src, out in zip((parent, change), outs)]
                 where = f"{name} seed {seed}"
                 for label in printed[0]:
+                    for tree, text in zip(("parent", "change"), (p[label] for p in printed)):
+                        head, _, stdout = text.partition(": ")
+                        if head == "exit 0" and not one_object(stdout):
+                            found.append(f"{where}: stdout of {label} in {tree} is not one "
+                                         "JSON object")
                     if printed[0][label] != printed[1][label]:
                         found.append(f"{where}: stdout of {label} differs")
                     elif not printed[0][label].startswith("exit 0:"):
@@ -128,7 +155,11 @@ def differences(parent: Path, change: Path, work: Path) -> list[str]:
                 for rel in sorted(files[0] ^ files[1]):
                     found.append(f"{where}: {rel} written by one tree only")
                 for rel in sorted(files[0] & files[1]):
-                    if contents(outs[0], rel) != contents(outs[1], rel):
+                    both = [contents(o, rel) for o in outs]
+                    for tree, content in zip(("parent", "change"), both):
+                        if content is None:
+                            found.append(f"{where}: {rel} in {tree} is not strict JSON")
+                    if both[0] != both[1]:
                         found.append(f"{where}: {rel} differs")
             print(f"{name} seed {seed}: compared", file=sys.stderr)
     return found
