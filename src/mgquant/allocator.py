@@ -3,10 +3,11 @@
 Each weight column is a graph node. Its features (``preprocess``) are the
 column itself when it has at most ``d_gnn`` entries, and otherwise the
 column zero-padded up to a multiple of ``d_gnn`` and chunk-averaged: the
-features F are ``(d_col, min(d_row, d_gnn))``. The upper-triangular
-Hessian-Cholesky factor is used as the weighted adjacency exactly as given
-(no symmetrization or degree normalization), through a 2-layer graph
-convolution:
+features F are ``(d_col, min(d_row, d_gnn))``. The weighted adjacency is
+the upper triangle of the Hessian-Cholesky factor, as given (no
+symmetrization or degree normalization): every product with it goes through
+:func:`mgquant.linalg.triu_matmul`, which reads nothing below the diagonal
+and skips the zero half's flops. It drives a 2-layer graph convolution:
 
     X1 = relu(A0 @ W0[:width])      A0 = adj @ F
     X2 = relu(adj @ X1 @ W1)
@@ -28,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import ShapeMismatchError, transposed_copy
+from .linalg import ShapeMismatchError, transposed_copy, triu_matmul
 from .quant import check_width
 
 __all__ = [
@@ -150,8 +151,8 @@ def gcn_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two graph-convolution layers over the factor-as-adjacency.
 
-    ``a0`` is the first layer's propagated input ``hc @ F`` (``F`` for the
-    MLP ablation, ``hc=None``) and meets ``w0``'s first ``a0.shape[1]``
+    ``a0`` is the first layer's propagated input ``triu(hc) @ F`` (``F`` for
+    the MLP ablation, ``hc=None``) and meets ``w0``'s first ``a0.shape[1]``
     rows. Returns ``(x1, x2)``, both layers' activations, in ``a0``'s
     dtype, the factor and weights cast to it.
     """
@@ -169,7 +170,7 @@ def gcn_forward(
     np.maximum(x1, 0, out=x1)
     x2 = x1 @ params.w1.astype(dtype, copy=False)
     if adj is not None:
-        x2 = adj @ x2
+        x2 = triu_matmul(adj, x2)
     return x1, np.maximum(x2, 0, out=x2)
 
 

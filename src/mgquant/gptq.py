@@ -7,32 +7,39 @@ values; the scaled error
     e_j = (w_j - q_j) / hc[j, j]
 
 must reach every later column k through row j of the upper-triangular
-factor ``hc`` (``w_k -= e_j * hc[j, k]``). GPTQ's two-level lazy batching
-delivers it in three steps, each a level larger:
+factor ``hc`` (``w_k -= e_j * hc[j, k]``) before column k is quantized.
+When it arrives does not matter (GPTQ's lazy batch), so the engine pulls
+the errors a column needs just before it needs them, at three levels, each
+a level smaller:
 
-* inside a sub-block of ``SUB_BLOCK`` columns, a rank-1 update pushes e_j
-  onto the sub-block's later columns at once, before the next column is
-  quantized;
-* when a sub-block finishes, its stacked errors reach the rest of the block
-  in one matrix product, ``W[:, f:end] -= E_sub @ hc[sub, f:end]``;
-* when a block finishes, its stacked errors update everything to the right
-  of it, ``W[:, end:] -= E @ hc[block, end:]``.
+* before block [b, e), all earlier blocks' errors in one product,
+  ``W[:, b:e] -= E[:, :b] @ hc[:b, b:e]``;
+* before each sub-block of ``SUB_BLOCK`` columns [s, f), the block's
+  earlier sub-blocks', ``W[:, s:f] -= E[:, b:s] @ hc[b:s, s:f]``;
+* before each column j, its sub-block's earlier columns', in one vector
+  product, ``w_j -= E[:, s:j] @ hc[s:j, j]``.
 
-Every column thus sees the same updates as with one rank-1 update per
-column across the whole block; only the order of the additions differs, so
-results move at rounding level. With a diagonal factor all cross terms
-vanish and the result reduces to independent per-column quantization.
+Every column thus receives the same updates as with one rank-1 update per
+column across the whole matrix; only the order of the additions differs,
+so results move at rounding level. The engine reads only the upper triangle
+of ``hc``. With a diagonal factor all cross terms vanish and the result
+reduces to independent per-column quantization.
 
 The engine works on ``W.T``, so each column is a contiguous row, and
-quantizes it with :func:`mgquant.quant.quantize`. The errors of a block are
-kept the same way, one row of a ``(block, d_row)`` buffer per column, so
-both products write contiguous rows: ``work[end:] -= hc[block, end:].T @ E``.
-As in GPTQ's reference code, the engine quantizes in place: once e_j is
-formed (in the work dtype), row j of ``work`` is overwritten with column j's
-quantized values, so the engine holds one float copy of the matrix. The
-result carries ``quantized`` and the u8 ``codes`` as transposed views of the
-engine's ``(d_col, d_row)`` buffers, and the grids as per-column
-``scales``/``zeros`` arrays.
+quantizes it with :func:`mgquant.quant.quantize`. The errors are kept the
+same way: row j of one ``(d_col, d_row)`` buffer holds e_j, the whole
+history, so every pull is one product into contiguous rows:
+``work[b:e] -= hc[:b, b:e].T @ errs[:b]``. Each pull's product is written
+into the rows of ``errs`` that the pulled columns' errors later overwrite,
+and each block's float64 error sum squares into rows that no later pull
+reads, so neither allocates. As in GPTQ's reference code, the engine
+quantizes in place: once e_j is formed (in the work dtype), row j of
+``work`` is overwritten with column j's quantized values. So the engine's
+heap is one float copy of the matrix, the error history (the same size),
+the u8 codes and, when kept, the residuals. The result carries
+``quantized`` and the u8 ``codes`` as transposed views of the engine's
+``(d_col, d_row)`` buffers, and the grids as per-column ``scales``/``zeros``
+arrays.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ __all__ = [
     "validate_widths",
 ]
 
-SUB_BLOCK = 16  # columns per rank-1 sub-block inside a compensation block
+SUB_BLOCK = 16  # columns per sub-block inside a compensation block
 
 
 @dataclass
@@ -114,6 +121,36 @@ def validate_widths(widths: np.ndarray, d_col: int) -> np.ndarray:
     return w
 
 
+def _pull(work: np.ndarray, errs: np.ndarray, hc: np.ndarray, lo: int, b: int, e: int) -> None:
+    """Columns [b, e) take the errors of columns [lo, b):
+    ``work[b:e] -= hc[lo:b, b:e].T @ errs[lo:b]``.
+
+    The product goes into ``errs[b:e]``, which those columns' own errors
+    overwrite once they are quantized, so a pull allocates nothing.
+    """
+    if b > lo:
+        update = np.matmul(hc[lo:b, b:e].T, errs[lo:b], out=errs[b:e])
+        work[b:e] -= update
+
+
+def _squares_in(free: np.ndarray, d_row: int, width: int) -> np.ndarray | None:
+    """A C-ordered float64 ``(d_row, width)`` view of ``free``'s bytes, or
+    None when they are too few."""
+    raw = free.reshape(-1).view(np.uint8)
+    skip = -raw.ctypes.data % 8
+    need = 8 * d_row * width
+    if skip + need > raw.size:
+        return None
+    return raw[skip : skip + need].view(np.float64).reshape(d_row, width)
+
+
+def _square_sum(errs: np.ndarray, square: np.ndarray) -> float:
+    """Sum of squares of a block's errors, in float64 and in (d_row, block)
+    order, as a column-at-a-time loop sums them, so the two agree bit for bit
+    where no update is reordered."""
+    return float(np.sum(np.square(errs.T, out=square, dtype=np.float64)))
+
+
 def quantize_blockwise(
     w: np.ndarray,
     hc: np.ndarray,
@@ -159,38 +196,48 @@ def quantize_blockwise(
     start = time.perf_counter()
 
     # Row j of each (d_col, d_row) buffer is column j of the matrix. Once
-    # column j is quantized, row j of ``work`` holds its quantized values.
+    # column j is quantized, row j of ``work`` holds its quantized values
+    # and row j of ``errs`` its scaled error e_j.
     work = transposed_copy(w)
+    errs = np.empty_like(work)
     codes = np.empty(work.shape, dtype=np.uint8)
     scales = np.empty(d_col, dtype=np.float64)
     zeros = np.empty(d_col, dtype=np.float64)
     residuals = np.empty_like(work) if keep_residuals else None
     block_errors: list[float] = []
 
-    for b in range(0, d_col, block_size):
+    starts = range(0, d_col, block_size)
+    for i, b in enumerate(starts):
         e = min(b + block_size, d_col)
-        errs = np.empty((e - b, d_row), dtype=work.dtype)  # row j - b: e_j
+        _pull(work, errs, hc, 0, b, e)
         for s in range(b, e, SUB_BLOCK):
             f = min(s + SUB_BLOCK, e)
+            _pull(work, errs, hc, b, s, f)
             for j in range(s, f):
+                _pull(work, errs, hc, s, j, j + 1)
                 col = work[j]
                 if residuals is not None:
                     residuals[j] = col
                 q, codes[j], scales[j], zeros[j] = quantize(col, int(widths[j]))
                 q = q.astype(work.dtype, copy=False)
-                err = errs[j - b]
+                err = errs[j]
                 np.subtract(col, q, out=err)
                 col[...] = q
                 err /= hc[j, j]
-                if j + 1 < f:
-                    work[j + 1 : f] -= hc[j, j + 1 : f, None] * err
-            if f < e:
-                work[f:e] -= hc[s:f, f:e].T @ errs[s - b : f - b]
-        # Summed in (d_row, block) order, as a column-at-a-time loop sums
-        # them, so the two agree bit for bit where no update is reordered.
-        block_errors.append(float(np.sum(np.square(errs.T, dtype=np.float64, order="C"))))
-        if e < d_col:
-            work[e:] -= hc[b:e, e:].T @ errs
+        # The squares go into rows of ``errs`` that no later pull reads: past
+        # the block, where no error is yet. Once they do not fit there, this
+        # block's sum and every later one wait for the loop to end.
+        square = _squares_in(errs[e:], d_row, e - b) if len(block_errors) == i else None
+        if square is not None:
+            block_errors.append(_square_sum(errs[b:e], square))
+    # Now no pull reads the rows before the first waiting block.
+    free = errs[: len(block_errors) * block_size]
+    for b in starts[len(block_errors) :]:
+        e = min(b + block_size, d_col)
+        square = _squares_in(free, d_row, e - b)
+        if square is None:
+            square = np.empty((d_row, e - b), dtype=np.float64)
+        block_errors.append(_square_sum(errs[b:e], square))
 
     wall = time.perf_counter() - start
     return QuantResult(

@@ -24,6 +24,7 @@ from .allocator import (
 )
 from .cli import check_sections
 from .gptq import QuantResult, quantize_blockwise
+from .linalg import triu_matmul
 
 __all__ = [
     "widths_for",
@@ -40,13 +41,14 @@ def widths_for(
     """Hard per-column widths: node features, the forward pass, argmax.
 
     ``arch="gcn"`` takes the features F from ``w`` (:func:`preprocess`,
-    ``min(d_row, d_gnn)`` columns) and propagates them once, ``A0 = hc @ F``;
+    ``min(d_row, d_gnn)`` columns) and propagates them once through the
+    factor's upper triangle, ``A0 = triu(hc) @ F``;
     the ``"mlp"`` ablation pools F from the rows of ``hc`` and takes
     ``A0 = F``. Everything runs in the features' dtype.
     """
     if arch == "gcn":
         f = preprocess(w, params.d_gnn)
-        adj, a0 = hc, hc.astype(f.dtype, copy=False) @ f
+        adj, a0 = hc, triu_matmul(hc.astype(f.dtype, copy=False), f)
     elif arch == "mlp":
         adj, a0 = None, hessian_node_features(hc, params.d_gnn)
     else:

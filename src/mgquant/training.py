@@ -47,7 +47,7 @@ from .allocator import (
     sample_gumbel,
 )
 from .gptq import quantize_blockwise
-from .linalg import ShapeMismatchError
+from .linalg import ShapeMismatchError, triu_matmul
 from .quant import check_width, error_table
 
 #: Elements of a parameter :meth:`AdamW.step` updates at once (128 KiB of
@@ -256,7 +256,7 @@ def backward_from_cache(
     dA2 = dZ @ params.wc.T
     dA2 *= cache.x2 > 0
     if cache.adj is not None:
-        dA2 = cache.adj.T @ dA2
+        dA2 = triu_matmul(cache.adj, dA2, transpose=True)
     into["w1"] += cache.x1.T @ dA2
 
     dA1 = dA2 @ params.w1.T
@@ -364,7 +364,7 @@ def _layer_pass(
     builds from the layer is local, so it is freed on return.
     """
     if arch == "gcn":
-        adj, a0 = hc, hc @ preprocess(w, cfg.d_gnn)
+        adj, a0 = hc, triu_matmul(hc, preprocess(w, cfg.d_gnn))
     else:
         adj, a0 = None, hessian_node_features(hc, cfg.d_gnn)
     cache = forward_cached(a0, params, adj=adj)
@@ -401,7 +401,11 @@ def train(
     that loads on access keeps one layer in memory. Weights and factors
     already in float64 are used as given, not copied.
 
-    Returns the trained parameters and one log record per (epoch, layer).
+    Returns the trained parameters and one log record per (epoch, layer),
+    up to the first pass whose surrogate ``total`` is not finite: training
+    stops after it, with the parameters that pass ran with. A NaN or Inf
+    error-table entry or soft assignment makes that pass's gradients NaN, and
+    one step with them would make every later loss NaN.
     """
     cfg.validate()
     if arch not in ("gcn", "mlp"):
@@ -442,6 +446,8 @@ def train(
                     soft_mean_bits=breakdown.mean_bits_soft,
                 )
             )
+            if not math.isfinite(breakdown.total):
+                return params, records
             if pending_count == cfg.accum_steps or li == n_layers - 1:
                 opt.step(param_arrays, pending)
                 for g in pending.values():

@@ -219,8 +219,10 @@ class TestAgainstReference:
 class TestEngineOracle:
     def test_bracketed_by_enumeration_and_rtn(self):
         # engine proxy loss sits between the exhaustive per-column-code optimum
-        # (on the engine's own grids) and plain RTN
-        w, hc, calib = correlated_layer(11, d_row=2, d_col=4, rows=16)
+        # (on the engine's own grids) and plain RTN. With 8 rows a 2-bit grid
+        # leaves real error; every 2-value column is exactly representable,
+        # and all three losses would be rounding residue.
+        w, hc, calib = correlated_layer(11, d_row=8, d_col=4, rows=16)
         widths = np.full(4, 2)
         res = quantize_blockwise(w, hc, widths, block_size=4)
         rtn = quantize_rtn_matrix(w, 2)

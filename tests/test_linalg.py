@@ -2,15 +2,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgquant.calibration import build_hessian_cholesky
 from mgquant.linalg import (
+    PANEL,
     NotPositiveDefiniteError,
     ShapeMismatchError,
     cholesky,
     cholesky_of_inverse,
     spd_inverse,
     transposed_copy,
+    triu_matmul,
 )
 
 
@@ -238,3 +242,36 @@ class TestTransposedCopy:
         assert out.shape == a.T.shape
         assert out.tobytes() == np.ascontiguousarray(a.T).tobytes()
         assert not np.shares_memory(out, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_triu_matmul_takes_the_upper_triangle(data):
+    # Up to the panel width the product is one matmul, bit for bit u @ x;
+    # past it the panels split each sum, so it moves only at rounding level.
+    # Whatever lies below the diagonal never reaches the result.
+    n = data.draw(st.sampled_from([1, 2, 17, PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 19]),
+                  label="n")
+    k = data.draw(st.integers(1, 9), label="k")
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    transpose = data.draw(st.booleans(), label="transpose")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    u = np.triu(rng.standard_normal((n, n))).astype(dtype)
+    x = rng.standard_normal((n, k)).astype(dtype)
+    got = triu_matmul(u, x, transpose=transpose)
+    a = u.T if transpose else u
+    assert got.dtype == dtype
+    if n <= PANEL:
+        assert np.array_equal(got, a @ x)
+    else:
+        bound = 2 * n * np.finfo(dtype).eps * (np.abs(a).astype(np.float64) @ np.abs(x))
+        assert np.all(np.abs(got - (a.astype(np.float64) @ x)) <= bound)
+    garbage = u + np.tril(np.full((n, n), np.nan, dtype=dtype), k=-1)
+    assert np.array_equal(triu_matmul(garbage, x, transpose=transpose), got)
+
+
+def test_triu_matmul_checks_shapes():
+    with pytest.raises(ShapeMismatchError):
+        triu_matmul(np.eye(3), np.ones((4, 2)))
+    with pytest.raises(ShapeMismatchError):
+        triu_matmul(np.ones((3, 4)), np.ones((3, 2)))

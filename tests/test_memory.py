@@ -41,10 +41,11 @@ def heap_peak(fn) -> float:
 
 @pytest.mark.parametrize("keep_residuals", [True, False])
 def test_engine_quantizes_in_place(keep_residuals):
-    # The work buffer (M), the residuals (M), the u8 codes (M/8), one block's
-    # errors (M/8) and the first block's trailing update (7M/8): 3.13 M with
-    # residuals. A separate quantized buffer and row-major copies of both
-    # outputs took it to 4.25 M.
+    # The work buffer (M), the residuals (M), the u8 codes (M/8) and the
+    # error history (M), into which every pull writes its product and every
+    # block-error sum its float64 squares: 3.14 M with residuals. A separate
+    # quantized buffer and row-major copies of both outputs took it to
+    # 4.25 M; a temporary per pull and per block-error sum, to 3.27 M.
     w, hc, widths = layer(0)
     peak = heap_peak(lambda: quantize_blockwise(w, hc, widths, keep_residuals=keep_residuals))
     assert peak < (3.25 if keep_residuals else 2.25), peak
@@ -62,7 +63,7 @@ def test_error_table_holds_a_few_column_chunks(order):
 
 
 def test_training_holds_one_pass_at_a_time():
-    # One pass's engine (3.13 M) plus the node features and activations: 3.4 M.
+    # One pass's engine (3.14 M) plus the node features and activations: 3.4 M.
     # With the previous pass's result and activations still held it was 6.7 M.
     (w0, hc0, _), (w1, hc1, _) = layer(2), layer(3)
     cfg = TrainConfig(epochs=1, accum_steps=2, d_gnn=64)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,17 @@ class TestTrain:
         assert records[-1].soft_mean_bits >= 3.9
         assert records[-1].hard_mean_bits >= 3.9
 
+    def test_stops_at_the_first_non_finite_loss(self):
+        # lr 1e308 makes the first step's parameters non-finite, so the next
+        # pass's loss is NaN; the run ends with that pass, not after 3 epochs
+        rng = np.random.default_rng(12)
+        w, hc, _ = make_layer(rng, 24, 16, 64)
+        cfg = TrainConfig(epochs=3, lr=1e308, accum_steps=1, d_gnn=8, block_size=8)
+        with np.errstate(all="ignore"):
+            _, records = train([(w, hc)], cfg)
+        assert len(records) < cfg.epochs
+        assert math.isfinite(records[0].total) and math.isnan(records[-1].total)
+
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(11)
         w, hc = sign_layer(rng, d_col=8, d_row=8)
@@ -416,3 +429,23 @@ class TestSharedForward:
 
         _, x2 = gcn_forward(adj, a0, params)
         assert cache.logits.tobytes() == ffnn_logits(x2, params).tobytes()
+
+
+def test_graph_layers_read_only_the_upper_triangle():
+    # NaN below the factor's diagonal changes neither the inference widths,
+    # the graph layers nor anything training computes; 150 columns span two
+    # panels of the triangular products
+    rng = np.random.default_rng(22)
+    w, hc, _ = make_layer(rng, 40, 150, 300)
+    garbage = hc + np.tril(np.full(hc.shape, np.nan), k=-1)
+    params = init_allocator_params(16, 12, 4, rng)
+    assert np.array_equal(widths_for(w, garbage, params), widths_for(w, hc, params))
+    a0 = rng.standard_normal((150, 16))
+    for got, want in zip(gcn_forward(garbage, a0, params), gcn_forward(hc, a0, params)):
+        assert np.array_equal(got, want)
+    cfg = TrainConfig(epochs=2, accum_steps=1, d_gnn=16, block_size=64)
+    clean, clean_log = train([(w, hc)], cfg)
+    dirty, dirty_log = train([(w, garbage)], cfg)
+    assert dirty_log == clean_log
+    for name, value in clean.as_dict().items():
+        assert np.array_equal(dirty.as_dict()[name], value), name

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that two source trees produce the same bytes on the benchmark's stacks.
 
-    python3 tools/compare_trees.py PARENT_SRC CHANGE_SRC
+    python3 tools/compare_trees.py [--drift] PARENT_SRC CHANGE_SRC
 
 Each argument is a tree's `src` directory, the one that holds `mgquant`.
 For every stack of `bench/workloads.py` at seeds 1 and 7, the inputs are
@@ -25,6 +25,15 @@ A command that exits 0 must print exactly one line holding one JSON object,
 and every report must be JSON; either parse refuses NaN and Infinity, which
 JSON cannot hold, and a line or file that fails it counts as a difference.
 One line is printed per artifact that differs. The exit status is 1 if any does.
+
+With `--drift`, a change that is allowed to move results at rounding level
+is sized, not only found. These lines are indented, and they do not count
+as differences: the other lines and the exit status are the same as
+without it. Under each `.mgqt` output of `quantize` or `baseline` that
+differs, one gives the share of `codes` and of `widths` that differ, and
+each tree's `mean_bits` and `proxy_loss` from its stdout line, with the
+relative change. For every stack and seed, one more gives each tree's
+final training `hard_mean_bits` and `l_quant`.
 """
 
 from __future__ import annotations
@@ -36,9 +45,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
+import mgqt  # noqa: E402
 from workloads import BLOCK, DAMP, WORKLOADS, Inputs, generate  # noqa: E402
 
 SEEDS = (1, 7)
@@ -131,7 +143,40 @@ def contents(out: Path, rel: Path):
     return path.read_bytes()
 
 
-def differences(parent: Path, change: Path, work: Path) -> list[str]:
+def stdout_fields(printed: str, keys: tuple[str, ...]) -> list:
+    """The values of ``keys`` in a command's stdout line (None where it has none)."""
+    _, _, stdout = printed.partition(": ")
+    line = strict_json(stdout)
+    return [line.get(k) if isinstance(line, dict) else None for k in keys]
+
+
+def moved(printed: list[str], keys: tuple[str, ...]) -> str:
+    """``key parent -> change (relative change)`` for each of ``keys`` in the
+    stdout lines ``printed`` of one command in both trees."""
+    parts = []
+    for key, a, b in zip(keys, *(stdout_fields(p, keys) for p in printed)):
+        numbers = all(isinstance(v, (int, float)) for v in (a, b)) and a
+        parts.append(f"{key} {a!r} -> {b!r}" + (f" ({(b - a) / abs(a):+.2e})" if numbers else ""))
+    return ", ".join(parts)
+
+
+def drift(outs: list[Path], rel: Path, printed: list[dict[str, str]]) -> str | None:
+    """The drift line of a differing quantized output, or None for any other file."""
+    command = {"quant": "quantize", "baseline": "baseline"}.get(rel.parts[0])
+    if command is None or rel.suffix != ".mgqt":
+        return None
+    both = [mgqt.read(o / rel) for o in outs]
+    shares = []
+    for name in ("codes", "widths"):
+        a, b = (sections.get(name) for sections in both)
+        same_shape = a is not None and b is not None and a.shape == b.shape
+        shares.append(f"{name} {f'{np.mean(a != b):.2%}' if same_shape else 'unmatched'} differ")
+    label = f"{command} {rel.stem}"
+    return f"    {', '.join(shares)}; " + moved([p[label] for p in printed],
+                                              ("mean_bits", "proxy_loss"))
+
+
+def differences(parent: Path, change: Path, work: Path, sized: bool = False) -> list[str]:
     found = []
     for name in WORKLOADS:
         for seed in SEEDS:
@@ -161,13 +206,21 @@ def differences(parent: Path, change: Path, work: Path) -> list[str]:
                             found.append(f"{where}: {rel} in {tree} is not strict JSON")
                     if both[0] != both[1]:
                         found.append(f"{where}: {rel} differs")
+                        line = drift(outs, rel, printed) if sized else None
+                        if line:
+                            found.append(line)
+                if sized:
+                    found.append(f"    {where}: train final " + moved(
+                        [p["train"] for p in printed], ("hard_mean_bits", "l_quant")))
             print(f"{name} seed {seed}: compared", file=sys.stderr)
     return found
 
 
 def main(argv: list[str]) -> int:
+    sized = "--drift" in argv
+    argv = [a for a in argv if a != "--drift"]
     if len(argv) != 2:
-        print("usage: compare_trees.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        print("usage: compare_trees.py [--drift] PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
     parent, change = (Path(a).resolve() for a in argv)
     for src in (parent, change):
@@ -175,10 +228,10 @@ def main(argv: list[str]) -> int:
             print(f"{src}: no mgquant package here", file=sys.stderr)
             return 2
     with tempfile.TemporaryDirectory() as work:
-        found = differences(parent, change, Path(work))
+        found = differences(parent, change, Path(work), sized)
     for line in found:
         print(line)
-    return 1 if found else 0
+    return 1 if any(not line.startswith(" ") for line in found) else 0
 
 
 if __name__ == "__main__":
