@@ -28,18 +28,18 @@ reduces to independent per-column quantization.
 The engine works on ``W.T``, so each column is a contiguous row, and
 quantizes it with :func:`mgquant.quant.quantize`. The errors are kept the
 same way: row j of one ``(d_col, d_row)`` buffer holds e_j, the whole
-history, so every pull is one product into contiguous rows:
-``work[b:e] -= hc[:b, b:e].T @ errs[:b]``. Each pull's product is written
-into the rows of ``errs`` that the pulled columns' errors later overwrite,
-and each block's float64 error sum squares into rows that no later pull
-reads, so neither allocates. As in GPTQ's reference code, the engine
-quantizes in place: once e_j is formed (in the work dtype), row j of
-``work`` is overwritten with column j's quantized values. So the engine's
-heap is one float copy of the matrix, the error history (the same size),
-the u8 codes and, when kept, the residuals. The result carries
-``quantized`` and the u8 ``codes`` as transposed views of the engine's
-``(d_col, d_row)`` buffers, and the grids as per-column ``scales``/``zeros``
-arrays.
+history, so every pull is one product into contiguous rows,
+``work[b:e] -= hc[:b, b:e].T @ errs[:b]``, written into the rows of ``errs``
+that the pulled columns' errors later overwrite. A column step writes only
+its codes, its grid and its error, so ``work`` ends holding the residuals,
+every column's compensated values. After the loop, each block's float64
+error sum squares into ``work``'s spent bytes (into one block-sized scratch
+when the residuals are kept), and the spent ``errs`` takes the decode
+``scales * (codes - zeros)`` in the work dtype: ``quantized``. So the heap
+is one float copy of the matrix, the error history (the same size) and the
+u8 codes. ``quantized``, ``codes`` and the residuals are transposed views
+of these ``(d_col, d_row)`` buffers; the grids are per-column
+``scales``/``zeros`` arrays.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from .calibration import proxy_loss  # noqa: F401  (bench/tracing.py wraps this name)
 from .linalg import ShapeMismatchError, transposed_copy
-from .quant import MAX_BITS, quantize
+from .quant import CHUNK_ELEMENTS, MAX_BITS, quantize
 
 __all__ = [
     "QuantResult",
@@ -69,11 +69,12 @@ class QuantResult:
     It holds no proxy loss; take it with ``proxy_loss(w, result.quantized, calib)``.
 
     Attributes:
-        quantized: dequantized weight matrix, same shape/dtype as the input;
-            column j equals ``scales[j] * (codes[:, j] - zeros[j])`` cast
-            to that dtype. The engine returns it as a transposed view of its
-            column-major work buffer, so it need not be C-contiguous; the
-            container writer makes it row-major.
+        quantized: dequantized weight matrix, same shape/dtype as the input:
+            column j is ``scales[j] * (codes[:, j] - zeros[j])``, formed in
+            float64 and cast to that dtype. The engine decodes it from the
+            codes into its column-major error buffer and returns a transposed
+            view, so it need not be C-contiguous; the container writer makes
+            it row-major.
         codes: u8 integer codes, same shape (and, from the engine, the same
             column-major layout) as ``quantized``.
         scales, zeros: the grid of each column (float64, length d_col).
@@ -81,8 +82,9 @@ class QuantResult:
         block_errors: per block, the sum of squared compensation entries.
         wall_time: seconds spent in the engine (excluded from determinism).
         residuals: compensated value of each column at the moment it was
-            quantized (kept only when requested; the training loop feeds
-            these to the error table).
+            quantized, a transposed view of the engine's work buffer (kept
+            only when requested; the training loop feeds these to the error
+            table).
     """
 
     quantized: np.ndarray
@@ -133,22 +135,19 @@ def _pull(work: np.ndarray, errs: np.ndarray, hc: np.ndarray, lo: int, b: int, e
         work[b:e] -= update
 
 
-def _squares_in(free: np.ndarray, d_row: int, width: int) -> np.ndarray | None:
-    """A C-ordered float64 ``(d_row, width)`` view of ``free``'s bytes, or
-    None when they are too few."""
-    raw = free.reshape(-1).view(np.uint8)
-    skip = -raw.ctypes.data % 8
-    need = 8 * d_row * width
-    if skip + need > raw.size:
-        return None
-    return raw[skip : skip + need].view(np.float64).reshape(d_row, width)
-
-
-def _square_sum(errs: np.ndarray, square: np.ndarray) -> float:
-    """Sum of squares of a block's errors, in float64 and in (d_row, block)
-    order, as a column-at-a-time loop sums them, so the two agree bit for bit
-    where no update is reordered."""
-    return float(np.sum(np.square(errs.T, out=square, dtype=np.float64)))
+def _decode(codes: np.ndarray, scales: np.ndarray, zeros: np.ndarray, out: np.ndarray) -> None:
+    """``out[j] = scales[j] * (codes[j] - zeros[j])``, formed in float64 as
+    :func:`mgquant.quant.quantize` forms it and cast to ``out``'s dtype: in
+    place for float64, else through one float64 buffer of a few rows."""
+    step = max(1, CHUNK_ELEMENTS // out.shape[1])
+    wide = out.dtype == np.float64
+    buf = None if wide else np.empty((step, out.shape[1]))
+    for r in range(0, len(out), step):
+        rows = slice(r, r + step)
+        q = out[rows] if wide else buf[: len(out) - r]
+        np.subtract(codes[rows], zeros[rows, None], out=q)
+        q *= scales[rows, None]
+        out[rows] = q  # a no-op for float64, where q is out[rows]
 
 
 def quantize_blockwise(
@@ -196,18 +195,19 @@ def quantize_blockwise(
     start = time.perf_counter()
 
     # Row j of each (d_col, d_row) buffer is column j of the matrix. Once
-    # column j is quantized, row j of ``work`` holds its quantized values
-    # and row j of ``errs`` its scaled error e_j.
+    # column j is quantized, row j of ``work`` holds its compensated values
+    # and row j of ``errs`` its scaled error e_j. ``errs``, which the result
+    # keeps, comes first, so a freed heap block that fits one goes to it and
+    # ``work``'s fresh pages go back on return (12 MiB off the CLI's peak in
+    # a 2048² float64 `quantize`).
+    errs = np.empty((d_col, d_row), dtype=w.dtype)
     work = transposed_copy(w)
-    errs = np.empty_like(work)
     codes = np.empty(work.shape, dtype=np.uint8)
     scales = np.empty(d_col, dtype=np.float64)
     zeros = np.empty(d_col, dtype=np.float64)
-    residuals = np.empty_like(work) if keep_residuals else None
-    block_errors: list[float] = []
 
     starts = range(0, d_col, block_size)
-    for i, b in enumerate(starts):
+    for b in starts:
         e = min(b + block_size, d_col)
         _pull(work, errs, hc, 0, b, e)
         for s in range(b, e, SUB_BLOCK):
@@ -215,38 +215,34 @@ def quantize_blockwise(
             _pull(work, errs, hc, b, s, f)
             for j in range(s, f):
                 _pull(work, errs, hc, s, j, j + 1)
-                col = work[j]
-                if residuals is not None:
-                    residuals[j] = col
-                q, codes[j], scales[j], zeros[j] = quantize(col, int(widths[j]))
-                q = q.astype(work.dtype, copy=False)
-                err = errs[j]
-                np.subtract(col, q, out=err)
-                col[...] = q
+                q, codes[j], scales[j], zeros[j] = quantize(work[j], int(widths[j]))
+                err = np.subtract(work[j], q.astype(work.dtype, copy=False), out=errs[j])
                 err /= hc[j, j]
-        # The squares go into rows of ``errs`` that no later pull reads: past
-        # the block, where no error is yet. Once they do not fit there, this
-        # block's sum and every later one wait for the loop to end.
-        square = _squares_in(errs[e:], d_row, e - b) if len(block_errors) == i else None
-        if square is not None:
-            block_errors.append(_square_sum(errs[b:e], square))
-    # Now no pull reads the rows before the first waiting block.
-    free = errs[: len(block_errors) * block_size]
-    for b in starts[len(block_errors) :]:
-        e = min(b + block_size, d_col)
-        square = _squares_in(free, d_row, e - b)
-        if square is None:
-            square = np.empty((d_row, e - b), dtype=np.float64)
-        block_errors.append(_square_sum(errs[b:e], square))
+
+    # Each block's error sum is taken in float64 and in (d_row, block) order,
+    # as a column-at-a-time loop sums them (bit for bit where no update is
+    # reordered). The squares go into ``work``'s spent bytes, float64-aligned
+    # as every fresh numpy buffer is, unless ``work`` is kept or too small.
+    n = d_row * min(block_size, d_col)
+    if keep_residuals or 8 * n > work.nbytes:
+        spare = np.empty(n)
+    else:
+        spare = work.reshape(-1).view(np.uint8)[: 8 * n].view(np.float64)
+    block_errors = np.empty(len(starts), dtype=np.float64)
+    for i, b in enumerate(starts):
+        block = errs[b : b + block_size]
+        square = spare[: block.size].reshape(d_row, -1)
+        block_errors[i] = np.sum(np.square(block.T, out=square, dtype=np.float64))
+    _decode(codes, scales, zeros, out=errs)
 
     wall = time.perf_counter() - start
     return QuantResult(
-        quantized=work.T,
+        quantized=errs.T,
         codes=codes.T,
         scales=scales,
         zeros=zeros,
         widths=widths,
-        block_errors=np.asarray(block_errors, dtype=np.float64),
+        block_errors=block_errors,
         wall_time=wall,
-        residuals=None if residuals is None else residuals.T,
+        residuals=work.T if keep_residuals else None,
     )

@@ -41,8 +41,9 @@ LIMIT = np.finfo(np.float64).max / 4
 #: is a multiple of TINY, so the grid then reproduces each value exactly.
 TINY = math.ulp(0.0)
 
-#: Elements :func:`error_table` quantizes at once (512 KiB of float64), so
-#: each temporary stays cache-sized: 256 columns of 256 rows, 32 of 2,048.
+#: Elements :func:`error_table` quantizes, and the float32 engine decodes, at
+#: once (512 KiB of float64), so each temporary stays cache-sized: 256
+#: columns of 256 rows, 32 of 2,048.
 CHUNK_ELEMENTS = 1 << 16
 
 

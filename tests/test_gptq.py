@@ -69,18 +69,23 @@ class TestEngineBasics:
         assert np.array_equal(res.quantized, w)
         assert np.all(res.block_errors == 0.0)
 
-    def test_all_block_sizes_give_on_grid_outputs(self):
+    @pytest.mark.parametrize("keep_residuals", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_all_block_sizes_give_on_grid_outputs(self, dtype, keep_residuals):
+        # ``quantized`` is the float64 decode of the codes cast to the input
+        # dtype, bit for bit, at every width and block size
         rng = np.random.default_rng(6)
-        w = rng.standard_normal((5, 9))
-        _, hc, _ = correlated_layer(6, d_row=5, d_col=9, rows=40)
-        widths = np.array([1, 2, 2, 3, 4, 1, 3, 2, 4])
-        for b in (1, 4, 9):
-            res = quantize_blockwise(w, hc, widths, block_size=b)
-            for j in range(9):
-                expect = res.scales[j] * (res.codes[:, j].astype(np.float64) - res.zeros[j])
-                assert np.array_equal(res.quantized[:, j], expect)
-                assert res.widths[j] == widths[j]
-                assert res.codes[:, j].max() < 1 << int(widths[j])
+        w = rng.standard_normal((5, 19)).astype(dtype)
+        _, hc, _ = correlated_layer(6, d_row=5, d_col=19, rows=80)
+        widths = rng.permutation(np.arange(19) % 8 + 1)
+        for b in (1, 4, 16, 19):
+            res = quantize_blockwise(w, hc, widths, block_size=b, keep_residuals=keep_residuals)
+            expect = (res.scales * (res.codes - res.zeros)).astype(dtype)
+            assert res.quantized.dtype == dtype
+            assert res.quantized.tobytes() == expect.tobytes()
+            assert np.array_equal(res.widths, widths)
+            assert np.all(res.codes.max(axis=0) < 1 << widths)
+            assert (res.residuals is not None) == keep_residuals
 
     def test_determinism(self):
         w, hc, _ = correlated_layer(7, d_row=16, d_col=16, rows=64)
