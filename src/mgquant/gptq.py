@@ -51,7 +51,7 @@ import numpy as np
 
 from .calibration import proxy_loss  # noqa: F401  (bench/tracing.py wraps this name)
 from .linalg import ShapeMismatchError, transposed_copy
-from .quant import CHUNK_ELEMENTS, MAX_BITS, quantize
+from .quant import CHUNK_ELEMENTS, check_width, quantize
 
 __all__ = [
     "QuantResult",
@@ -107,7 +107,7 @@ class QuantResult:
 
 
 def validate_widths(widths: np.ndarray, d_col: int) -> np.ndarray:
-    """``widths`` as a fresh int64 array of ``d_col`` whole numbers in 1..MAX_BITS."""
+    """``widths`` as a fresh int64 array of ``d_col`` whole numbers :func:`check_width` accepts."""
     w = np.asarray(widths)
     if w.shape != (d_col,):
         raise ShapeMismatchError(f"widths must have shape ({d_col},), got {w.shape}")
@@ -116,10 +116,8 @@ def validate_widths(widths: np.ndarray, d_col: int) -> np.ndarray:
         if not np.all((np.abs(w) < 2.0**63) & (w == np.round(w))):
             raise ValueError("widths must be integers")
     w = w.astype(np.int64)
-    if w.min() < 1:
-        raise ValueError(f"widths must be >= 1, got min {w.min()}")
-    if w.max() > MAX_BITS:
-        raise ValueError(f"widths must be <= {MAX_BITS}, got max {w.max()}")
+    check_width("widths", w.min())
+    check_width("widths", w.max())
     return w
 
 

@@ -7,19 +7,20 @@ Numpy-only kernels that pin down the conventions everything else relies on:
   are rejected with ``ValueError`` if any entry is NaN/Inf, checked for
   symmetry and re-symmetrized as ``(A + A^T) / 2`` before factorization
   (single precision Gram accumulation drifts off symmetric);
-* the factorization is a recursive blocked lower Cholesky: split at n // 2,
-  solve the off-diagonal block through the triangular inverse of the
-  leading factor, recurse on the Schur complement. Blocks of at most
-  ``LEAF`` (64) columns go to ``numpy.linalg.cholesky``/``numpy.linalg.inv``.
-  Everything above the leaves is matrix products, so unlike LAPACK's
-  threaded ``potrf`` the factor keeps its bits across BLAS thread counts
-  (a test compares 1 and 2 threads);
+* ``spd_inverse`` and ``cholesky_of_inverse`` build ``L^{-1}``, L the lower
+  Cholesky factor, by recursion in one buffer: split at n // 2, recurse on
+  the leading block, solve the off-diagonal block through its inverse,
+  recurse on the Schur complement. Blocks of at most ``LEAF`` (64) columns
+  go to ``numpy.linalg``; above them all is matrix products, so unlike
+  LAPACK's threaded ``potrf`` the result keeps its bits across BLAS thread
+  counts (``test_cli`` compares 1 and 2 threads on the ``hessian`` factor).
+  ``cholesky`` returns numpy's factor, whose bits may vary with them;
 * the upper Cholesky factor of ``A^{-1}`` takes one factorization, never
   forming ``A^{-1}``: it is ``J L^{-1} J`` with L the lower factor of
-  ``J A J`` and J the index reversal, and the recursion returns ``L^{-1}``;
+  ``J A J`` and J the index reversal;
 * Cholesky failures raise :class:`NotPositiveDefiniteError` carrying the
   0-based index of the first leading minor that is not positive definite
-  (LAPACK's ``potrf`` convention), found by bisecting the failing leaf;
+  (LAPACK's ``potrf`` convention), found by bisecting the failing block;
 * triangular factors are returned as plain square arrays with the unused
   triangle zeroed exactly;
 * ``triu_matmul`` multiplies an upper-triangular matrix, or its transpose,
@@ -172,39 +173,33 @@ def _first_failing_minor(a: np.ndarray) -> int:
     return lo
 
 
-def _factor(a: np.ndarray, offset: int, want_low: bool, want_inverse: bool):
-    """Lower Cholesky factor L of ``a``, and/or ``L^{-1}``, as asked.
+def _numpy_cholesky(a: np.ndarray, offset: int = 0) -> np.ndarray:
+    """numpy's lower Cholesky factor of ``a``. A failure raises NotPositiveDefiniteError
+    at the first failing leading minor, plus ``offset``, the caller's index of ``a[0, 0]``."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(pivot=offset + _first_failing_minor(a)) from None
+
+
+def _factor(a: np.ndarray, offset: int, inv: np.ndarray) -> None:
+    """Write ``L^{-1}``, L the lower Cholesky factor of ``a``, into the zeroed ``inv``.
 
     Splits at ``h = n // 2``: ``L11 = chol(A11)``, ``L21 = A21 L11^{-T}`` and
     ``L22 = chol(A22 - L21 L21^T)``, with the triangular inverse
-    ``inv([[L11, 0], [L21, L22]]) = [[L11^{-1}, 0], [-L22^{-1} L21 L11^{-1}, L22^{-1}]]``.
-    Only the pieces asked for are assembled; the other is returned as None.
-    ``offset`` is the index of ``a[0, 0]`` in the caller's matrix, so a
-    failing pivot is reported in the caller's numbering.
+    ``inv([[L11, 0], [L21, L22]]) = [[L11^{-1}, 0], [-L22^{-1} L21 L11^{-1}, L22^{-1}]]``,
+    whose diagonal blocks the recursion writes into views of ``inv``.
     """
     n = a.shape[0]
     if n <= LEAF:
-        try:
-            low = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError(pivot=offset + _first_failing_minor(a)) from None
-        return low, (np.tril(np.linalg.inv(low)) if want_inverse else None)
+        inv[...] = np.tril(np.linalg.inv(_numpy_cholesky(a, offset)))
+        return
     h = n // 2
-    l11, inv11 = _factor(a[:h, :h], offset, want_low, True)
+    inv11, inv22 = inv[:h, :h], inv[h:, h:]
+    _factor(a[:h, :h], offset, inv11)
     l21 = a[h:, :h] @ inv11.T
-    l22, inv22 = _factor(a[h:, h:] - l21 @ l21.T, offset + h, want_low, want_inverse)
-    low = inv = None
-    if want_low:
-        low = np.zeros_like(a)
-        low[:h, :h] = l11
-        low[h:, :h] = l21
-        low[h:, h:] = l22
-    if want_inverse:
-        inv = np.zeros_like(a)
-        inv[:h, :h] = inv11
-        inv[h:, :h] = -(inv22 @ l21) @ inv11
-        inv[h:, h:] = inv22
-    return low, inv
+    _factor(a[h:, h:] - l21 @ l21.T, offset + h, inv22)
+    inv[h:, :h] = -(inv22 @ l21) @ inv11
 
 
 def cholesky(a: np.ndarray, orientation: str = "lower") -> np.ndarray:
@@ -217,7 +212,8 @@ def cholesky(a: np.ndarray, orientation: str = "lower") -> np.ndarray:
 
     Returns:
         Triangular factor, same dtype as ``a``, zero on the unused side,
-        strictly positive diagonal.
+        strictly positive diagonal: ``numpy.linalg.cholesky``'s, whose bits
+        may vary with the BLAS thread count.
 
     Raises:
         ValueError: if ``a`` has a NaN/Inf entry or is not symmetric.
@@ -225,8 +221,7 @@ def cholesky(a: np.ndarray, orientation: str = "lower") -> np.ndarray:
     """
     if orientation not in ("lower", "upper"):
         raise ValueError(f"orientation must be 'lower' or 'upper', got {orientation!r}")
-    a = _as_matrix(a, "a")
-    low, _ = _factor(_check_square_symmetric(a), 0, True, False)
+    low = _numpy_cholesky(_check_square_symmetric(_as_matrix(a, "a")))
     return low if orientation == "lower" else np.ascontiguousarray(low.T)
 
 
@@ -234,7 +229,7 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix.
 
     Computed as ``L^{-T} L^{-1}`` from the recursive factorization, which
-    returns ``L^{-1}`` without assembling ``L``, then symmetrized exactly by
+    builds ``L^{-1}`` without assembling ``L``, then symmetrized exactly by
     mirroring the upper triangle, so the result satisfies ``out == out.T``
     bit for bit.
 
@@ -243,8 +238,10 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
         NotPositiveDefiniteError: from the factorization, with the index of
             the first leading minor that is not positive definite.
     """
-    a = _as_matrix(a, "a")
-    _, inv_low = _factor(_check_square_symmetric(a), 0, False, True)
+    sym = _check_square_symmetric(_as_matrix(a, "a"))
+    inv_low = np.zeros_like(sym)
+    _factor(sym, 0, inv_low)
+    del sym
     inv = inv_low.T @ inv_low
     upper = np.triu(inv)
     return upper + np.triu(inv, k=1).T
@@ -257,7 +254,7 @@ def cholesky_of_inverse(a: np.ndarray) -> np.ndarray:
     lower side and a strictly positive diagonal, such that
     ``T.T @ T == a^{-1}``. With J the index reversal, ``J a J = L L^T``
     gives ``a = (J L J)(J L J)^T`` with ``J L J`` upper triangular, so
-    ``T = (J L J)^{-1} = J L^{-1} J``: one factorization that also returns
+    ``T = (J L J)^{-1} = J L^{-1} J``: one factorization that builds
     ``L^{-1}``, with no inverse formed and factored again.
 
     Raises:
@@ -273,11 +270,13 @@ def cholesky_of_inverse(a: np.ndarray) -> np.ndarray:
     # Symmetrizing the reversed view gives J sym(a) J entry for entry, with
     # no second copy to reverse it.
     sym_r = _check_square_symmetric(a[::-1, ::-1])
+    inv_low = np.zeros_like(sym_r)
     try:
-        _, inv_low = _factor(sym_r, 0, False, True)
+        _factor(sym_r, 0, inv_low)
     except NotPositiveDefiniteError as exc:
         # The reversed pass numbers trailing blocks of ``a``; factoring ``a``
         # itself raises with its first failing leading minor.
-        _factor(np.ascontiguousarray(sym_r[::-1, ::-1]), 0, False, False)
+        _numpy_cholesky(sym_r[::-1, ::-1])
         raise NotPositiveDefiniteError(pivot=a.shape[0] - 1 - exc.pivot) from None
+    del sym_r
     return np.ascontiguousarray(inv_low[::-1, ::-1])

@@ -321,7 +321,7 @@ class TestValidation:
             quantize_blockwise(w, hc, np.array([9, 2, 2]))
         with pytest.raises(ValueError):
             quantize_rtn_matrix(w, 9)
-        with pytest.raises(ValueError, match="<= 8"):
+        with pytest.raises(ValueError, match=r"in \[1, 8\]"):
             validate_widths(np.array([9]), 1)
         with pytest.raises(ShapeMismatchError):
             quantize_blockwise(w, hc, np.array([2, 2]))

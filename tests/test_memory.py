@@ -1,4 +1,5 @@
-"""Heap bounds at 1024 x 1024, in units of M, one float64 copy of the weights.
+"""Heap bounds at 1024 x 1024, in units of M, one float64 copy of the weights
+(the factorizations' are at 512 x 512, in units of one float64 copy of theirs).
 
 The peaks are read with tracemalloc, which sees numpy's buffers, over the
 call alone; the caller's inputs are not counted. A child process's
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from mgquant import quant
-from mgquant.calibration import proxy_loss
+from mgquant.calibration import build_hessian_cholesky, proxy_loss
 from mgquant.gptq import quantize_blockwise
+from mgquant.linalg import cholesky, cholesky_of_inverse, spd_inverse
 from mgquant.quant import error_table
 from mgquant.training import AdamW, TrainConfig, train
 
@@ -149,3 +151,20 @@ def test_proxy_loss_keeps_no_float64_copies_of_its_inputs():
     xs = [rng.standard_normal((512, D)).astype(np.float32) for _ in range(2)]
     peak = heap_peak(lambda: proxy_loss(w, q, xs))
     assert peak < 2.75, peak
+
+
+def test_factorizations_fill_the_inverse_factor_in_place():
+    # The symmetrized input (1) and the buffer into which the recursion writes
+    # L^{-1} (1), with up to 0.8 of block temporaries; build_hessian_cholesky
+    # adds its damped copy (1), and cholesky holds the symmetrized input and
+    # numpy's factor (2). spd_inverse peaks in its final mirror: the factor,
+    # the product, its two triangles and their sum (5). With a fresh zeroed
+    # block per recursion level, and L assembled for cholesky, the first three
+    # read 3.25, 4.25 and 3.0.
+    n = 512
+    x = np.random.default_rng(7).standard_normal((n + 8, n))
+    a = x.T @ x + n * np.eye(n)
+    bounds = {cholesky_of_inverse: 3.0, build_hessian_cholesky: 4.0, cholesky: 2.5,
+              spd_inverse: 5.1}
+    peaks = {fn.__name__: heap_peak(lambda: fn(a)) * M / (n * n * 8) for fn in bounds}
+    assert all(peaks[fn.__name__] < bound for fn, bound in bounds.items()), peaks
